@@ -11,30 +11,32 @@
 #   5. cargo test --workspace -q — every crate's unit tests
 #   6. chaos suite           — fault-injection gate (pinned seeds)
 #   7. fig_scale --smoke     — comparison-scaling gate (writes BENCH_scan.json)
-#   8. observability gate    — metrics/trace export + schema validation + mc-obs clippy
-#   9. fleet gate            — randomized sim smoke + golden snapshots +
+#   8. fig7_runtime_idle     — the paper's Fig. 7 shape (linear series,
+#                              Module-Searcher dominant at every N)
+#   9. observability gate    — metrics/trace export + schema validation + mc-obs clippy
+#  10. fleet gate            — randomized sim smoke + golden snapshots +
 #                              fig_fleet sub-linear scaling (writes BENCH_fleet.json)
-#  10. static-analysis gate  — sweep-vs-CFG differential suite + analyzer
+#  11. static-analysis gate  — sweep-vs-CFG differential suite + analyzer
 #                              metric exports validated against the schema
-#  11. serve gate            — attestation-daemon sim suite + goldens +
+#  12. serve gate            — attestation-daemon sim suite + goldens +
 #                              fig_serve fault sweep (writes BENCH_serve.json)
-#  12. capture gate          — fast-path equivalence suite + fig_capture,
+#  13. capture gate          — fast-path equivalence suite + fig_capture,
 #                              which asserts the >= 4x steady-state capture
 #                              speedup and fast-path on/off verdict
 #                              byte-identity (writes BENCH_capture.json)
-#  13. events gate           — push-vs-pull equivalence suite + fig_events,
+#  14. events gate           — push-vs-pull equivalence suite + fig_events,
 #                              which asserts the >= 10x clean-round
 #                              read/walk cut, sub-round median detection
 #                              latency and push/poll verdict byte-identity
 #                              (writes BENCH_events.json)
-#  14. adversary gate        — active-adversary matrix suite (DKOM unlink,
+#  15. adversary gate        — active-adversary matrix suite (DKOM unlink,
 #                              scrub race, checker blinding vs cross-view,
 #                              scan-phase jitter, tamper evidence) + the
 #                              crossview_*/adversary_* metric exports
 #                              validated against the schema; the 200-seed
 #                              detection-rate sweep rides in the fleet gate
-#  15. exit-code gate        — fleet-check's typed exit status contract
-#  16. test-count floor      — the suite must never silently shrink
+#  16. exit-code gate        — fleet-check's typed exit status contract
+#  17. test-count floor      — the suite must never silently shrink
 set -eu
 
 cd "$(dirname "$0")"
@@ -67,6 +69,12 @@ cargo test -q --test chaos
 # measured series as BENCH_scan.json at the repo root.
 echo "==> fig_scale --smoke (comparison scaling gate)"
 cargo run --release -q -p mc-bench --bin fig_scale -- --smoke --out BENCH_scan.json
+
+# Fig. 7 gate: the paper's idle-cloud runtime figure, on the paper's
+# page-by-page capture. The binary asserts every series is linear in N
+# and that Module-Searcher dominates at every N from 2 to 15.
+echo "==> fig7_runtime_idle (paper Fig. 7 shape)"
+cargo run --release -q -p mc-bench --bin fig7_runtime_idle > /dev/null
 
 # Observability gate: a real 4-VM scan must export metrics that validate
 # against the checked-in schema and a non-empty span trace, and the
@@ -210,7 +218,7 @@ cargo run --release -q -p modchecker-cli --bin modchecker -- \
 
 # Test-count floor: the workspace suite must never silently shrink. Bump
 # the floor when tests are added; lowering it is a reviewed decision.
-TEST_FLOOR=541
+TEST_FLOOR=546
 echo "==> test-count floor (>= $TEST_FLOOR)"
 TEST_COUNT=$(cargo test --workspace -q -- --list 2>/dev/null | grep -c ': test$')
 echo "    $TEST_COUNT tests listed"

@@ -49,7 +49,13 @@ fn main() {
     let parallel = std::env::args().any(|a| a == "--parallel");
     let module = "http.sys";
     let bed = Testbed::cloud(15);
-    let checker = ModChecker::new();
+    // The paper's prototype copies module pages one by one; the fast
+    // capture path would shrink the searcher series the figure is about.
+    let paper = CheckConfig {
+        fast_capture: false,
+        ..CheckConfig::default()
+    };
+    let checker = ModChecker::with_config(paper);
 
     let mut rows = Vec::new();
     for n in 2..=15usize {
@@ -112,7 +118,7 @@ fn main() {
         // pages are each copied once either way).
         let cached_checker = ModChecker::with_config(CheckConfig {
             page_cache: true,
-            ..CheckConfig::default()
+            ..paper
         });
         let n = 15;
         let ids = &bed.vm_ids[..n];

@@ -180,6 +180,7 @@ mod tests {
                 },
                 header_hashes: Vec::new(),
                 algo: DigestAlgo::Md5,
+                canonical: Default::default(),
             })
         };
 

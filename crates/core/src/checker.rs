@@ -7,6 +7,8 @@
 //! mismatches in `IMAGE_NT_HEADER`, `IMAGE_OPTIONAL_HEADER`, all
 //! `SECTION_HEADER`s and `.text`.
 
+use std::sync::OnceLock;
+
 use mc_vmi::VmiSession;
 
 use crate::digest::{digest, DigestAlgo, PartDigest};
@@ -17,7 +19,13 @@ use crate::searcher::ModuleImage;
 /// A captured module plus its parsed decomposition and cached header
 /// hashes. The expensive artifacts are computed once per VM and reused for
 /// every pairwise comparison.
-#[derive(Clone, Debug)]
+///
+/// The capture also memoizes its [`canonical_form`] on first use, so a
+/// capture served again from a cache (the same `Arc`) is normalized and
+/// hashed only once. The memo is derived from the fields as they stood on
+/// that first call: [`Clone`] starts the copy with an empty memo, so the
+/// way to derive a modified capture is to clone it and edit the clone.
+#[derive(Debug)]
 pub struct ExtractedModule {
     /// The captured image.
     pub image: ModuleImage,
@@ -28,6 +36,28 @@ pub struct ExtractedModule {
     pub header_hashes: Vec<(PartId, PartDigest)>,
     /// Hash algorithm used for every part of this capture.
     pub algo: DigestAlgo,
+    /// Memoized [`canonical_form`] outcome; see the type docs.
+    pub(crate) canonical: OnceLock<Option<CanonicalMemo>>,
+}
+
+/// A computed canonical form plus the `.reloc` length its ledger charge
+/// needs, so a memoized call charges exactly what a fresh one would.
+#[derive(Debug)]
+pub(crate) struct CanonicalMemo {
+    form: CanonicalForm,
+    reloc_len: usize,
+}
+
+impl Clone for ExtractedModule {
+    fn clone(&self) -> Self {
+        ExtractedModule {
+            image: self.image.clone(),
+            parts: self.parts.clone(),
+            header_hashes: self.header_hashes.clone(),
+            algo: self.algo,
+            canonical: OnceLock::new(),
+        }
+    }
 }
 
 impl ExtractedModule {
@@ -52,6 +82,7 @@ impl ExtractedModule {
             parts,
             header_hashes,
             algo,
+            canonical: OnceLock::new(),
         })
     }
 
@@ -251,10 +282,33 @@ impl CanonicalForm {
 /// no parseable `.reloc` section (pairwise fallback). Charges parse, slot
 /// rewrite, and hash costs to `ledger` when provided — once per capture,
 /// not per pair.
+///
+/// The form is computed on the first call and memoized in the capture;
+/// later calls return the memo. Every call charges the ledger the same
+/// amount, memoized or not: simulated time models the checker's work per
+/// round, not this process's reuse of it.
 pub fn canonical_form(
     m: &ExtractedModule,
     ledger: Option<&mut VmiSession<'_>>,
 ) -> Option<CanonicalForm> {
+    let memo = m.canonical.get_or_init(|| compute_canonical(m)).as_ref()?;
+    if let Some(ledger) = ledger {
+        let cost = *ledger.cost_model();
+        let exec_len: usize = m.parts.exec_sections.iter().map(|s| s.range.len()).sum();
+        // Parse the reloc metadata, rewrite each slot, hash each canonical
+        // executable section — all linear in this one capture.
+        ledger.charge_process(cost.parse_byte_ns, memo.reloc_len as u64);
+        ledger.charge_process(
+            cost.diff_byte_ns,
+            (memo.form.slots_normalized * m.parts.width.bytes()) as u64,
+        );
+        ledger.charge_process(cost.hash_byte_ns * m.algo.cost_factor(), exec_len as u64);
+    }
+    Some(memo.form.clone())
+}
+
+/// The uncached work behind [`canonical_form`].
+fn compute_canonical(m: &ExtractedModule) -> Option<CanonicalMemo> {
     let parsed = mc_pe::parser::ParsedModule::parse_memory(&m.image.bytes).ok()?;
     let reloc_len = parsed
         .find_section(".reloc")
@@ -262,18 +316,6 @@ pub fn canonical_form(
     let mut bytes = m.image.bytes.clone();
     let slots_normalized =
         crate::rva::normalize_with_reloc_table(&mut bytes, m.image.base, &parsed)?;
-    if let Some(ledger) = ledger {
-        let cost = *ledger.cost_model();
-        let exec_len: usize = m.parts.exec_sections.iter().map(|s| s.range.len()).sum();
-        // Parse the reloc metadata, rewrite each slot, hash each canonical
-        // executable section — all linear in this one capture.
-        ledger.charge_process(cost.parse_byte_ns, reloc_len as u64);
-        ledger.charge_process(
-            cost.diff_byte_ns,
-            (slots_normalized * m.parts.width.bytes()) as u64,
-        );
-        ledger.charge_process(cost.hash_byte_ns * m.algo.cost_factor(), exec_len as u64);
-    }
     let mut part_digests = m.header_hashes.clone();
     for s in &m.parts.exec_sections {
         part_digests.push((
@@ -282,10 +324,13 @@ pub fn canonical_form(
         ));
     }
     part_digests.sort_by(|x, y| x.0.cmp(&y.0));
-    Some(CanonicalForm {
-        part_digests,
-        slots_normalized,
-        algo: m.algo,
+    Some(CanonicalMemo {
+        form: CanonicalForm {
+            part_digests,
+            slots_normalized,
+            algo: m.algo,
+        },
+        reloc_len,
     })
 }
 
@@ -503,5 +548,37 @@ mod tests {
             canonical_cost.as_nanos() < 2 * pair_cost.as_nanos(),
             "two canonicalizations ({canonical_cost}) should not dwarf one pair ({pair_cost})"
         );
+    }
+
+    #[test]
+    fn memoized_canonical_form_is_equal_and_charged_the_same() {
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let a = extract_from(&hv, guests[0].vm, "hal.dll");
+        assert!(a.canonical.get().is_none(), "a fresh capture has no memo");
+        let mut ledger = VmiSession::attach(&hv, guests[0].vm).unwrap();
+        ledger.take_elapsed();
+        let first = canonical_form(&a, Some(&mut ledger)).unwrap();
+        let first_cost = ledger.take_elapsed();
+        assert!(a.canonical.get().is_some(), "the first call fills the memo");
+        let second = canonical_form(&a, Some(&mut ledger)).unwrap();
+        let second_cost = ledger.take_elapsed();
+        assert_eq!(first, second);
+        assert!(first_cost.as_nanos() > 0);
+        assert_eq!(first_cost.as_nanos(), second_cost.as_nanos());
+        assert_eq!(canonical_form(&a, None), Some(first));
+    }
+
+    #[test]
+    fn a_patched_clone_does_not_inherit_the_memo() {
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let a = extract_from(&hv, guests[0].vm, "hal.dll");
+        let original = canonical_form(&a, None).unwrap();
+        let mut b = a.clone();
+        assert!(b.canonical.get().is_none(), "a clone starts unmemoized");
+        let text = b.parts.exec_sections[0].range.start + 3;
+        b.image.bytes[text] ^= 0xFF;
+        let patched = canonical_form(&b, None).unwrap();
+        assert_ne!(original.fingerprint(), patched.fingerprint());
+        assert_eq!(canonical_form(&a, None), Some(original));
     }
 }

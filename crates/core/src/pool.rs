@@ -1372,6 +1372,33 @@ pub struct CacheStats {
     pub silent_restores: u64,
 }
 
+impl std::ops::AddAssign for CacheStats {
+    /// Field-wise sum, for aggregating several caches. The destructure is
+    /// exhaustive, so a new counter cannot be silently left out.
+    fn add_assign(&mut self, other: CacheStats) {
+        let CacheStats {
+            hits,
+            trusted_hits,
+            partial_hits,
+            pages_refreshed,
+            pages_reused,
+            misses,
+            invalidations,
+            evictions,
+            silent_restores,
+        } = other;
+        self.hits += hits;
+        self.trusted_hits += trusted_hits;
+        self.partial_hits += partial_hits;
+        self.pages_refreshed += pages_refreshed;
+        self.pages_reused += pages_reused;
+        self.misses += misses;
+        self.invalidations += invalidations;
+        self.evictions += evictions;
+        self.silent_restores += silent_restores;
+    }
+}
+
 /// Per-(VM, module) capture cache keyed by page write-generations.
 ///
 /// An entry stores the decoded capture ([`ExtractedModule`], shared via
@@ -2141,5 +2168,37 @@ mod tests {
         // …but the pre-pass analyzed the divergent capture on its own.
         assert_eq!(analysis.stats().runs, 2, "aux digest split the bucket");
         assert_eq!(analysis.len(), 2);
+    }
+
+    #[test]
+    fn cache_stats_add_assign_sums_every_field() {
+        let a = CacheStats {
+            hits: 1,
+            trusted_hits: 2,
+            partial_hits: 3,
+            pages_refreshed: 4,
+            pages_reused: 5,
+            misses: 6,
+            invalidations: 7,
+            evictions: 8,
+            silent_restores: 9,
+        };
+        let mut total = a;
+        total += a;
+        total += CacheStats::default();
+        assert_eq!(
+            total,
+            CacheStats {
+                hits: 2,
+                trusted_hits: 4,
+                partial_hits: 6,
+                pages_refreshed: 8,
+                pages_reused: 10,
+                misses: 12,
+                invalidations: 14,
+                evictions: 16,
+                silent_restores: 18,
+            }
+        );
     }
 }

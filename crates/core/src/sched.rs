@@ -235,11 +235,7 @@ impl FleetScheduler {
         if let Ok(caches) = self.caches.lock() {
             for cache in caches.values() {
                 if let Ok(c) = cache.lock() {
-                    let s = c.stats();
-                    total.hits += s.hits;
-                    total.misses += s.misses;
-                    total.invalidations += s.invalidations;
-                    total.evictions += s.evictions;
+                    total += c.stats();
                 }
             }
         }
@@ -848,6 +844,74 @@ mod tests {
                 "p1dom0".to_string()
             )]
         );
+    }
+
+    #[test]
+    fn cache_stats_sums_every_field_of_every_pool_cache() {
+        let (mut hv, guests, fleet) = fleet_bed(2, 4, 2);
+        let mut plane = EventPlane::new();
+        for pool in &fleet.pools {
+            let listing = ListDiff::scan_with(&hv, &pool.vms, true).unwrap();
+            plane
+                .arm_modules(&mut hv, &pool.vms, &listing.consensus_modules)
+                .unwrap();
+        }
+        let sched = FleetScheduler::new(FleetConfig {
+            check: CheckConfig {
+                tamper_evidence: true,
+                ..CheckConfig::default()
+            },
+            ..FleetConfig::default()
+        });
+        // Cold sweep (misses), quiet sweep (trusted hits), then an
+        // identical-bytes rewrite in each pool (partial hits whose pages
+        // read back unchanged: silent restores).
+        sched.sweep_with_trust(&hv, &fleet, Some(&plane));
+        plane.drain(&hv);
+        sched.sweep_with_trust(&hv, &fleet, Some(&plane));
+        for (p, pool_guests) in guests.iter().enumerate() {
+            let g = &pool_guests[1];
+            let module = format!("p{p}m1.sys");
+            let base = g.find_module(&module).unwrap().base;
+            let mut same = [0u8; 16];
+            hv.vm(g.vm)
+                .unwrap()
+                .read_virt(base + 0x1008, &mut same)
+                .unwrap();
+            g.patch_module(&mut hv, &module, 0x1008, &same).unwrap();
+        }
+        plane.drain(&hv);
+        sched.sweep_with_trust(&hv, &fleet, Some(&plane));
+
+        let per_pool: Vec<CacheStats> = sched
+            .caches
+            .lock()
+            .unwrap()
+            .values()
+            .map(|c| c.lock().unwrap().stats())
+            .collect();
+        assert_eq!(per_pool.len(), 2);
+        let sum = |f: fn(&CacheStats) -> u64| per_pool.iter().map(f).sum::<u64>();
+        let want = CacheStats {
+            hits: sum(|s| s.hits),
+            trusted_hits: sum(|s| s.trusted_hits),
+            partial_hits: sum(|s| s.partial_hits),
+            pages_refreshed: sum(|s| s.pages_refreshed),
+            pages_reused: sum(|s| s.pages_reused),
+            misses: sum(|s| s.misses),
+            invalidations: sum(|s| s.invalidations),
+            evictions: sum(|s| s.evictions),
+            silent_restores: sum(|s| s.silent_restores),
+        };
+        let total = sched.cache_stats();
+        assert_eq!(total, want);
+        // The push-path counters are non-zero, so leaving one out of the
+        // aggregate would show.
+        assert!(total.trusted_hits > 0, "{total:?}");
+        assert!(total.partial_hits > 0, "{total:?}");
+        assert!(total.pages_refreshed > 0, "{total:?}");
+        assert!(total.pages_reused > 0, "{total:?}");
+        assert!(total.silent_restores > 0, "{total:?}");
     }
 
     #[test]

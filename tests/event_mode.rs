@@ -22,11 +22,17 @@
 //!    sweep on a clean round costs ≥10× fewer guest reads and page walks
 //!    than the polling sweep — the `fig_events` headline, asserted here
 //!    at test scale.
+//! 6. **Memoized canonical forms never go stale.** Quiet rounds reuse each
+//!    capture's memoized canonical form yet charge the same simulated
+//!    time; a one-byte `.text` infection behind a memo is still flagged
+//!    the very next round.
 
 use mc_attacks::Technique;
 use mc_hypervisor::FaultPlan;
+use mc_vmi::VmiSession;
 use modchecker::{
-    ContinuousMonitor, EventPlane, FleetConfig, FleetScheduler, MonitorConfig, PoolCheckReport,
+    canonical_form, CheckConfig, CompareStrategy, ContinuousMonitor, EventPlane, ExtractedModule,
+    FleetConfig, FleetScheduler, ModuleSearcher, MonitorConfig, PoolCheckReport,
 };
 use modchecker_repro::fleetgen::uniform_fleet;
 use modchecker_repro::testbed::Testbed;
@@ -406,4 +412,153 @@ fn a_snapshot_revert_scrub_cannot_ride_stale_trust_through_an_armed_round() {
     let report = again[0].1.as_ref().expect("scan succeeds");
     let suspects: Vec<&str> = report.suspects().map(|v| v.vm_name.as_str()).collect();
     assert_eq!(suspects, vec!["dom3"], "watches must survive the revert");
+}
+
+// ---------------------------------------------------------------------
+// 6. Memoized canonical forms: same charge, never stale.
+// ---------------------------------------------------------------------
+
+/// Every module's verdict bytes for one round, in module order.
+fn round_verdicts(
+    round: &[(String, Result<PoolCheckReport, modchecker::CheckError>)],
+) -> Vec<String> {
+    round
+        .iter()
+        .map(|(_, r)| verdict_bytes(r.as_ref().expect("round scans")))
+        .collect()
+}
+
+/// Suspect VM names per module for one round.
+fn round_suspects(
+    round: &[(String, Result<PoolCheckReport, modchecker::CheckError>)],
+) -> Vec<(String, Vec<String>)> {
+    round
+        .iter()
+        .map(|(m, r)| {
+            let report = r.as_ref().expect("round scans");
+            (
+                m.clone(),
+                report.suspects().map(|v| v.vm_name.clone()).collect(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn memoized_canonical_forms_charge_the_same_and_never_go_stale() {
+    let modules: Vec<String> = ["hal.dll", "http.sys", "dummy.sys", "helloworld.sys"]
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
+    let mut bed = Testbed::small_cloud(5);
+    let monitor = ContinuousMonitor::new(MonitorConfig {
+        modules: modules.clone(),
+        check: CheckConfig {
+            compare: CompareStrategy::Canonical,
+            ..CheckConfig::default()
+        },
+        ..MonitorConfig::default()
+    });
+    monitor
+        .arm_events(&mut bed.hv, &bed.vm_ids)
+        .expect("arming succeeds");
+    let clean = round_verdicts(&monitor.run_round_events(&bed.hv, &bed.vm_ids));
+
+    // What a clean pool's checker costs with every form computed afresh:
+    // one canonical form per capture, on captures nothing has memoized.
+    let fresh_charge: Vec<u64> = modules
+        .iter()
+        .map(|module| {
+            let mut ledger = VmiSession::attach(&bed.hv, bed.vm_ids[0]).expect("attach");
+            ledger.take_elapsed();
+            for &vm in &bed.vm_ids {
+                let mut s = VmiSession::attach(&bed.hv, vm).expect("attach");
+                let image = ModuleSearcher::find(&mut s, module).expect("module listed");
+                let m = ExtractedModule::new(image).expect("module parses");
+                canonical_form(&m, Some(&mut ledger)).expect("corpus carries .reloc");
+            }
+            ledger.elapsed().as_nanos()
+        })
+        .collect();
+
+    // Quiet rounds serve the cold round's captures, and with them their
+    // memoized forms: zero reads, and the very same simulated charge.
+    for _ in 0..3 {
+        let quiet = monitor.run_round_events(&bed.hv, &bed.vm_ids);
+        assert_eq!(round_cost(&quiet), (0, 0), "quiet rounds are trusted");
+        assert_eq!(round_verdicts(&quiet), clean);
+        for ((module, q), fresh) in quiet.iter().zip(&fresh_charge) {
+            assert_eq!(
+                q.as_ref().unwrap().times.checker.as_nanos(),
+                *fresh,
+                "{module}: a memoized form is charged like a fresh one"
+            );
+        }
+        let again = monitor.run_round_events(&bed.hv, &bed.vm_ids);
+        for ((_, q), (module, a)) in quiet.iter().zip(&again) {
+            assert_eq!(
+                q.as_ref().unwrap().times,
+                a.as_ref().unwrap().times,
+                "{module}: quiet rounds report identical component times"
+            );
+        }
+    }
+
+    // A one-byte `.text` infection of each module in turn, on a different
+    // VM each time, is flagged the very next round; reverting the byte
+    // clears it the round after.
+    for (i, module) in modules.iter().enumerate() {
+        let victim = (i + 1) % bed.vm_ids.len();
+        let vm = bed.vm_ids[victim];
+        let text = {
+            let mut s = VmiSession::attach(&bed.hv, vm).expect("attach");
+            let image = ModuleSearcher::find(&mut s, module).expect("module listed");
+            let m = ExtractedModule::new(image).expect("module parses");
+            m.parts.exec_sections[0].range.clone()
+        };
+        let off = (text.start + 5 + 7 * i) as u64;
+        let base = bed.guests[victim].find_module(module).expect("loaded").base;
+        let mut original = [0u8; 1];
+        bed.hv
+            .vm(vm)
+            .expect("live VM")
+            .read_virt(base + off, &mut original)
+            .expect("mapped .text page");
+        bed.guests[victim]
+            .patch_module(&mut bed.hv, module, off, &[original[0] ^ 0xFF])
+            .expect("patch lands");
+        let round = monitor.run_round_events(&bed.hv, &bed.vm_ids);
+        for (m, suspects) in round_suspects(&round) {
+            let want = if &m == module {
+                vec![format!("dom{}", victim + 1)]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(suspects, want, "infected {module} on dom{}", victim + 1);
+        }
+
+        bed.guests[victim]
+            .patch_module(&mut bed.hv, module, off, &original)
+            .expect("revert lands");
+        let round = monitor.run_round_events(&bed.hv, &bed.vm_ids);
+        assert_eq!(round_verdicts(&round), clean, "{module} reverted");
+    }
+
+    // An identical-bytes rewrite of every module moves generations but no
+    // content: every verdict stays as it was.
+    for (i, module) in modules.iter().enumerate() {
+        let victim = i % bed.vm_ids.len();
+        let base = bed.guests[victim].find_module(module).expect("loaded").base;
+        let mut same = [0u8; 64];
+        bed.hv
+            .vm(bed.vm_ids[victim])
+            .expect("live VM")
+            .read_virt(base + 0x1000, &mut same)
+            .expect("mapped module page");
+        bed.guests[victim]
+            .patch_module(&mut bed.hv, module, 0x1000, &same)
+            .expect("rewrite lands");
+    }
+    let round = monitor.run_round_events(&bed.hv, &bed.vm_ids);
+    assert_eq!(round_verdicts(&round), clean, "identical rewrite");
 }
