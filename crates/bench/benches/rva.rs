@@ -48,6 +48,42 @@ fn bench_adjust(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two loaded copies of a synthetic `len`-byte section whose 4-byte
+/// address slots start every 8 to 16 bytes — far denser than compiled
+/// code, and the word scan's worst case: nearly every word it reads holds
+/// a difference.
+fn dense_pair(len: usize, base_a: u64, base_b: u64) -> (Vec<u8>, Vec<u8>) {
+    let file: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+    let (mut a, mut b) = (file.clone(), file);
+    let mut at = 0usize;
+    let mut k = 0usize;
+    while at + 4 <= len {
+        let rva = u32::from_le_bytes([a[at], a[at + 1], a[at + 2], a[at + 3]]);
+        a[at..at + 4].copy_from_slice(&rva.wrapping_add(base_a as u32).to_le_bytes());
+        b[at..at + 4].copy_from_slice(&rva.wrapping_add(base_b as u32).to_le_bytes());
+        at += 8 + k % 9;
+        k += 1;
+    }
+    (a, b)
+}
+
+fn bench_adjust_dense(c: &mut Criterion) {
+    let base_a = 0xF712_0000u64;
+    let base_b = 0xF7C4_3000u64;
+    let (text_a, text_b) = dense_pair(256 << 10, base_a, base_b);
+    let mut group = c.benchmark_group("rva_adjust");
+    group.throughput(Throughput::Bytes(2 * text_a.len() as u64));
+    group.bench_function("algorithm2_pair_dense_slots_256", |bch| {
+        bch.iter(|| {
+            let mut a = text_a.clone();
+            let mut b = text_b.clone();
+            let stats = adjust_rvas(&mut a, &mut b, base_a, base_b, AddressWidth::W32);
+            black_box((a, b, stats))
+        });
+    });
+    group.finish();
+}
+
 fn bench_reloc_table_ablation(c: &mut Criterion) {
     // ABL-2: normalizing one capture via its own .reloc metadata. Faster
     // per capture (single image, table-driven) but trusts in-guest data.
@@ -63,5 +99,10 @@ fn bench_reloc_table_ablation(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_adjust, bench_reloc_table_ablation);
+criterion_group!(
+    benches,
+    bench_adjust,
+    bench_adjust_dense,
+    bench_reloc_table_ablation
+);
 criterion_main!(benches);

@@ -6,14 +6,22 @@
 //! comparison outcome — e.g. the paper's §V.B.4 experiment reports
 //! mismatches in `IMAGE_NT_HEADER`, `IMAGE_OPTIONAL_HEADER`, all
 //! `SECTION_HEADER`s and `.text`.
+//!
+//! Each capture keeps two memos of derived digests, so the work behind
+//! them is done once per capture rather than once per pair or per round:
+//! its [`canonical_form`], and for each executable section the digest of
+//! its Algorithm 2 output, keyed by the log of slots that pass rewrote.
+//! Neither memo changes what a comparison returns or what it charges to a
+//! ledger.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
+use mc_pe::AddressWidth;
 use mc_vmi::VmiSession;
 
 use crate::digest::{digest, DigestAlgo, PartDigest};
 use crate::error::CheckError;
-use crate::parts::{ModuleParts, PartId};
+use crate::parts::{ExecSection, ModuleParts, PartId};
 use crate::searcher::ModuleImage;
 
 /// A captured module plus its parsed decomposition and cached header
@@ -22,9 +30,13 @@ use crate::searcher::ModuleImage;
 ///
 /// The capture also memoizes its [`canonical_form`] on first use, so a
 /// capture served again from a cache (the same `Arc`) is normalized and
-/// hashed only once. The memo is derived from the fields as they stood on
-/// that first call: [`Clone`] starts the copy with an empty memo, so the
-/// way to derive a modified capture is to clone it and edit the clone.
+/// hashed only once. A second memo holds, per executable section, the
+/// digest of its bytes after the last pairwise Algorithm 2 pass together
+/// with that pass's slot log: a pairwise sweep produces the same log for
+/// most peers, so each section is hashed about once per sweep instead of
+/// once per pair. Both memos are derived from the fields as they stood
+/// when they were filled: [`Clone`] starts the copy with empty memos, so
+/// the way to derive a modified capture is to clone it and edit the clone.
 #[derive(Debug)]
 pub struct ExtractedModule {
     /// The captured image.
@@ -38,6 +50,24 @@ pub struct ExtractedModule {
     pub algo: DigestAlgo,
     /// Memoized [`canonical_form`] outcome; see the type docs.
     pub(crate) canonical: OnceLock<Option<CanonicalMemo>>,
+    /// Per executable section (indexed as `parts.exec_sections`), the
+    /// latest adjusted digest; see the type docs. Locked because parallel
+    /// scans compare one capture in several pairs at once.
+    pub(crate) adjusted: Mutex<Vec<Option<AdjustedDigest>>>,
+}
+
+/// The digest of one executable section after Algorithm 2, with the
+/// width and slot log that produced the adjusted bytes.
+///
+/// Algorithm 2 rewrites each logged slot of a side to the value read from
+/// that side's own buffer minus that side's own base, so the adjusted
+/// bytes — and their digest — are a function of the capture, the width
+/// and the log alone, whichever peer produced the log.
+#[derive(Debug)]
+pub(crate) struct AdjustedDigest {
+    width: AddressWidth,
+    slots: Vec<u32>,
+    digest: PartDigest,
 }
 
 /// A computed canonical form plus the `.reloc` length its ledger charge
@@ -56,6 +86,7 @@ impl Clone for ExtractedModule {
             header_hashes: self.header_hashes.clone(),
             algo: self.algo,
             canonical: OnceLock::new(),
+            adjusted: Mutex::default(),
         }
     }
 }
@@ -83,6 +114,7 @@ impl ExtractedModule {
             header_hashes,
             algo,
             canonical: OnceLock::new(),
+            adjusted: Mutex::default(),
         })
     }
 
@@ -94,6 +126,41 @@ impl ExtractedModule {
     /// True when the image is empty (never the case for parsed modules).
     pub fn is_empty(&self) -> bool {
         self.image.bytes.is_empty()
+    }
+
+    /// The digest of exec section `section` once Algorithm 2 has rewritten
+    /// `slots` under `width`; `adjusted` holds those adjusted bytes. Served
+    /// from the memo when the entry's width and log match; otherwise hashed
+    /// outside the lock and stored in place of the old entry.
+    fn adjusted_digest(
+        &self,
+        section: usize,
+        width: AddressWidth,
+        slots: &[u32],
+        adjusted: &[u8],
+    ) -> PartDigest {
+        // Every update replaces a whole entry, so a poisoned memo still
+        // holds only complete, correct entries.
+        let lock = || self.adjusted.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = lock()
+            .get(section)
+            .and_then(Option::as_ref)
+            .filter(|e| e.width == width && e.slots == slots)
+            .map(|e| e.digest);
+        if let Some(d) = hit {
+            return d;
+        }
+        let d = digest(self.algo, adjusted);
+        let mut memo = lock();
+        if memo.len() <= section {
+            memo.resize_with(section + 1, || None);
+        }
+        memo[section] = Some(AdjustedDigest {
+            width,
+            slots: slots.to_vec(),
+            digest: d,
+        });
+        d
     }
 }
 
@@ -126,6 +193,7 @@ impl PairOutcome {
 pub struct PairScratch {
     buf_a: Vec<u8>,
     buf_b: Vec<u8>,
+    slots: Vec<u32>,
 }
 
 impl PairScratch {
@@ -149,8 +217,26 @@ pub fn compare_pair(
     compare_pair_with(a, b, ledger, &mut PairScratch::new())
 }
 
+/// The index in `other` of the counterpart of `secs[i]`: the section with
+/// the same name and the same occurrence among sections of that name, so a
+/// second `.text` pairs with the other side's second `.text` or with none.
+fn counterpart(secs: &[ExecSection], i: usize, other: &[ExecSection]) -> Option<usize> {
+    let name = &secs[i].name;
+    let occurrence = secs[..i].iter().filter(|s| s.name == *name).count();
+    other
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.name == *name)
+        .nth(occurrence)
+        .map(|(k, _)| k)
+}
+
 /// [`compare_pair`] with caller-provided scratch buffers, for matrix sweeps
 /// that reuse one arena across many pairs.
+///
+/// Each side's adjusted-section digest comes from that capture's memo when
+/// the pass rewrote the same slots as the pass that filled it; the ledger
+/// is charged for diffing and hashing both sections either way.
 pub fn compare_pair_with(
     a: &ExtractedModule,
     b: &ExtractedModule,
@@ -201,12 +287,15 @@ pub fn compare_pair_with(
         mismatched.push(id.clone());
     }
 
-    // Executable sections: adjust RVAs pairwise, then hash.
-    for sa in &a.parts.exec_sections {
-        let Some(sb) = b.parts.exec_sections.iter().find(|s| s.name == sa.name) else {
+    // Executable sections: adjust RVAs pairwise, then hash. Sections pair
+    // by name and occurrence; one without a counterpart is a mismatch.
+    let width = a.parts.width;
+    for (ia, sa) in a.parts.exec_sections.iter().enumerate() {
+        let Some(ib) = counterpart(&a.parts.exec_sections, ia, &b.parts.exec_sections) else {
             mismatched.push(PartId::SectionData(sa.name.clone()));
             continue;
         };
+        let sb = &b.parts.exec_sections[ib];
         scratch.buf_a.clear();
         scratch
             .buf_a
@@ -225,16 +314,27 @@ pub fn compare_pair_with(
                 (bytes_a.len() + bytes_b.len()) as u64,
             );
         }
-        let stats =
-            crate::rva::adjust_rvas(bytes_a, bytes_b, a.image.base, b.image.base, a.parts.width);
+        let slots = &mut scratch.slots;
+        slots.clear();
+        let stats = crate::rva::adjust_rvas_logged(
+            bytes_a,
+            bytes_b,
+            a.image.base,
+            b.image.base,
+            width,
+            slots,
+        );
         slots_adjusted += stats.slots_adjusted;
         residual_diffs += stats.residual_diffs;
-        if bytes_a.len() != bytes_b.len() || digest(algo, bytes_a) != digest(algo, bytes_b) {
+        if bytes_a.len() != bytes_b.len()
+            || a.adjusted_digest(ia, width, slots, bytes_a)
+                != b.adjusted_digest(ib, width, slots, bytes_b)
+        {
             mismatched.push(PartId::SectionData(sa.name.clone()));
         }
     }
-    for sb in &b.parts.exec_sections {
-        if !a.parts.exec_sections.iter().any(|s| s.name == sb.name) {
+    for (ib, sb) in b.parts.exec_sections.iter().enumerate() {
+        if counterpart(&b.parts.exec_sections, ib, &a.parts.exec_sections).is_none() {
             mismatched.push(PartId::SectionData(sb.name.clone()));
         }
     }
@@ -441,6 +541,38 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_named_exec_section_is_compared_not_skipped() {
+        // A second `.text` on one side has no counterpart on the other: it
+        // must be flagged, not paired with the other side's first `.text`
+        // and then waved through by the reverse pass.
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let a = extract_from(&hv, guests[0].vm, "hal.dll");
+        let b = extract_from(&hv, guests[1].vm, "hal.dll");
+        let text = PartId::SectionData(".text".into());
+        let with_second_text = |m: &ExtractedModule| {
+            let mut m = m.clone();
+            let dup = m.parts.exec_sections[0].clone();
+            m.parts.exec_sections.push(dup);
+            m
+        };
+        let b2 = with_second_text(&b);
+        assert!(compare_pair(&a, &b2, None)
+            .unwrap()
+            .mismatched
+            .contains(&text));
+        let a2 = with_second_text(&a);
+        assert!(compare_pair(&a2, &b, None)
+            .unwrap()
+            .mismatched
+            .contains(&text));
+        // Both sides carrying the same two sections pair them one to one.
+        let out = compare_pair(&a2, &b2, None).unwrap();
+        assert!(out.matches(), "mismatched: {:?}", out.mismatched);
+        let single = compare_pair(&a, &b, None).unwrap();
+        assert_eq!(out.slots_adjusted, 2 * single.slots_adjusted);
+    }
+
+    #[test]
     fn sha256_extraction_matches_clean_pairs_too() {
         let (hv, guests) = two_vm_cloud(AddressWidth::W32);
         let extract = |vm| {
@@ -580,5 +712,77 @@ mod tests {
         let patched = canonical_form(&b, None).unwrap();
         assert_ne!(original.fingerprint(), patched.fingerprint());
         assert_eq!(canonical_form(&a, None), Some(original));
+    }
+
+    /// True once `m` holds a memoized adjusted digest.
+    fn has_adjusted_memo(m: &ExtractedModule) -> bool {
+        m.adjusted.lock().unwrap().iter().any(Option::is_some)
+    }
+
+    #[test]
+    fn a_memo_hit_charges_the_ledger_like_a_miss() {
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let a = extract_from(&hv, guests[0].vm, "hal.dll");
+        let b = extract_from(&hv, guests[1].vm, "hal.dll");
+        let mut ledger = VmiSession::attach(&hv, guests[0].vm).unwrap();
+        ledger.take_elapsed();
+        assert!(!has_adjusted_memo(&a) && !has_adjusted_memo(&b));
+        let miss = compare_pair(&a, &b, Some(&mut ledger)).unwrap();
+        let miss_cost = ledger.take_elapsed();
+        assert!(has_adjusted_memo(&a) && has_adjusted_memo(&b));
+        let hit = compare_pair(&a, &b, Some(&mut ledger)).unwrap();
+        let hit_cost = ledger.take_elapsed();
+        assert!(miss_cost.as_nanos() > 0);
+        assert_eq!(miss_cost.as_nanos(), hit_cost.as_nanos());
+        assert_eq!(miss.mismatched, hit.mismatched);
+        assert_eq!(miss.slots_adjusted, hit.slots_adjusted);
+        assert_eq!(miss.residual_diffs, hit.residual_diffs);
+    }
+
+    #[test]
+    fn alternating_slot_logs_overwrite_the_memo_and_stay_exact() {
+        // `a` meets a distinct-base clean peer (full slot log), a same-base
+        // tampered peer and a same-base clean peer (empty slot logs) in
+        // turn. Each meeting replaces `a`'s memo entry, and every outcome
+        // must equal the comparison of fresh, unmemoized clones.
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let a = extract_from(&hv, guests[0].vm, "hal.dll");
+        let distinct = extract_from(&hv, guests[1].vm, "hal.dll");
+        let mut tampered = a.clone();
+        let at = tampered.parts.exec_sections[0].range.start + 3;
+        tampered.image.bytes[at] ^= 0xFF;
+        let same = a.clone();
+        let text = vec![PartId::SectionData(".text".into())];
+        for round in 0..3 {
+            for (peer, expected) in [
+                (&distinct, vec![]),
+                (&tampered, text.clone()),
+                (&same, vec![]),
+            ] {
+                let memoized = compare_pair(&a, peer, None).unwrap();
+                let fresh = compare_pair(&a.clone(), &peer.clone(), None).unwrap();
+                assert_eq!(memoized.mismatched, expected, "round {round}");
+                assert_eq!(memoized.mismatched, fresh.mismatched);
+                assert_eq!(memoized.slots_adjusted, fresh.slots_adjusted);
+                assert_eq!(memoized.residual_diffs, fresh.residual_diffs);
+            }
+        }
+    }
+
+    #[test]
+    fn a_patched_clone_does_not_inherit_the_digest_memo() {
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let a = extract_from(&hv, guests[0].vm, "hal.dll");
+        let b = extract_from(&hv, guests[1].vm, "hal.dll");
+        assert!(compare_pair(&a, &b, None).unwrap().matches());
+        let mut c = a.clone();
+        assert!(!has_adjusted_memo(&c), "a clone starts unmemoized");
+        let at = c.parts.exec_sections[0].range.start + 3;
+        c.image.bytes[at] ^= 0xFF;
+        assert_eq!(
+            compare_pair(&c, &b, None).unwrap().mismatched,
+            vec![PartId::SectionData(".text".into())]
+        );
+        assert!(compare_pair(&a, &b, None).unwrap().matches());
     }
 }

@@ -18,6 +18,10 @@
 //!    rewrite both slots to the RVA. If they disagree, the difference is
 //!    *tampering*; leave it (the hashes will expose it).
 //!
+//! The scan looks for each next differing byte eight bytes at a time (the
+//! lowest nonzero byte of two XORed little-endian words), which stops at
+//! exactly the bytes a byte-by-byte loop would.
+//!
 //! The paper's Algorithm 2 line 22 reads `j ← j − offset + 1 − 4`, which
 //! would move the cursor backwards and never terminate; it is a typo for
 //! advancing *past* the 4-byte slot, which is what this implementation does.
@@ -65,6 +69,29 @@ fn write_le(buf: &mut [u8], at: usize, v: u64, width: usize) {
     }
 }
 
+/// Index of the first byte at or after `from` where `a` and `b` differ,
+/// both read up to `len`. Compares eight bytes at a time: the lowest
+/// nonzero byte of the XOR of two little-endian words is the first
+/// differing one.
+fn next_difference(a: &[u8], b: &[u8], from: usize, len: usize) -> Option<usize> {
+    let (a, b) = (&a[from..len], &b[from..len]);
+    for (k, (wa, wb)) in a.chunks_exact(8).zip(b.chunks_exact(8)).enumerate() {
+        let x = word(wa) ^ word(wb);
+        if x != 0 {
+            return Some(from + 8 * k + (x.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = a.len() - a.len() % 8;
+    (tail..a.len()).find(|&k| a[k] != b[k]).map(|k| from + k)
+}
+
+/// An 8-byte chunk as a little-endian word.
+fn word(chunk: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(chunk);
+    u64::from_le_bytes(w)
+}
+
 /// Runs Algorithm 2 over one section captured from two VMs, rewriting
 /// reconciled address slots to RVAs **in both buffers**.
 ///
@@ -78,6 +105,26 @@ pub fn adjust_rvas(
     base_a: u64,
     base_b: u64,
     width: AddressWidth,
+) -> AdjustStats {
+    adjust_rvas_logged(a, b, base_a, base_b, width, &mut Vec::new())
+}
+
+/// [`adjust_rvas`] that also appends each reconciled slot's offset to
+/// `slots`, in rewrite order.
+///
+/// Each rewrite reads one side's own (possibly already rewritten) buffer
+/// and subtracts that side's own base, so either side's adjusted bytes are
+/// a function of its original bytes, its base, `width` and this log alone,
+/// whatever the other side held. The checker keys its per-capture digest
+/// memo on that. Offsets fit in `u32`: captures are capped at
+/// [`crate::error::MAX_MODULE_SIZE`].
+pub(crate) fn adjust_rvas_logged(
+    a: &mut [u8],
+    b: &mut [u8],
+    base_a: u64,
+    base_b: u64,
+    width: AddressWidth,
+    slots: &mut Vec<u32>,
 ) -> AdjustStats {
     let w = width.bytes();
     let len = a.len().min(b.len());
@@ -115,11 +162,8 @@ pub fn adjust_rvas(
 
     // Lines 11–23: scan, back up to the slot start, reconcile.
     let mut j = 0usize;
-    while j < len {
-        if a[j] == b[j] {
-            j += 1;
-            continue;
-        }
+    while let Some(d) = next_difference(a, b, j, len) {
+        j = d;
         // Slot start: j − offset + 1 (the paper's line 13/14 index).
         let slot = match (j + 1).checked_sub(offset) {
             Some(s) if s + w <= len => s,
@@ -137,6 +181,7 @@ pub fn adjust_rvas(
         if rva_a == rva_b {
             write_le(a, slot, rva_a, w);
             write_le(b, slot, rva_b, w);
+            slots.push(slot as u32);
             stats.slots_adjusted += 1;
             j = slot + w;
         } else {
@@ -207,6 +252,62 @@ mod tests {
 
     fn sample_file() -> Vec<u8> {
         (0..600u32).map(|i| (i * 7 % 251) as u8).collect()
+    }
+
+    /// Algorithm 2 with a byte-at-a-time scan, kept as the reference the
+    /// word-at-a-time [`adjust_rvas_logged`] must reproduce exactly.
+    fn adjust_rvas_bytewise(
+        a: &mut [u8],
+        b: &mut [u8],
+        base_a: u64,
+        base_b: u64,
+        width: AddressWidth,
+        slots: &mut Vec<u32>,
+    ) -> AdjustStats {
+        let w = width.bytes();
+        let len = a.len().min(b.len());
+        let mut stats = AdjustStats {
+            bytes_scanned: len,
+            residual_diffs: a.len().max(b.len()) - len,
+            ..AdjustStats::default()
+        };
+        let mask = match width {
+            AddressWidth::W32 => 0xFFFF_FFFFu64,
+            AddressWidth::W64 => u64::MAX,
+        };
+        let (ba, bb) = (base_a.to_le_bytes(), base_b.to_le_bytes());
+        let Some(offset) = (0..w).position(|i| ba[i] != bb[i]).map(|i| i + 1) else {
+            stats.identical_bases = true;
+            return stats;
+        };
+        let mut j = 0usize;
+        while j < len {
+            if a[j] == b[j] {
+                j += 1;
+                continue;
+            }
+            let slot = match (j + 1).checked_sub(offset) {
+                Some(s) if s + w <= len => s,
+                _ => {
+                    stats.residual_diffs += 1;
+                    j += 1;
+                    continue;
+                }
+            };
+            let rva_a = read_le(a, slot, w).wrapping_sub(base_a) & mask;
+            let rva_b = read_le(b, slot, w).wrapping_sub(base_b) & mask;
+            if rva_a == rva_b {
+                write_le(a, slot, rva_a, w);
+                write_le(b, slot, rva_b, w);
+                slots.push(slot as u32);
+                stats.slots_adjusted += 1;
+                j = slot + w;
+            } else {
+                stats.residual_diffs += 1;
+                j += 1;
+            }
+        }
+        stats
     }
 
     #[test]
@@ -423,6 +524,69 @@ mod tests {
                 a[at] ^= flip;
                 adjust_rvas(&mut a, &mut b, base_a, base_b, AddressWidth::W32);
                 prop_assert_ne!(&a, &b);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The word-at-a-time scan finds exactly the slots, residuals
+            /// and rewrites of the byte-at-a-time reference: dense and
+            /// back-to-back slots (`step` ≤ 16), bases sharing 0 to w − 1
+            /// low bytes (so the scan backs up into slots that overlap
+            /// earlier rewrites) or all w (identical bases), tampered bytes
+            /// on either side, unequal lengths and both widths.
+            #[test]
+            fn word_scan_matches_the_bytewise_reference(
+                file in proptest::collection::vec(any::<u8>(), 0..600),
+                wide in proptest::bool::ANY,
+                base_raw in any::<u64>(),
+                shared in 0usize..9,
+                flip in 1u64..=0xFF,
+                start in 0usize..24,
+                step in 1usize..=16,
+                tampers in proptest::collection::vec(any::<u64>(), 0..6),
+                cut_a in 0usize..48,
+                cut_b in 0usize..48,
+            ) {
+                let width = if wide { AddressWidth::W64 } else { AddressWidth::W32 };
+                let w = width.bytes();
+                let mask = if wide { u64::MAX } else { 0xFFFF_FFFF };
+                let base_a = base_raw & mask;
+                // The bases agree on their low `shared` bytes and differ in
+                // the next one; sharing all w bytes makes them identical.
+                let shared = shared % (w + 1);
+                let base_b = if shared == w {
+                    base_a
+                } else {
+                    base_a ^ (flip << (8 * shared))
+                };
+                let slots: Vec<usize> =
+                    (start..file.len().saturating_sub(w)).step_by(step).collect();
+                let (mut a, mut b) = load_pair(&file, &slots, base_a, base_b, width);
+                for t in &tampers {
+                    let side = if t & 1 == 0 { &mut a } else { &mut b };
+                    if !side.is_empty() {
+                        let at = (t >> 9) as usize % side.len();
+                        side[at] ^= ((t >> 1) as u8).max(1);
+                    }
+                }
+                // Cuts of 24 or more trim the tail, so about half the cases
+                // keep equal lengths.
+                a.truncate(a.len().saturating_sub(cut_a.saturating_sub(24)));
+                b.truncate(b.len().saturating_sub(cut_b.saturating_sub(24)));
+                let (mut ra, mut rb) = (a.clone(), b.clone());
+                let mut log = Vec::new();
+                let mut reference_log = Vec::new();
+                let stats = adjust_rvas_logged(&mut a, &mut b, base_a, base_b, width, &mut log);
+                let reference = adjust_rvas_bytewise(
+                    &mut ra, &mut rb, base_a, base_b, width, &mut reference_log,
+                );
+                prop_assert_eq!(stats, reference);
+                prop_assert_eq!(log.len(), stats.slots_adjusted);
+                prop_assert_eq!(&log, &reference_log);
+                prop_assert_eq!(&a, &ra);
+                prop_assert_eq!(&b, &rb);
             }
         }
     }

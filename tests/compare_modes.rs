@@ -2,13 +2,16 @@
 //! path must return the same verdicts as the paper's O(t²) pairwise matrix
 //! over the whole attack corpus, fall back to pairwise when a module
 //! carries no usable `.reloc` table, and agree on the bucket edge cases
-//! (all-distinct captures, 2-2 ties).
+//! (all-distinct captures, 2-2 ties). The pairwise matrix must also be
+//! unchanged by the per-capture memo of adjusted-section digests.
 
 use mc_attacks::Technique;
 use mc_hypervisor::AddressWidth;
 use mc_pe::corpus::ModuleBlueprint;
+use mc_vmi::VmiSession;
 use modchecker::{
-    CheckConfig, CompareStrategy, ModChecker, PartId, PoolCheckReport, VerdictStatus,
+    compare_pair, compare_pair_with, CheckConfig, CompareStrategy, ExtractedModule, ModChecker,
+    ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, ScanMode, VerdictStatus,
 };
 use modchecker_repro::testbed::Testbed;
 use proptest::prelude::*;
@@ -215,6 +218,88 @@ fn two_two_tie_suspects_everyone_in_both_modes() {
     }
     // Two buckets of two → one representative pair.
     assert_eq!(canonical.matrix.len(), 1);
+}
+
+/// The content of one pair outcome.
+type PairKey = ((String, String), Vec<PartId>, usize, usize);
+
+fn pair_keys(outcomes: &[PairOutcome]) -> Vec<PairKey> {
+    outcomes
+        .iter()
+        .map(|o| {
+            (
+                o.vms.clone(),
+                o.mismatched.clone(),
+                o.slots_adjusted,
+                o.residual_diffs,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn adjusted_digest_memos_leave_the_pairwise_matrix_unchanged() {
+    const VMS: usize = 15;
+    for (k, technique) in Technique::ALL.into_iter().enumerate() {
+        let victim = (4 * k + 1) % VMS;
+        let (bed, _) = Testbed::infected_cloud(VMS, technique, &[victim]).unwrap();
+        let target = technique.infection().target_module().to_string();
+
+        // Sequential and parallel sweeps share captures across pairs, the
+        // parallel one concurrently; both must report the same matrix,
+        // verdicts and checker charge.
+        let scan = |mode| {
+            ModChecker::with_mode(mode)
+                .check_pool(&bed.hv, &bed.vm_ids, &target)
+                .expect("pool check")
+        };
+        let seq = scan(ScanMode::Sequential);
+        let par = scan(ScanMode::Parallel);
+        assert_eq!(verdict_keys(&seq), verdict_keys(&par), "{technique}");
+        assert_eq!(
+            pair_keys(&seq.matrix),
+            pair_keys(&par.matrix),
+            "{technique}"
+        );
+        assert_eq!(seq.times.checker, par.times.checker, "{technique}");
+        let suspects: Vec<String> = seq.suspects().map(|v| v.vm_name.clone()).collect();
+        assert_eq!(suspects, vec![format!("dom{}", victim + 1)], "{technique}");
+
+        // The same matrix from captures that carry memos across the sweep
+        // (twice: the second pass meets memos a full sweep left behind) and
+        // from fresh, unmemoized clones for every pair.
+        let captures: Vec<ExtractedModule> = bed
+            .vm_ids
+            .iter()
+            .map(|&vm| {
+                let mut s = VmiSession::attach(&bed.hv, vm).expect("attach");
+                let image = ModuleSearcher::find(&mut s, &target).expect("module listed");
+                ExtractedModule::new(image).expect("module parses")
+            })
+            .collect();
+        let mut scratch = PairScratch::new();
+        let pairs: Vec<(usize, usize)> = (0..VMS)
+            .flat_map(|i| ((i + 1)..VMS).map(move |j| (i, j)))
+            .collect();
+        let fresh: Vec<PairOutcome> = pairs
+            .iter()
+            .map(|&(i, j)| compare_pair(&captures[i].clone(), &captures[j].clone(), None).unwrap())
+            .collect();
+        for pass in 0..2 {
+            let memoized: Vec<PairOutcome> = pairs
+                .iter()
+                .map(|&(i, j)| {
+                    compare_pair_with(&captures[i], &captures[j], None, &mut scratch).unwrap()
+                })
+                .collect();
+            assert_eq!(
+                pair_keys(&memoized),
+                pair_keys(&fresh),
+                "{technique}, pass {pass}"
+            );
+        }
+        assert_eq!(pair_keys(&seq.matrix), pair_keys(&fresh), "{technique}");
+    }
 }
 
 proptest! {
