@@ -12,7 +12,8 @@
 #   6. chaos suite           — fault-injection gate (pinned seeds)
 #   7. fig_scale --smoke     — comparison-scaling gate (writes BENCH_scan.json)
 #   8. fig7_runtime_idle     — the paper's Fig. 7 shape (linear series,
-#                              Module-Searcher dominant at every N)
+#                              Module-Searcher dominant at every N) plus
+#                              the ABL-5 fast-vs-paper capture check
 #   9. observability gate    — metrics/trace export + schema validation + mc-obs clippy
 #  10. fleet gate            — randomized sim smoke + golden snapshots +
 #                              fig_fleet sub-linear scaling (writes BENCH_fleet.json)
@@ -72,9 +73,11 @@ cargo run --release -q -p mc-bench --bin fig_scale -- --smoke --out BENCH_scan.j
 
 # Fig. 7 gate: the paper's idle-cloud runtime figure, on the paper's
 # page-by-page capture. The binary asserts every series is linear in N
-# and that Module-Searcher dominates at every N from 2 to 15.
-echo "==> fig7_runtime_idle (paper Fig. 7 shape)"
-cargo run --release -q -p mc-bench --bin fig7_runtime_idle > /dev/null
+# and that Module-Searcher dominates at every N from 2 to 15; `--cache`
+# adds ABL-5, asserting the fast capture path's searcher time undercuts
+# the paper path's at N=15 with the vote unchanged.
+echo "==> fig7_runtime_idle --cache (paper Fig. 7 shape + ABL-5)"
+cargo run --release -q -p mc-bench --bin fig7_runtime_idle -- --cache > /dev/null
 
 # Observability gate: a real 4-VM scan must export metrics that validate
 # against the checked-in schema and a non-empty span trace, and the

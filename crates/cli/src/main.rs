@@ -71,7 +71,7 @@ modchecker — cross-VM kernel module integrity checking (ICPP 2012 reproduction
 
 USAGE:
   modchecker check --vms <N> --module <NAME> [--parallel] [--width64] [--static]
-                   [--infect <technique>@<vm-index>] [--sha256] [--cache] [--json]
+                   [--infect <technique>@<vm-index>] [--sha256] [--json]
                    [--compare pairwise|canonical] [--no-fast-capture]
                    [--retries <R>] [--deadline-ms <MS>] [--min-quorum <Q>]
                    [--fault-seed <SEED>] [--fault-rate <0..1>]
@@ -296,7 +296,6 @@ fn cmd_check(args: &mut Args) -> Result<(), String> {
             } else {
                 ScanMode::Sequential
             },
-            page_cache: args.flag("cache"),
             digest: if args.flag("sha256") {
                 modchecker::DigestAlgo::Sha256
             } else {

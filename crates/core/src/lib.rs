@@ -102,8 +102,8 @@ pub use obs::{
 };
 pub use parts::{ModuleParts, PartId};
 pub use pool::{
-    AnalysisCache, AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, CompareStrategy,
-    ModChecker, ModuleResults, ScanMode,
+    AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, CompareStrategy, ModChecker,
+    ModuleResults, ScanMode,
 };
 pub use report::{
     ComponentTimes, FleetPoolReport, FleetReport, FleetUnitReport, ModuleCheckReport,
@@ -120,3 +120,14 @@ pub use mc_vmi::RetryPolicy;
 pub use rva::{adjust_rvas, normalize_with_reloc_table, AdjustStats};
 pub use searcher::{ModuleImage, ModuleRef, ModuleSearcher};
 pub use treehash::TreeHash;
+
+/// Locks `m`, recovering the guard if a panicking thread poisoned it.
+///
+/// Every scan-path lock uses this one policy. The guarded state (capture
+/// caches, metrics, breaker and listing maps) is only mutated between
+/// scans, so it is still consistent after a sibling's panic; skipping the
+/// lock or swapping in a fresh value would instead drop evictions and
+/// counters while other paths keep serving from the same cache.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

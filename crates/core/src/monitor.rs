@@ -16,7 +16,7 @@
 //! immediately.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use crossbeam::channel::Sender;
 
@@ -26,6 +26,7 @@ use mc_obs::MetricsRegistry;
 use crate::crossview::{CrossView, CrossViewConfig, CrossViewReport};
 use crate::error::CheckError;
 use crate::events::{EventPlane, EventPlaneStats};
+use crate::lock;
 use crate::obs::record_pool_report;
 use crate::pool::{CacheStats, CaptureCache, CheckConfig, ModChecker};
 use crate::report::{PoolCheckReport, QuorumStatus, VerdictStatus};
@@ -47,6 +48,83 @@ impl Default for HealthPolicy {
             failure_threshold: 3,
             cooldown_rounds: 2,
         }
+    }
+}
+
+/// One VM's circuit breaker under a [`HealthPolicy`], advanced once per
+/// tick: a monitor round, or a committed sweep in the attestation daemon.
+///
+/// Each tick, [`Breaker::admit`] decides whether the VM takes part, and a
+/// VM that took part reports its outcome to [`Breaker::record`]. A VM
+/// failing every tick trips on tick `threshold − 1`, sits out the next
+/// `cooldown` ticks (turning half-open on the last of them), is re-probed
+/// on the tick after, and re-trips on that probe's failure.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Breaker {
+    /// In the scan set, with this many consecutive failed ticks.
+    Closed {
+        /// Consecutive failed ticks so far (always below the threshold).
+        failures: usize,
+    },
+    /// Quarantined for this many more ticks.
+    Open {
+        /// Ticks left to sit out; never zero.
+        cooldown_left: usize,
+    },
+    /// Cooldown over: the next tick re-probes, and one failure re-trips.
+    HalfOpen,
+}
+
+impl Default for Breaker {
+    fn default() -> Self {
+        Breaker::Closed { failures: 0 }
+    }
+}
+
+impl Breaker {
+    /// Starts a tick. An open breaker spends one tick of its cooldown
+    /// (turning half-open when it runs out) and the VM sits the tick out:
+    /// returns `false`. Otherwise the VM takes part.
+    pub(crate) fn admit(&mut self) -> bool {
+        match *self {
+            Breaker::Open { cooldown_left } => {
+                *self = if cooldown_left > 1 {
+                    Breaker::Open {
+                        cooldown_left: cooldown_left - 1,
+                    }
+                } else {
+                    Breaker::HalfOpen
+                };
+                false
+            }
+            Breaker::Closed { .. } | Breaker::HalfOpen => true,
+        }
+    }
+
+    /// Records the outcome of a tick the VM took part in. Returns `true`
+    /// when this failure trips the breaker open.
+    pub(crate) fn record(&mut self, failed: bool, policy: &HealthPolicy) -> bool {
+        let threshold = policy.failure_threshold.max(1);
+        let failures = match *self {
+            Breaker::Open { .. } => return false, // sat this tick out
+            _ if !failed => 0,
+            Breaker::Closed { failures } => failures + 1,
+            Breaker::HalfOpen => threshold,
+        };
+        if failures >= threshold {
+            *self = Breaker::Open {
+                cooldown_left: policy.cooldown_rounds.max(1),
+            };
+            true
+        } else {
+            *self = Breaker::Closed { failures };
+            false
+        }
+    }
+
+    /// True while the VM is quarantined.
+    pub(crate) fn is_open(&self) -> bool {
+        matches!(self, Breaker::Open { .. })
     }
 }
 
@@ -97,15 +175,6 @@ impl ScanJitter {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)) % self.max_ns
     }
-}
-
-/// Per-VM circuit-breaker state.
-#[derive(Clone, Copy, Debug, Default)]
-struct VmHealth {
-    /// Consecutive rounds in which the VM was unscannable.
-    consecutive_unscannable: usize,
-    /// Quarantine rounds remaining; 0 means the VM is in the scan set.
-    cooldown_left: usize,
 }
 
 /// One event from a monitoring round.
@@ -178,7 +247,7 @@ pub enum MonitorEvent {
 pub struct ContinuousMonitor {
     checker: ModChecker,
     config: MonitorConfig,
-    health: HashMap<VmId, VmHealth>,
+    health: HashMap<VmId, Breaker>,
     cache: Mutex<CaptureCache>,
     metrics: Mutex<MetricsRegistry>,
     /// Write-trap subscription state; `Some` once [`ContinuousMonitor::arm_events`]
@@ -197,24 +266,9 @@ impl Clone for ContinuousMonitor {
             checker: self.checker,
             config: self.config.clone(),
             health: self.health.clone(),
-            cache: Mutex::new(
-                self.cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-            metrics: Mutex::new(
-                self.metrics
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-            events: Mutex::new(
-                self.events
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
+            cache: Mutex::new(lock(&self.cache).clone()),
+            metrics: Mutex::new(lock(&self.metrics).clone()),
+            events: Mutex::new(lock(&self.events).clone()),
         }
     }
 }
@@ -234,20 +288,14 @@ impl ContinuousMonitor {
 
     /// Cumulative capture-cache counters across all rounds so far.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats()
+        lock(&self.cache).stats()
     }
 
     /// `(vm, module)` pairs the tamper-evidence channel flagged as
     /// scrubbed-then-restored across all rounds so far (empty unless
     /// [`CheckConfig::tamper_evidence`] is enabled).
     pub fn silent_restores(&self) -> Vec<(VmId, String)> {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .silent_restores()
+        lock(&self.cache).silent_restores()
     }
 
     /// A snapshot of the monitor's metrics registry: every pool scan's
@@ -256,16 +304,11 @@ impl ContinuousMonitor {
     /// `monitor_quarantines_total`, `monitor_restores_total`,
     /// `monitor_remediations_total`) and the capture-cache gauges.
     pub fn metrics(&self) -> MetricsRegistry {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        lock(&self.metrics).clone()
     }
 
     fn bump(&self, name: &str, v: u64) {
-        if let Ok(mut m) = self.metrics.lock() {
-            m.counter_add(name, v);
-        }
+        lock(&self.metrics).counter_add(name, v);
     }
 
     /// The scan-phase offset for `round` under the configured jitter
@@ -282,11 +325,10 @@ impl ContinuousMonitor {
     pub fn round_ctx(&self, round: usize, period_ns: u64) -> RoundCtx {
         let offset = self.scan_phase_ns(round);
         if self.config.scan_jitter.is_some() {
-            if let Ok(mut m) = self.metrics.lock() {
-                m.counter_add("monitor_jittered_rounds_total", 1);
-                #[allow(clippy::cast_precision_loss)]
-                m.gauge_set("monitor_scan_jitter_ns", offset as f64);
-            }
+            let mut m = lock(&self.metrics);
+            m.counter_add("monitor_jittered_rounds_total", 1);
+            #[allow(clippy::cast_precision_loss)]
+            m.gauge_set("monitor_scan_jitter_ns", offset as f64);
         }
         RoundCtx {
             round,
@@ -315,9 +357,7 @@ impl ContinuousMonitor {
             },
         };
         let report = scanner.scan(hv, vms)?;
-        if let Ok(mut m) = self.metrics.lock() {
-            report.record_metrics(&mut m);
-        }
+        report.record_metrics(&mut lock(&self.metrics));
         Ok(report)
     }
 
@@ -326,7 +366,7 @@ impl ContinuousMonitor {
         let mut out: Vec<VmId> = self
             .health
             .iter()
-            .filter(|(_, h)| h.cooldown_left > 0)
+            .filter(|(_, b)| b.is_open())
             .map(|(&vm, _)| vm)
             .collect();
         out.sort_by_key(|vm| vm.0);
@@ -340,37 +380,7 @@ impl ContinuousMonitor {
         hv: &Hypervisor,
         vms: &[VmId],
     ) -> Vec<(String, Result<PoolCheckReport, CheckError>)> {
-        let results: Vec<(String, Result<PoolCheckReport, CheckError>)> = self
-            .config
-            .modules
-            .iter()
-            .map(|m| {
-                let result = match self.cache.lock() {
-                    Ok(mut cache) => self.checker.check_pool_with_cache(hv, vms, m, &mut cache),
-                    // Poisoned mutex (a panicking sibling thread): scan
-                    // uncached rather than propagate the panic.
-                    Err(_) => self.checker.check_pool(hv, vms, m),
-                };
-                (m.clone(), result)
-            })
-            .collect();
-
-        // Metrics snapshot per round: accumulate every successful scan's
-        // counters, refresh the host/cache gauges. Recording happens after
-        // the scans so the bookkeeping never affects verdicts or timing.
-        if let Ok(mut reg) = self.metrics.lock() {
-            reg.counter_add("monitor_rounds_total", 1);
-            for (_, result) in &results {
-                if let Ok(report) = result {
-                    record_pool_report(report, &mut reg);
-                }
-            }
-            hv.record_metrics(&mut reg);
-            if let Ok(cache) = self.cache.lock() {
-                cache.record_metrics(&mut reg);
-            }
-        }
-        results
+        self.round(hv, vms, None)
     }
 
     /// Arms write traps over every configured module on every VM in `vms`,
@@ -383,25 +393,18 @@ impl ContinuousMonitor {
         let mut plane = EventPlane::new();
         let modules = self.config.modules.clone();
         let frames = plane.arm_modules(hv, vms, &modules)?;
-        *self.events.lock().unwrap_or_else(PoisonError::into_inner) = Some(plane);
+        *lock(&self.events) = Some(plane);
         Ok(frames)
     }
 
     /// True once [`ContinuousMonitor::arm_events`] has installed a plane.
     pub fn events_armed(&self) -> bool {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
+        lock(&self.events).is_some()
     }
 
     /// The event plane's cumulative counters, if armed.
     pub fn event_stats(&self) -> Option<EventPlaneStats> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(EventPlane::stats)
+        lock(&self.events).as_ref().map(EventPlane::stats)
     }
 
     /// Runs one *push-mode* round: drains the host's write events, marks
@@ -416,60 +419,72 @@ impl ContinuousMonitor {
         hv: &Hypervisor,
         vms: &[VmId],
     ) -> Vec<(String, Result<PoolCheckReport, CheckError>)> {
-        let mut guard = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(plane) = guard.as_mut() else {
-            drop(guard);
-            return self.run_round(hv, vms);
-        };
+        self.round(hv, vms, lock(&self.events).as_mut())
+    }
 
-        let drained = plane.drain(hv);
-        let dirty_now = plane.dirty_len() as u64;
+    /// The one round body behind both modes: poll passes no plane and
+    /// trusts nothing; push drains the plane first and trusts its quiet
+    /// pairs. The per-module scan and the metrics recording are shared.
+    fn round(
+        &self,
+        hv: &Hypervisor,
+        vms: &[VmId],
+        mut plane: Option<&mut EventPlane>,
+    ) -> Vec<(String, Result<PoolCheckReport, CheckError>)> {
+        let drained = plane.as_mut().map(|p| p.drain(hv));
+        let dirty_now = plane.as_ref().map_or(0, |p| p.dirty_len() as u64);
         let mut trusted_total = 0u64;
         let results: Vec<(String, Result<PoolCheckReport, CheckError>)> = self
             .config
             .modules
             .iter()
             .map(|m| {
-                let trusted = plane.trusted_for(m, vms);
+                let trusted = plane
+                    .as_ref()
+                    .map(|p| p.trusted_for(m, vms))
+                    .unwrap_or_default();
                 trusted_total += trusted.len() as u64;
-                let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-                let result = self
-                    .checker
-                    .check_pool_with_cache_trusted(hv, vms, m, &mut cache, &trusted);
+                let result = self.checker.check_pool_with_cache_trusted(
+                    hv,
+                    vms,
+                    m,
+                    &mut lock(&self.cache),
+                    &trusted,
+                );
                 (m.clone(), result)
             })
             .collect();
         // Every dirty pair either rescanned just now or belongs to a VM
         // outside `vms` (quarantined — it rescans cold on return anyway,
         // because quarantine evicted its cache entries).
-        plane.clear_dirty();
-        let plane_stats = plane.stats();
-        drop(guard);
+        let unattributed = plane.map(|p| {
+            p.clear_dirty();
+            p.stats().unattributed_events
+        });
 
-        if let Ok(mut reg) = self.metrics.lock() {
-            reg.counter_add("monitor_rounds_total", 1);
+        // Metrics snapshot per round: accumulate every successful scan's
+        // counters, refresh the host/cache gauges. Recording happens after
+        // the scans so the bookkeeping never affects verdicts or timing.
+        let mut reg = lock(&self.metrics);
+        reg.counter_add("monitor_rounds_total", 1);
+        if let (Some(drained), Some(unattributed)) = (drained, unattributed) {
             reg.counter_add("event_writes_drained_total", drained.len() as u64);
             reg.counter_add("event_dirty_pairs_total", dirty_now);
             reg.counter_add("event_trusted_pairs_total", trusted_total);
             let scanned = (vms.len() as u64) * (self.config.modules.len() as u64);
             reg.counter_add("event_rescans_total", scanned.saturating_sub(trusted_total));
-            reg.gauge_set(
-                "event_unattributed_total",
-                plane_stats.unattributed_events as f64,
-            );
+            reg.gauge_set("event_unattributed_total", unattributed as f64);
             for e in &drained {
                 reg.observe("event_delivery_ns", e.latency.as_nanos() as f64);
             }
-            for (_, result) in &results {
-                if let Ok(report) = result {
-                    record_pool_report(report, &mut reg);
-                }
-            }
-            hv.record_metrics(&mut reg);
-            if let Ok(cache) = self.cache.lock() {
-                cache.record_metrics(&mut reg);
+        }
+        for (_, result) in &results {
+            if let Ok(report) = result {
+                record_pool_report(report, &mut reg);
             }
         }
+        hv.record_metrics(&mut reg);
+        lock(&self.cache).record_metrics(&mut reg);
         results
     }
 
@@ -486,16 +501,16 @@ impl ContinuousMonitor {
         fleet: &crate::sched::Fleet,
     ) -> crate::report::FleetReport {
         let report = sched.sweep(hv, fleet);
-        if let Ok(mut reg) = self.metrics.lock() {
-            reg.counter_add("monitor_rounds_total", 1);
-            crate::obs::record_fleet_report(&report, &mut reg);
-            for unit in report.units() {
-                if let Ok(r) = &unit.result {
-                    record_pool_report(r, &mut reg);
-                }
+        let mut reg = lock(&self.metrics);
+        reg.counter_add("monitor_rounds_total", 1);
+        crate::obs::record_fleet_report(&report, &mut reg);
+        for unit in report.units() {
+            if let Ok(r) = &unit.result {
+                record_pool_report(r, &mut reg);
             }
-            hv.record_metrics(&mut reg);
         }
+        hv.record_metrics(&mut reg);
+        drop(reg);
         report
     }
 
@@ -517,11 +532,11 @@ impl ContinuousMonitor {
         snapshot: &str,
     ) -> Result<Vec<String>, mc_hypervisor::HvError> {
         let reverted = remediate_vms(hv, report, snapshot)?;
-        if let Ok(mut cache) = self.cache.lock() {
-            for (vm, _) in &reverted {
-                cache.evict_vm(*vm);
-            }
+        let mut cache = lock(&self.cache);
+        for (vm, _) in &reverted {
+            cache.evict_vm(*vm);
         }
+        drop(cache);
         self.bump("monitor_remediations_total", reverted.len() as u64);
         Ok(reverted.into_iter().map(|(_, name)| name).collect())
     }
@@ -564,21 +579,18 @@ impl ContinuousMonitor {
         events: &Sender<MonitorEvent>,
         push: bool,
     ) {
-        let threshold = self.config.health.failure_threshold.max(1);
-        let cooldown = self.config.health.cooldown_rounds.max(1);
+        let policy = self.config.health;
         for round in 0..rounds {
             // Assemble this round's scan set; expired quarantines re-probe.
             let mut active: Vec<VmId> = Vec::with_capacity(vms.len());
             for &vm in vms {
-                let h = self.health.entry(vm).or_default();
-                if h.cooldown_left > 0 {
-                    h.cooldown_left -= 1;
+                let breaker = self.health.entry(vm).or_default();
+                if !breaker.admit() {
                     continue; // sits this round out
                 }
-                if h.consecutive_unscannable >= threshold {
-                    // Cooldown just elapsed: half-open re-probe. One clean
-                    // round resets the counter; one more failure re-trips.
-                    h.consecutive_unscannable = threshold - 1;
+                if *breaker == Breaker::HalfOpen {
+                    // Cooldown elapsed: half-open re-probe. One clean round
+                    // closes the breaker; one more failure re-trips it.
                     self.bump("monitor_restores_total", 1);
                     if events
                         .send(MonitorEvent::VmRestored {
@@ -639,32 +651,23 @@ impl ContinuousMonitor {
             // Health bookkeeping for the VMs that were actually probed.
             for &vm in &active {
                 let name = Self::vm_name(hv, vm);
-                let h = self.health.entry(vm).or_default();
-                if unscannable_this_round.contains(&name) {
-                    h.consecutive_unscannable += 1;
-                    if h.consecutive_unscannable >= threshold {
-                        h.cooldown_left = cooldown;
-                        let consecutive_failures = h.consecutive_unscannable;
-                        // Quarantine evicts the VM's cached captures: when
-                        // it returns from cooldown it re-scans from scratch
-                        // rather than trusting pre-quarantine entries.
-                        if let Ok(mut cache) = self.cache.lock() {
-                            cache.evict_vm(vm);
-                        }
-                        self.bump("monitor_quarantines_total", 1);
-                        if events
-                            .send(MonitorEvent::VmQuarantined {
-                                round,
-                                vm_name: name,
-                                consecutive_failures,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
+                let failed = unscannable_this_round.contains(&name);
+                if self.health.entry(vm).or_default().record(failed, &policy) {
+                    // Quarantine evicts the VM's cached captures: when it
+                    // returns from cooldown it re-scans from scratch rather
+                    // than trusting pre-quarantine entries.
+                    lock(&self.cache).evict_vm(vm);
+                    self.bump("monitor_quarantines_total", 1);
+                    if events
+                        .send(MonitorEvent::VmQuarantined {
+                            round,
+                            vm_name: name,
+                            consecutive_failures: policy.failure_threshold.max(1),
+                        })
+                        .is_err()
+                    {
+                        return;
                     }
-                } else {
-                    h.consecutive_unscannable = 0;
                 }
             }
         }
@@ -1107,6 +1110,151 @@ mod tests {
         assert!(after
             .iter()
             .all(|(_, r)| r.as_ref().is_ok_and(PoolCheckReport::all_clean)));
+    }
+
+    #[test]
+    fn remediate_evicts_through_a_poisoned_cache_lock() {
+        let (mut hv, guests, ids) = cloud(4);
+        for id in &ids {
+            hv.vm_mut(*id).unwrap().snapshot("clean");
+        }
+        let m = monitor();
+        guests[0]
+            .patch_module(&mut hv, "hal.dll", 0x1002, &[0xCC])
+            .unwrap();
+        let round = m.run_round(&hv, &ids);
+        let report = round[0].1.as_ref().unwrap().clone();
+        assert!(report.any_discrepancy());
+
+        // A sibling thread panics while holding the cache: the mutex is
+        // poisoned, but the entries it guards are intact.
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = m.cache.lock().unwrap();
+                panic!("poison the capture cache");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(m.cache.is_poisoned());
+
+        m.remediate(&mut hv, &report, "clean").unwrap();
+        let cache = lock(&m.cache);
+        for module in ["hal.dll", "ndis.sys"] {
+            assert!(
+                cache.tree_root(ids[0], module).is_none(),
+                "reverted dom1 still caches {module}"
+            );
+            assert!(cache.tree_root(ids[1], module).is_some());
+        }
+        drop(cache);
+
+        // Rounds keep serving from the same cache, and the reverted VM is
+        // rescanned clean rather than voted from its infected capture.
+        let after = m.run_round(&hv, &ids);
+        assert!(after
+            .iter()
+            .all(|(_, r)| r.as_ref().is_ok_and(PoolCheckReport::all_clean)));
+    }
+
+    #[test]
+    fn breaker_timing_is_pinned_per_policy() {
+        for threshold in 1..=3 {
+            for cooldown in 1..=2 {
+                let policy = HealthPolicy {
+                    failure_threshold: threshold,
+                    cooldown_rounds: cooldown,
+                };
+                // A VM failing on every tick it takes part in.
+                let mut breaker = Breaker::default();
+                let mut trips = Vec::new();
+                let mut open_ticks = Vec::new();
+                let mut half_open_at = None;
+                for tick in 0..threshold + cooldown + 1 {
+                    if !breaker.admit() {
+                        open_ticks.push(tick);
+                        if breaker == Breaker::HalfOpen {
+                            half_open_at.get_or_insert(tick);
+                        }
+                        continue;
+                    }
+                    if breaker.record(true, &policy) {
+                        trips.push(tick);
+                    }
+                }
+                let case = format!("threshold {threshold}, cooldown {cooldown}");
+                let probe = threshold + cooldown;
+                // Trips on the threshold-th failure, sits out `cooldown`
+                // ticks, turns half-open on the last of them, and the
+                // half-open probe's one failure re-trips at once.
+                assert_eq!(trips, vec![threshold - 1, probe], "{case}");
+                assert_eq!(open_ticks, (threshold..probe).collect::<Vec<_>>(), "{case}");
+                assert_eq!(half_open_at, Some(probe - 1), "{case}");
+                assert!(breaker.is_open(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn breaker_closes_on_a_clean_tick() {
+        let policy = HealthPolicy {
+            failure_threshold: 2,
+            cooldown_rounds: 1,
+        };
+        let mut breaker = Breaker::default();
+        // A clean tick resets the failure count before the threshold.
+        assert!(!breaker.record(true, &policy));
+        assert!(!breaker.record(false, &policy));
+        assert!(!breaker.record(true, &policy));
+        assert!(breaker.record(true, &policy));
+        // A clean half-open probe closes the breaker fully.
+        assert!(!breaker.admit());
+        assert_eq!(breaker, Breaker::HalfOpen);
+        assert!(breaker.admit());
+        assert!(!breaker.record(false, &policy));
+        assert_eq!(breaker, Breaker::Closed { failures: 0 });
+    }
+
+    #[test]
+    fn vm_restored_lands_in_the_round_that_reprobes() {
+        use mc_hypervisor::FaultPlan;
+        let (mut hv, _guests, ids) = cloud(4);
+        hv.set_fault_plan(ids[3], Some(FaultPlan::none(7).lose_after(0)))
+            .unwrap();
+        let mut m = ContinuousMonitor::new(MonitorConfig {
+            modules: vec!["hal.dll".into()],
+            health: HealthPolicy {
+                failure_threshold: 1,
+                cooldown_rounds: 1,
+            },
+            ..MonitorConfig::default()
+        });
+        let (tx, rx) = unbounded();
+        m.run(&hv, &ids, 5, &tx);
+        drop(tx);
+        let events: Vec<MonitorEvent> = rx.iter().collect();
+        // Rounds whose scan included dom4, read off the reports.
+        let probed: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match e {
+                MonitorEvent::Degraded { round, report, .. }
+                | MonitorEvent::Discrepancy { round, report, .. }
+                    if report.vm_names.iter().any(|n| n == "dom4") =>
+                {
+                    Some(*round)
+                }
+                _ => None,
+            })
+            .collect();
+        let restored: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match e {
+                MonitorEvent::VmRestored { round, .. } => Some(*round),
+                _ => None,
+            })
+            .collect();
+        // Probed at 0, trips, sits out 1, re-probes at 2, and so on.
+        assert_eq!(probed, vec![0, 2, 4]);
+        assert_eq!(restored, vec![2, 4], "restore fires in the re-probe round");
     }
 
     #[test]

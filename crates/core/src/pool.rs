@@ -70,9 +70,6 @@ pub struct CheckConfig {
     pub mode: ScanMode,
     /// Cross-VM comparison strategy (paper: pairwise; tentpole: canonical).
     pub compare: CompareStrategy,
-    /// Enable the VMI page-map cache (libVMI-style; the paper's prototype
-    /// runs uncached — ablation ABL-5).
-    pub page_cache: bool,
     /// Part fingerprint algorithm (paper: MD5; ablation ABL-6).
     pub digest: crate::digest::DigestAlgo,
     /// Run the single-VM static lint pass (`mc-analysis`) over every
@@ -115,7 +112,6 @@ impl Default for CheckConfig {
         CheckConfig {
             mode: ScanMode::default(),
             compare: CompareStrategy::default(),
-            page_cache: false,
             digest: crate::digest::DigestAlgo::default(),
             static_prepass: false,
             retry: RetryPolicy::default(),
@@ -135,6 +131,9 @@ pub struct ModChecker {
     pub config: CheckConfig,
 }
 
+/// Bytes charged for hashing a capture's headers: they fit in one page.
+const HEADER_BYTES: u64 = 4096;
+
 /// One VM's extraction product with its component times and introspection
 /// counters. The module is shared (`Arc`) so the capture cache can hand the
 /// same decoded capture to successive rounds without deep-copying image
@@ -153,6 +152,22 @@ struct Extraction {
 }
 
 impl Extraction {
+    /// An extraction that ran in `session`, with its counters harvested.
+    fn from_session(
+        result: Result<Arc<ExtractedModule>, CheckError>,
+        times: ComponentTimes,
+        vm_name: String,
+        session: &VmiSession<'_>,
+    ) -> Self {
+        Extraction {
+            result,
+            times,
+            vm_name,
+            vmi: session.stats(),
+            fault_injections: session.fault_injections(),
+        }
+    }
+
     /// An extraction that failed before a session existed (attach error):
     /// no time charged, no counters.
     fn before_session(e: VmiError, vm_name: String) -> Self {
@@ -203,58 +218,57 @@ impl ModChecker {
             .filter(|r| !r.is_clean())
     }
 
-    /// Captures and decomposes `module` from one VM, splitting simulated
-    /// time per component.
-    fn extract_one(&self, hv: &Hypervisor, vm: VmId, module: &str) -> Extraction {
-        let mut times = ComponentTimes::default();
-        let name = hv.vm(vm).map(|v| v.name.clone()).unwrap_or_default();
-        let mut session = match VmiSession::attach(hv, vm) {
-            Ok(s) => s,
-            Err(e) => return Extraction::before_session(e, name),
-        };
-        session = session.with_retry(self.config.retry);
+    /// Opens the per-VM session every extraction uses: attach, then this
+    /// scanner's retry policy, deadline and capture fast path.
+    fn open_session<'hv>(
+        &self,
+        hv: &'hv Hypervisor,
+        vm: VmId,
+    ) -> Result<VmiSession<'hv>, VmiError> {
+        let mut session = VmiSession::attach(hv, vm)?.with_retry(self.config.retry);
         if let Some(deadline) = self.config.deadline {
             session = session.with_deadline(deadline);
-        }
-        if self.config.page_cache {
-            session = session.with_page_cache();
         }
         if self.config.fast_capture {
             session = session.with_fast_capture();
         }
-        let finish = |result, times, session: &VmiSession| Extraction {
-            result,
-            times,
-            vm_name: name.clone(),
-            vmi: session.stats(),
-            fault_injections: session.fault_injections(),
-        };
+        Ok(session)
+    }
 
-        // Module-Searcher.
-        let image = match ModuleSearcher::find(&mut session, module) {
-            Ok(img) => img,
-            Err(e) => {
-                times.searcher = session.take_elapsed();
-                return finish(Err(e), times, &session);
-            }
-        };
-        times.searcher = session.take_elapsed();
-
-        // Module-Parser.
+    /// Module-Parser plus the first half of the Integrity-Checker over a
+    /// freshly captured image: charges the parse and the header hashes
+    /// (content hashing happens pairwise) and decodes the capture.
+    fn parse_capture(
+        &self,
+        session: &mut VmiSession<'_>,
+        image: crate::searcher::ModuleImage,
+        times: &mut ComponentTimes,
+    ) -> Result<Arc<ExtractedModule>, CheckError> {
         let cost = *session.cost_model();
         session.charge_process(cost.parse_byte_ns, image.bytes.len() as u64);
         times.parser = session.take_elapsed();
-
-        // Integrity-Checker part 1: header hashes (content hashing happens
-        // pairwise). ExtractedModule parses + hashes headers.
-        let header_bytes: u64 = 4096; // headers are a page at most
         session.charge_process(
             cost.hash_byte_ns * self.config.digest.cost_factor(),
-            header_bytes,
+            HEADER_BYTES,
         );
         let extracted = ExtractedModule::with_algo(image, self.config.digest).map(Arc::new);
         times.checker = session.take_elapsed();
-        finish(extracted, times, &session)
+        extracted
+    }
+
+    /// Captures and decomposes `module` from one VM, splitting simulated
+    /// time per component.
+    fn extract_one(&self, hv: &Hypervisor, vm: VmId, module: &str) -> Extraction {
+        let name = hv.vm(vm).map(|v| v.name.clone()).unwrap_or_default();
+        let mut session = match self.open_session(hv, vm) {
+            Ok(s) => s,
+            Err(e) => return Extraction::before_session(e, name),
+        };
+        let mut times = ComponentTimes::default();
+        let found = ModuleSearcher::find(&mut session, module);
+        times.searcher = session.take_elapsed();
+        let result = found.and_then(|image| self.parse_capture(&mut session, image, &mut times));
+        Extraction::from_session(result, times, name, &session)
     }
 
     /// [`Self::extract_one`] with a generation-guarded capture cache.
@@ -266,17 +280,6 @@ impl ModChecker {
     /// current. A steady-state clean round then costs the list walk plus one
     /// cheap metadata probe per page instead of mapping and copying the
     /// whole module.
-    fn extract_one_cached(
-        &self,
-        hv: &Hypervisor,
-        vm: VmId,
-        module: &str,
-        cache: &mut CaptureCache,
-    ) -> Extraction {
-        self.extract_one_cached_trusted(hv, vm, module, cache, false)
-    }
-
-    /// [`Self::extract_one_cached`] with an event-plane trust bit.
     ///
     /// `trusted` means a write-event subscriber vouches that no guest write
     /// has touched this module's watched frames since the cache entry was
@@ -298,9 +301,8 @@ impl ModChecker {
         cache: &mut CaptureCache,
         trusted: bool,
     ) -> Extraction {
-        let mut times = ComponentTimes::default();
         let name = hv.vm(vm).map(|v| v.name.clone()).unwrap_or_default();
-        let mut session = match VmiSession::attach(hv, vm) {
+        let mut session = match self.open_session(hv, vm) {
             Ok(s) => s,
             Err(e) => {
                 // A dead VM's cached captures describe a guest that no
@@ -312,22 +314,9 @@ impl ModChecker {
                 return Extraction::before_session(e, name);
             }
         };
-        session = session.with_retry(self.config.retry);
-        if let Some(deadline) = self.config.deadline {
-            session = session.with_deadline(deadline);
-        }
-        if self.config.page_cache {
-            session = session.with_page_cache();
-        }
-        if self.config.fast_capture {
-            session = session.with_fast_capture();
-        }
-        let finish = |result, times, session: &VmiSession| Extraction {
-            result,
-            times,
-            vm_name: name.clone(),
-            vmi: session.stats(),
-            fault_injections: session.fault_injections(),
+        let mut times = ComponentTimes::default();
+        let finish = |result, times, session: &VmiSession| {
+            Extraction::from_session(result, times, name.clone(), session)
         };
 
         let key = (vm, module.to_string());
@@ -448,8 +437,10 @@ impl ModChecker {
                 // does. Leaf re-digests are cache bookkeeping, uncharged —
                 // the miss path never charges tree construction either.
                 if dirty.contains(&0) {
-                    session
-                        .charge_process(cost.hash_byte_ns * self.config.digest.cost_factor(), 4096);
+                    session.charge_process(
+                        cost.hash_byte_ns * self.config.digest.cost_factor(),
+                        HEADER_BYTES,
+                    );
                 }
                 let mut tree = hit.tree.clone();
                 for &i in &dirty {
@@ -504,17 +495,9 @@ impl ModChecker {
             }
         };
         times.searcher = session.take_elapsed();
-        let cost = *session.cost_model();
-        session.charge_process(cost.parse_byte_ns, image.bytes.len() as u64);
-        times.parser = session.take_elapsed();
-        let header_bytes: u64 = 4096;
-        session.charge_process(
-            cost.hash_byte_ns * self.config.digest.cost_factor(),
-            header_bytes,
-        );
+        // Tree construction is cache bookkeeping, uncharged.
         let tree = crate::treehash::TreeHash::build(self.config.digest, &image.bytes);
-        let extracted = ExtractedModule::with_algo(image, self.config.digest).map(Arc::new);
-        times.checker = session.take_elapsed();
+        let extracted = self.parse_capture(&mut session, image, &mut times);
         match (&extracted, generations) {
             (Ok(m), Some(gens)) => {
                 let old = cache.entries.insert(
@@ -699,11 +682,6 @@ impl ModChecker {
     /// [`CaptureCache`]): unchanged modules are re-voted from their cached
     /// captures instead of being re-copied. Verdicts are identical to the
     /// uncached scan; only the capture cost changes.
-    ///
-    /// Cached extraction runs sequentially — the cache is one mutable
-    /// structure, and on the steady-state hit path there is no capture work
-    /// left to overlap. The comparison stage still honors
-    /// [`CheckConfig::mode`].
     pub fn check_pool_with_cache(
         &self,
         hv: &Hypervisor,
@@ -711,14 +689,7 @@ impl ModChecker {
         module: &str,
         cache: &mut CaptureCache,
     ) -> Result<PoolCheckReport, CheckError> {
-        if vms.len() < 2 {
-            return Err(CheckError::PoolTooSmall(vms.len()));
-        }
-        let extractions: Vec<Extraction> = vms
-            .iter()
-            .map(|&vm| self.extract_one_cached(hv, vm, module, cache))
-            .collect();
-        self.pool_report(hv, vms, module, extractions, None)
+        self.check_pool_with_cache_trusted(hv, vms, module, cache, &HashSet::new())
     }
 
     /// [`Self::check_pool_with_cache`] with per-VM event-plane trust: VMs
@@ -727,6 +698,15 @@ impl ModChecker {
     /// and zero page walks; everyone else takes the normal probe path.
     /// Verdicts are identical to the poll scan — the same capture bytes
     /// vote — only the steady-state cost changes.
+    ///
+    /// Cached extraction runs sequentially — the cache is one mutable
+    /// structure, and on the steady-state hit path there is no capture work
+    /// left to overlap. The comparison stage still honors
+    /// [`CheckConfig::mode`]. In canonical mode the static pre-pass runs
+    /// the lint engine once per content bucket, memoized in the cache
+    /// across rounds, and replicates the findings to every bucket member
+    /// with diagnostic addresses rebased: it names the same VMs with the
+    /// same lint evidence as a per-VM pass.
     pub fn check_pool_with_cache_trusted(
         &self,
         hv: &Hypervisor,
@@ -744,56 +724,7 @@ impl ModChecker {
                 self.extract_one_cached_trusted(hv, vm, module, cache, trusted.contains(&vm))
             })
             .collect();
-        self.pool_report(hv, vms, module, extractions, None)
-    }
-
-    /// [`Self::check_pool_with_caches`] with per-VM event-plane trust (see
-    /// [`Self::check_pool_with_cache_trusted`]).
-    pub fn check_pool_with_caches_trusted(
-        &self,
-        hv: &Hypervisor,
-        vms: &[VmId],
-        module: &str,
-        cache: &mut CaptureCache,
-        analysis: &mut AnalysisCache,
-        trusted: &HashSet<VmId>,
-    ) -> Result<PoolCheckReport, CheckError> {
-        if vms.len() < 2 {
-            return Err(CheckError::PoolTooSmall(vms.len()));
-        }
-        let extractions: Vec<Extraction> = vms
-            .iter()
-            .map(|&vm| {
-                self.extract_one_cached_trusted(hv, vm, module, cache, trusted.contains(&vm))
-            })
-            .collect();
-        self.pool_report(hv, vms, module, extractions, Some(analysis))
-    }
-
-    /// [`Self::check_pool_with_cache`] plus a shared [`AnalysisCache`] for
-    /// the static pre-pass: in canonical mode the lint engine runs once per
-    /// fingerprint bucket (subdivided by import-table content, the one
-    /// region the fingerprint does not cover) instead of once per VM, and
-    /// identical buckets across rounds reuse the cached verdict outright.
-    /// Findings are replicated to every bucket member with the VM identity
-    /// and diagnostic addresses rebased, so the report is indistinguishable
-    /// from a per-VM pass on any clean-or-infected pool.
-    pub fn check_pool_with_caches(
-        &self,
-        hv: &Hypervisor,
-        vms: &[VmId],
-        module: &str,
-        cache: &mut CaptureCache,
-        analysis: &mut AnalysisCache,
-    ) -> Result<PoolCheckReport, CheckError> {
-        if vms.len() < 2 {
-            return Err(CheckError::PoolTooSmall(vms.len()));
-        }
-        let extractions: Vec<Extraction> = vms
-            .iter()
-            .map(|&vm| self.extract_one_cached(hv, vm, module, cache))
-            .collect();
-        self.pool_report(hv, vms, module, extractions, Some(analysis))
+        self.pool_report(hv, vms, module, extractions, Some(&mut cache.analysis))
     }
 
     /// Shared back half of the pool scan: vote, matrix, report.
@@ -1258,7 +1189,7 @@ type CanonicalOutcome = Option<(
     Vec<(Fingerprint, Vec<usize>)>,
 )>;
 
-/// Run/hit accounting for an [`AnalysisCache`].
+/// Run/hit accounting for a capture cache's static-analysis memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisCacheStats {
     /// Analyzer invocations — one per distinct (fingerprint, import-table)
@@ -1273,11 +1204,11 @@ pub struct AnalysisCacheStats {
 /// Keyed by (canonical fingerprint, import-table digest): together these
 /// cover every input the lint engine reads, so two captures with equal keys
 /// provably yield the same findings up to the load-base shift applied at
-/// replication time. The cache is shared across rounds (the fleet scheduler
-/// keeps one per pool), making the steady-state cost of the static pre-pass
-/// zero analyzer runs per sweep.
+/// replication time. Each [`CaptureCache`] owns one, so it lives as long as
+/// the pool's captures and the steady-state cost of the static pre-pass is
+/// zero analyzer runs per round.
 #[derive(Clone, Debug, Default)]
-pub struct AnalysisCache {
+pub(crate) struct AnalysisCache {
     /// `None` = analyzed and clean (or unparseable); `Some((base, report))`
     /// = findings as seen from a capture loaded at `base`.
     entries: HashMap<(Fingerprint, u64), Option<(u64, mc_analysis::AnalysisReport)>>,
@@ -1285,26 +1216,6 @@ pub struct AnalysisCache {
 }
 
 impl AnalysisCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cumulative run/hit counters.
-    pub fn stats(&self) -> AnalysisCacheStats {
-        self.stats
-    }
-
-    /// Number of distinct contents ever analyzed.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been analyzed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Returns the cached verdict for `(fingerprint, aux)`, running `scan`
     /// (and counting a run) only on first sight.
     fn lookup_or_run(
@@ -1321,18 +1232,6 @@ impl AnalysisCache {
             self.entries.insert(key.clone(), scan());
         }
         &self.entries[&key]
-    }
-
-    /// Records the cumulative counters as gauges (`analysis_*`). Gauges for
-    /// the same reason as [`CaptureCache::record_metrics`]: the stats are
-    /// lifetime-cumulative and must not double-count on re-export.
-    pub fn record_metrics(&self, reg: &mut mc_obs::MetricsRegistry) {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            reg.gauge_set("analysis_runs", self.stats.runs as f64);
-            reg.gauge_set("analysis_hits", self.stats.hits as f64);
-            reg.gauge_set("analysis_entries", self.entries.len() as f64);
-        }
     }
 }
 
@@ -1421,6 +1320,10 @@ pub struct CaptureCache {
     /// write-generations moved, bytes did not. Accumulates across rounds
     /// (evidence log, not per-round state).
     silent_restores: std::collections::BTreeSet<(VmId, String)>,
+    /// The canonical-mode static pre-pass memo for this cache's pool.
+    /// Content-addressed, so it never goes stale: [`CaptureCache::clear`]
+    /// and evictions leave it alone.
+    analysis: AnalysisCache,
 }
 
 #[derive(Clone, Debug)]
@@ -1444,6 +1347,11 @@ impl CaptureCache {
     /// Cumulative hit/miss/invalidation counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// Run/hit counters of the static pre-pass memo.
+    pub(crate) fn analysis_stats(&self) -> AnalysisCacheStats {
+        self.analysis.stats
     }
 
     /// Allocation/reuse counters of the cache's capture arena.
@@ -1691,38 +1599,6 @@ mod tests {
         }
         // SHA-256's higher per-byte cost shows in the checker component.
         assert!(sha.times.checker > md5.times.checker);
-    }
-
-    #[test]
-    fn page_cache_reduces_searcher_time_without_changing_verdicts() {
-        let (mut hv, guests, ids) = cloud(6);
-        guests[1]
-            .patch_module(&mut hv, "hal.dll", 0x1006, &[0x90])
-            .unwrap();
-        // ABL-5 isolates the libVMI-style page-map cache, so both sides run
-        // the legacy capture loop (the fast path's translate cache subsumes
-        // the page cache and would flatten the comparison).
-        let uncached = ModChecker::with_config(CheckConfig {
-            fast_capture: false,
-            ..CheckConfig::default()
-        })
-        .check_pool(&hv, &ids, "hal.dll")
-        .unwrap();
-        let cached = ModChecker::with_config(CheckConfig {
-            mode: ScanMode::Sequential,
-            page_cache: true,
-            fast_capture: false,
-            ..CheckConfig::default()
-        })
-        .check_pool(&hv, &ids, "hal.dll")
-        .unwrap();
-        // Same verdicts...
-        for (a, b) in uncached.verdicts.iter().zip(&cached.verdicts) {
-            assert_eq!(a.clean, b.clean);
-            assert_eq!(a.suspect_parts, b.suspect_parts);
-        }
-        // ...cheaper searcher (the list walk re-touches pages).
-        assert!(cached.times.searcher < uncached.times.searcher);
     }
 
     #[test]
@@ -2089,9 +1965,8 @@ mod tests {
             ..CheckConfig::default()
         });
         let mut capture = CaptureCache::new();
-        let mut analysis = AnalysisCache::new();
         let bucketed = checker
-            .check_pool_with_caches(&hv, &ids, "hal.dll", &mut capture, &mut analysis)
+            .check_pool_with_cache(&hv, &ids, "hal.dll", &mut capture)
             .unwrap();
         assert_eq!(
             bucketed.statically_flagged_vms(),
@@ -2115,16 +1990,39 @@ mod tests {
         }
         // Two content buckets (three identically hooked, two clean) — the
         // analyzer ran twice for five captures.
-        assert_eq!(analysis.stats().runs, 2);
-        assert_eq!(analysis.len(), 2);
+        assert_eq!(capture.analysis_stats().runs, 2);
+        assert_eq!(capture.analysis.entries.len(), 2);
 
         // Round two: every verdict is served from the cache.
         let again = checker
-            .check_pool_with_caches(&hv, &ids, "hal.dll", &mut capture, &mut analysis)
+            .check_pool_with_cache(&hv, &ids, "hal.dll", &mut capture)
             .unwrap();
         assert_eq!(again.statically_flagged_vms(), vec!["dom1", "dom2", "dom3"]);
-        assert_eq!(analysis.stats().runs, 2, "steady state: zero new runs");
-        assert_eq!(analysis.stats().hits, 2);
+        assert_eq!(
+            capture.analysis_stats().runs,
+            2,
+            "steady state: zero new runs"
+        );
+        assert_eq!(capture.analysis_stats().hits, 2);
+
+        // The monitor reaches the same bucketed pass through its own
+        // capture cache: one canonical round names the same VMs as the
+        // uncached per-VM pass.
+        let monitor = crate::monitor::ContinuousMonitor::new(crate::monitor::MonitorConfig {
+            modules: vec!["hal.dll".into()],
+            check: checker.config,
+            ..crate::monitor::MonitorConfig::default()
+        });
+        let round = monitor.run_round(&hv, &ids);
+        let monitored = round[0].1.as_ref().unwrap();
+        assert_eq!(
+            monitored.statically_flagged_vms(),
+            per_vm.statically_flagged_vms()
+        );
+        assert_eq!(
+            monitored.static_findings.len(),
+            per_vm.static_findings.len()
+        );
     }
 
     #[test]
@@ -2159,15 +2057,18 @@ mod tests {
             ..CheckConfig::default()
         });
         let mut capture = CaptureCache::new();
-        let mut analysis = AnalysisCache::new();
         let report = checker
-            .check_pool_with_caches(&hv, &ids, "dummy.sys", &mut capture, &mut analysis)
+            .check_pool_with_cache(&hv, &ids, "dummy.sys", &mut capture)
             .unwrap();
         // The vote cannot see the divergence (one bucket, all clean)…
         assert!(report.all_clean(), "import data is vote-invisible");
         // …but the pre-pass analyzed the divergent capture on its own.
-        assert_eq!(analysis.stats().runs, 2, "aux digest split the bucket");
-        assert_eq!(analysis.len(), 2);
+        assert_eq!(
+            capture.analysis_stats().runs,
+            2,
+            "aux digest split the bucket"
+        );
+        assert_eq!(capture.analysis.entries.len(), 2);
     }
 
     #[test]

@@ -41,9 +41,8 @@ use mc_vmi::VmiSession;
 use crate::error::CheckError;
 use crate::events::EventPlane;
 use crate::listdiff::{ListDiff, ListDiffReport};
-use crate::pool::{
-    AnalysisCache, AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, ModChecker,
-};
+use crate::lock;
+use crate::pool::{AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, ModChecker};
 use crate::report::{FleetPoolReport, FleetReport, FleetUnitReport, PoolCheckReport};
 use crate::searcher::ModuleSearcher;
 
@@ -189,7 +188,6 @@ pub struct FleetScheduler {
     checker: ModChecker,
     config: FleetConfig,
     caches: Mutex<HashMap<String, Arc<Mutex<CaptureCache>>>>,
-    analysis_caches: Mutex<HashMap<String, Arc<Mutex<AnalysisCache>>>>,
     history: Mutex<HashSet<(String, String)>>,
     /// Last successful list scan per pool, reused by
     /// [`FleetScheduler::sweep_with_trust`] when every member VM is armed
@@ -207,7 +205,6 @@ impl FleetScheduler {
             checker: ModChecker::with_config(config.check),
             config,
             caches: Mutex::new(HashMap::new()),
-            analysis_caches: Mutex::new(HashMap::new()),
             history: Mutex::new(HashSet::new()),
             last_listings: Mutex::new(HashMap::new()),
         }
@@ -220,11 +217,7 @@ impl FleetScheduler {
 
     /// Current suspect history as sorted `(pool, module)` pairs.
     pub fn suspect_history(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .history
-            .lock()
-            .map(|h| h.iter().cloned().collect())
-            .unwrap_or_default();
+        let mut out: Vec<(String, String)> = lock(&self.history).iter().cloned().collect();
         out.sort();
         out
     }
@@ -232,12 +225,8 @@ impl FleetScheduler {
     /// Aggregated capture-cache statistics across every pool cache.
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        if let Ok(caches) = self.caches.lock() {
-            for cache in caches.values() {
-                if let Ok(c) = cache.lock() {
-                    total += c.stats();
-                }
-            }
+        for cache in lock(&self.caches).values() {
+            total += lock(cache).stats();
         }
         total
     }
@@ -248,40 +237,19 @@ impl FleetScheduler {
     /// against this.
     pub fn analysis_stats(&self) -> AnalysisCacheStats {
         let mut total = AnalysisCacheStats::default();
-        if let Ok(caches) = self.analysis_caches.lock() {
-            for cache in caches.values() {
-                if let Ok(c) = cache.lock() {
-                    let s = c.stats();
-                    total.runs += s.runs;
-                    total.hits += s.hits;
-                }
-            }
+        for cache in lock(&self.caches).values() {
+            let s = lock(cache).analysis_stats();
+            total.runs += s.runs;
+            total.hits += s.hits;
         }
         total
     }
 
     fn cache_handle(&self, pool: &str) -> Arc<Mutex<CaptureCache>> {
-        self.caches.lock().map_or_else(
-            |_| Arc::new(Mutex::new(CaptureCache::new())),
-            |mut caches| {
-                caches
-                    .entry(pool.to_string())
-                    .or_insert_with(|| Arc::new(Mutex::new(CaptureCache::new())))
-                    .clone()
-            },
-        )
-    }
-
-    fn analysis_cache_handle(&self, pool: &str) -> Arc<Mutex<AnalysisCache>> {
-        self.analysis_caches.lock().map_or_else(
-            |_| Arc::new(Mutex::new(AnalysisCache::new())),
-            |mut caches| {
-                caches
-                    .entry(pool.to_string())
-                    .or_insert_with(|| Arc::new(Mutex::new(AnalysisCache::new())))
-                    .clone()
-            },
-        )
+        lock(&self.caches)
+            .entry(pool.to_string())
+            .or_default()
+            .clone()
     }
 
     /// Runs one full sweep: per-pool list scans, unit expansion, sharded
@@ -312,26 +280,21 @@ impl FleetScheduler {
             .map(|p| {
                 if let Some(plane) = trust {
                     if p.vms.iter().all(|&vm| plane.vm_quiet(vm)) {
-                        if let Ok(cached) = self.last_listings.lock() {
-                            if let Some(rep) = cached.get(&p.name) {
-                                return Ok(rep.clone());
-                            }
+                        if let Some(rep) = lock(&self.last_listings).get(&p.name) {
+                            return Ok(rep.clone());
                         }
                     }
                 }
                 let rep = ListDiff::scan_with(hv, &p.vms, self.config.check.fast_capture);
                 if let Ok(r) = &rep {
-                    if let Ok(mut cached) = self.last_listings.lock() {
-                        cached.insert(p.name.clone(), r.clone());
-                    }
+                    lock(&self.last_listings).insert(p.name.clone(), r.clone());
                 }
                 rep
             })
             .collect();
 
         // Phase 2: expand consensus modules into prioritized units.
-        let history: HashSet<(String, String)> =
-            self.history.lock().map(|h| h.clone()).unwrap_or_default();
+        let history: HashSet<(String, String)> = lock(&self.history).clone();
         let pool_units: Vec<Vec<WorkUnit>> = fleet
             .pools
             .iter()
@@ -381,11 +344,6 @@ impl FleetScheduler {
             .iter()
             .map(|p| self.cache_handle(&p.name))
             .collect();
-        let analysis_handles: Vec<Arc<Mutex<AnalysisCache>>> = fleet
-            .pools
-            .iter()
-            .map(|p| self.analysis_cache_handle(&p.name))
-            .collect();
         let batch = self.config.max_inflight_per_vm.max(1);
         // `(pool index, unit index, result)` — the slot coordinates phase 5
         // assembles by.
@@ -400,16 +358,7 @@ impl FleetScheduler {
                     for (bi, chunk) in units.chunks(batch).enumerate() {
                         let reports: Vec<Result<PoolCheckReport, CheckError>> = chunk
                             .par_iter()
-                            .map(|u| {
-                                self.run_unit(
-                                    hv,
-                                    pool,
-                                    &cache_handles[pi],
-                                    &analysis_handles[pi],
-                                    &u.module,
-                                    trust,
-                                )
-                            })
+                            .map(|u| self.run_unit(hv, pool, &cache_handles[pi], &u.module, trust))
                             .collect();
                         for (ci, report) in reports.into_iter().enumerate() {
                             out.push((pi, bi * batch + ci, report));
@@ -463,22 +412,22 @@ impl FleetScheduler {
         }
 
         // Update suspect history for the next sweep's priority ordering.
-        if let Ok(mut h) = self.history.lock() {
-            for pool in &pools_out {
-                for unit in &pool.units {
-                    let key = (pool.pool.clone(), unit.module.clone());
-                    match &unit.result {
-                        Ok(r) if r.suspects().next().is_some() => {
-                            h.insert(key);
-                        }
-                        Ok(_) => {
-                            h.remove(&key);
-                        }
-                        Err(_) => {} // keep prior heat; errors say nothing
+        let mut h = lock(&self.history);
+        for pool in &pools_out {
+            for unit in &pool.units {
+                let key = (pool.pool.clone(), unit.module.clone());
+                match &unit.result {
+                    Ok(r) if r.suspects().next().is_some() => {
+                        h.insert(key);
                     }
+                    Ok(_) => {
+                        h.remove(&key);
+                    }
+                    Err(_) => {} // keep prior heat; errors say nothing
                 }
             }
         }
+        drop(h);
 
         FleetReport {
             pools: pools_out,
@@ -490,27 +439,20 @@ impl FleetScheduler {
         &self,
         hv: &Hypervisor,
         pool: &PoolSpec,
-        cache: &Arc<Mutex<CaptureCache>>,
-        analysis: &Arc<Mutex<AnalysisCache>>,
+        cache: &Mutex<CaptureCache>,
         module: &str,
         trust: Option<&EventPlane>,
     ) -> Result<PoolCheckReport, CheckError> {
         let trusted = trust
             .map(|plane| plane.trusted_for(module, &pool.vms))
             .unwrap_or_default();
-        if self.config.check.static_prepass {
-            if let (Ok(mut c), Ok(mut a)) = (cache.lock(), analysis.lock()) {
-                return self.checker.check_pool_with_caches_trusted(
-                    hv, &pool.vms, module, &mut c, &mut a, &trusted,
-                );
-            }
-        }
-        match cache.lock() {
-            Ok(mut c) => self
-                .checker
-                .check_pool_with_cache_trusted(hv, &pool.vms, module, &mut c, &trusted),
-            Err(_) => self.checker.check_pool(hv, &pool.vms, module),
-        }
+        self.checker.check_pool_with_cache_trusted(
+            hv,
+            &pool.vms,
+            module,
+            &mut lock(cache),
+            &trusted,
+        )
     }
 }
 

@@ -65,14 +65,15 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use mc_hypervisor::{Hypervisor, SimDuration, VmId};
 
 use crate::error::CheckError;
 use crate::events::{EventPlane, EventPlaneStats};
 use crate::listdiff::ListDiff;
-use crate::monitor::HealthPolicy;
+use crate::lock;
+use crate::monitor::{Breaker, HealthPolicy};
 use crate::pool::{CaptureCache, ModChecker};
 use crate::report::{FleetReport, PoolCheckReport, QuorumStatus};
 use crate::sched::{simulated_fleet_wall, Fleet, FleetConfig, FleetScheduler};
@@ -618,13 +619,6 @@ struct UnitState {
     last_cost: Option<SimDuration>,
 }
 
-/// Per-VM circuit breaker, counted in committed sweeps.
-#[derive(Clone, Copy, Debug, Default)]
-struct VmServeHealth {
-    consecutive_unscannable: usize,
-    cooldown_left: usize,
-}
-
 /// Token bucket with lazy refill on the simulated clock.
 #[derive(Clone, Copy, Debug)]
 struct TokenBucket {
@@ -650,7 +644,8 @@ impl TokenBucket {
 struct RunState {
     units: HashMap<(String, String), UnitState>,
     catalog: BTreeMap<String, BTreeSet<String>>,
-    health: BTreeMap<String, VmServeHealth>,
+    /// Per-VM circuit breakers, ticked once per committed sweep.
+    health: BTreeMap<String, Breaker>,
     buckets: HashMap<String, TokenBucket>,
     /// Slot-release times of queries in flight (min-heap, nanoseconds).
     in_flight: BinaryHeap<Reverse<u64>>,
@@ -700,17 +695,13 @@ impl AttestServer {
             let listing = ListDiff::scan_with(hv, &pool.vms, self.config.fleet.check.fast_capture)?;
             frames += plane.arm_modules(hv, &pool.vms, &listing.consensus_modules)?;
         }
-        *self.events.lock().unwrap_or_else(PoisonError::into_inner) = Some(plane);
+        *lock(&self.events) = Some(plane);
         Ok(frames)
     }
 
     /// The event plane's cumulative counters, if armed.
     pub fn event_stats(&self) -> Option<EventPlaneStats> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(EventPlane::stats)
+        lock(&self.events).as_ref().map(EventPlane::stats)
     }
 
     /// Runs the event loop over `queries` (any order; processed by
@@ -806,7 +797,7 @@ impl AttestServer {
     /// [`FleetScheduler::sweep`].
     fn refresh_sweep(&self, hv: &Hypervisor, fleet: &Fleet) -> FleetReport {
         if self.config.events {
-            let mut guard = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut guard = lock(&self.events);
             if let Some(plane) = guard.as_mut() {
                 plane.drain(hv);
                 let report = self.sched.sweep_with_trust(hv, fleet, Some(plane));
@@ -833,7 +824,7 @@ impl AttestServer {
             let quarantined: BTreeSet<String> = st
                 .health
                 .iter()
-                .filter(|(_, h)| h.cooldown_left > 0)
+                .filter(|(_, b)| b.is_open())
                 .map(|(name, _)| name.clone())
                 .collect();
             for pool in &sweep.pools {
@@ -864,8 +855,6 @@ impl AttestServer {
     /// `cooldown` sweeps; expiry re-probes half-open (one more failure
     /// re-trips immediately).
     fn update_health(&self, sweep: &FleetReport, st: &mut RunState) {
-        let threshold = self.config.health.failure_threshold.max(1);
-        let cooldown = self.config.health.cooldown_rounds.max(1);
         for pool in &sweep.pools {
             let ok_units: Vec<&PoolCheckReport> = pool
                 .units
@@ -876,28 +865,18 @@ impl AttestServer {
                 continue;
             }
             for vm_name in &pool.vm_names {
+                let breaker = st.health.entry(vm_name.clone()).or_default();
+                // A quarantined VM's sweep results are routed around, not
+                // counted; the sweep only spends one tick of its cooldown.
+                if !breaker.admit() {
+                    continue;
+                }
                 let failed = ok_units
                     .iter()
                     .all(|r| r.unscannable().any(|v| &v.vm_name == vm_name));
-                let h = st.health.entry(vm_name.clone()).or_default();
-                if h.cooldown_left > 0 {
-                    h.cooldown_left -= 1;
-                    if h.cooldown_left == 0 {
-                        // Half-open: the next failure re-trips at once.
-                        h.consecutive_unscannable = threshold - 1;
-                    }
-                    continue;
-                }
-                if failed {
-                    h.consecutive_unscannable += 1;
-                    if h.consecutive_unscannable >= threshold {
-                        h.cooldown_left = cooldown;
-                        h.consecutive_unscannable = 0;
-                        st.report.quarantine_events += 1;
-                        st.report.quarantined_vms.push(vm_name.clone());
-                    }
-                } else {
-                    h.consecutive_unscannable = 0;
+                if breaker.record(failed, &self.config.health) {
+                    st.report.quarantine_events += 1;
+                    st.report.quarantined_vms.push(vm_name.clone());
                 }
             }
         }
@@ -967,7 +946,7 @@ impl AttestServer {
         // Stage 3 + 4: route and serve.
         let quarantined: BTreeSet<String> = pool_vms[&q.pool]
             .iter()
-            .filter(|(name, _)| st.health.get(name).is_some_and(|h| h.cooldown_left > 0))
+            .filter(|(name, _)| st.health.get(name).is_some_and(Breaker::is_open))
             .map(|(name, _)| name.clone())
             .collect();
         let routed_around: Vec<String> = quarantined.iter().cloned().collect();

@@ -338,10 +338,6 @@ pub struct VmiSession<'hv> {
     /// session even when the checker splits the ledger per component.
     consumed: SimDuration,
     stats: VmiStats,
-    /// Pages already mapped this session (libVMI's page cache). `None`
-    /// reproduces the paper's prototype, which pays the foreign-map cost on
-    /// every access (ablation ABL-5 measures the difference).
-    page_cache: Option<HashSet<u64>>,
     /// Scatter-gather fast path: translate cache + run-batched foreign
     /// maps. `None` (the default) keeps the legacy bundled
     /// `read_cost(pages, bytes)` ledger for ablation and goldens.
@@ -366,7 +362,6 @@ impl fmt::Debug for VmiSession<'_> {
             .field("elapsed", &self.elapsed)
             .field("consumed", &self.consumed)
             .field("stats", &self.stats)
-            .field("page_cache", &self.page_cache.as_ref().map(HashSet::len))
             .field("fast", &self.fast.is_some())
             .field("faulty", &self.fault.is_some())
             .field("retry", &self.retry)
@@ -396,7 +391,6 @@ impl<'hv> VmiSession<'hv> {
             elapsed: SimDuration::ZERO,
             consumed: SimDuration::ZERO,
             stats: VmiStats::default(),
-            page_cache: None,
             fast: None,
             fault,
             retry: RetryPolicy::default(),
@@ -407,15 +401,6 @@ impl<'hv> VmiSession<'hv> {
         };
         s.charge(SimDuration::from_nanos(s.cost.vmi_attach_ns));
         Ok(s)
-    }
-
-    /// Enables the page-map cache for this session: a page crossed more
-    /// than once charges its translation + foreign-map cost only the first
-    /// time (per-byte copy costs still accrue). Mirrors libVMI's
-    /// `--enable-address-cache`; the paper's prototype runs uncached.
-    pub fn with_page_cache(mut self) -> Self {
-        self.page_cache = Some(HashSet::new());
-        self
     }
 
     /// Enables the capture fast path: a per-session translate cache (one
@@ -559,20 +544,14 @@ impl<'hv> VmiSession<'hv> {
             self.stats.bytes_copied += buf.len() as u64;
             self.charge(self.cost.read_cost(0, buf.len() as u64));
         } else {
+            // The paper's prototype: every page crossed pays its
+            // translation and foreign map.
             let pages = Vm::pages_crossed(va, buf.len() as u64);
-            // With the cache enabled, only first-touch pages pay the map cost.
-            let chargeable_pages = match &mut self.page_cache {
-                None => pages,
-                Some(cache) => {
-                    let first = va >> PAGE_SHIFT;
-                    (0..pages).filter(|i| cache.insert(first + i)).count() as u64
-                }
-            };
             self.stats.reads += 1;
-            self.stats.pages_mapped += chargeable_pages;
+            self.stats.pages_mapped += pages;
             self.stats.bytes_copied += buf.len() as u64;
-            self.stats.page_walks += chargeable_pages;
-            self.charge(self.cost.read_cost(chargeable_pages, buf.len() as u64));
+            self.stats.page_walks += pages;
+            self.charge(self.cost.read_cost(pages, buf.len() as u64));
         }
         self.vm.read_virt(va, buf)?;
         if let Some(off) = torn_byte {
@@ -1221,45 +1200,6 @@ mod tests {
             s.read_va(0xDEAD_0000, &mut buf),
             Err(VmiError::Hv(HvError::UnmappedVa(_)))
         ));
-    }
-
-    #[test]
-    fn page_cache_charges_first_touch_only() {
-        let (hv, id) = host_with_vm();
-        // Uncached: two reads of the same page charge two maps.
-        let mut s = VmiSession::attach(&hv, id).unwrap();
-        s.take_elapsed();
-        let mut buf = [0u8; 64];
-        s.read_va(0x8000_0000, &mut buf).unwrap();
-        s.read_va(0x8000_0000, &mut buf).unwrap();
-        let uncached = s.take_elapsed();
-        assert_eq!(s.stats().pages_mapped, 2);
-
-        // Cached: the second read only pays the copy cost.
-        let mut s = VmiSession::attach(&hv, id).unwrap().with_page_cache();
-        s.take_elapsed();
-        s.read_va(0x8000_0000, &mut buf).unwrap();
-        s.read_va(0x8000_0000, &mut buf).unwrap();
-        let cached = s.take_elapsed();
-        assert_eq!(s.stats().pages_mapped, 1);
-        assert!(cached < uncached, "cached {cached} vs uncached {uncached}");
-
-        // A different page still pays.
-        s.read_va(0x8000_0000 + PAGE_SIZE as u64, &mut buf).unwrap();
-        assert_eq!(s.stats().pages_mapped, 2);
-    }
-
-    #[test]
-    fn page_cache_handles_multi_page_reads() {
-        let (hv, id) = host_with_vm();
-        let mut s = VmiSession::attach(&hv, id).unwrap().with_page_cache();
-        let mut big = vec![0u8; 3 * PAGE_SIZE];
-        s.read_va(0x8000_0000, &mut big).unwrap();
-        assert_eq!(s.stats().pages_mapped, 3);
-        // Overlapping re-read: only the fourth page is new.
-        let mut big = vec![0u8; 4 * PAGE_SIZE];
-        s.read_va(0x8000_0000, &mut big).unwrap();
-        assert_eq!(s.stats().pages_mapped, 4);
     }
 
     #[test]
