@@ -36,7 +36,8 @@
 #                              crossview_*/adversary_* metric exports
 #                              validated against the schema; the 200-seed
 #                              detection-rate sweep rides in the fleet gate
-#  16. exit-code gate        — fleet-check's typed exit status contract
+#  16. exit-code gate        — fleet-check's typed exit status contract,
+#                              and unknown options as usage errors
 #  17. test-count floor      — the suite must never silently shrink
 set -eu
 
@@ -213,11 +214,19 @@ cargo run --release -q -p modchecker-cli --bin modchecker -- \
 
 # Exit-code gate: fleet-check's typed exit status is API. A clean uniform
 # fleet must exit 0; the infected seed-11 case (exit 2) is asserted in the
-# static-analysis gate above.
+# static-analysis gate above. An option the command does not accept (here,
+# two retired ones) is a usage error: exit 1 with nothing on stdout.
 echo "==> fleet-check exit-code gate"
 cargo run --release -q -p modchecker-cli --bin modchecker -- \
     fleet-check --pools 2 > /dev/null \
     || { echo "ci: clean fleet-check did not exit 0" >&2; exit 1; }
+for bad in "check --vms 4 --module hal.dll --parallel" "fleet-check --max-inflight-per-vm 4"; do
+    rc=0
+    # shellcheck disable=SC2086 # $bad is a word list on purpose
+    out=$(cargo run --release -q -p modchecker-cli --bin modchecker -- $bad 2>/dev/null) || rc=$?
+    [ "$rc" -eq 1 ] && [ -z "$out" ] \
+        || { echo "ci: '$bad' exited $rc with stdout '$out', want 1 and none" >&2; exit 1; }
+done
 
 # Test-count floor: the workspace suite must never silently shrink. Bump
 # the floor when tests are added; lowering it is a reviewed decision.

@@ -1,10 +1,11 @@
-//! End-to-end pool checks: wall-clock scaling with pool size and the
-//! sequential-vs-parallel ablation (ABL-1) on real threads.
+//! End-to-end pool checks: wall-clock scaling with pool size, and a full
+//! pool check, which splits its stages over the host's cores (ABL-1 on real
+//! threads: run under `taskset -c 0` for the sequential baseline).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use modchecker::{ModChecker, ScanMode};
+use modchecker::ModChecker;
 use modchecker_repro::testbed::Testbed;
 
 fn bench_check_one_scaling(c: &mut Criterion) {
@@ -27,31 +28,22 @@ fn bench_check_one_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sequential_vs_parallel(c: &mut Criterion) {
+fn bench_check_pool(c: &mut Criterion) {
     let bed = Testbed::cloud(12);
+    let checker = ModChecker::new();
     let mut group = c.benchmark_group("e2e/pool_ntfs_sys_12vms");
     group.sample_size(10);
-    for (name, mode) in [
-        ("sequential", ScanMode::Sequential),
-        ("parallel", ScanMode::Parallel),
-    ] {
-        let checker = ModChecker::with_mode(mode);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    checker
-                        .check_pool(&bed.hv, &bed.vm_ids, "ntfs.sys")
-                        .expect("check"),
-                )
-            });
+    group.bench_function("check_pool", |b| {
+        b.iter(|| {
+            black_box(
+                checker
+                    .check_pool(&bed.hv, &bed.vm_ids, "ntfs.sys")
+                    .expect("check"),
+            )
         });
-    }
+    });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_check_one_scaling,
-    bench_sequential_vs_parallel
-);
+criterion_group!(benches, bench_check_one_scaling, bench_check_pool);
 criterion_main!(benches);

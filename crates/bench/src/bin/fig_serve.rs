@@ -11,8 +11,8 @@
 //! * every query gets a typed answer or a typed rejection — answered +
 //!   rejected equals the stream length at every fault rate (the
 //!   no-silent-drop invariant);
-//! * the report is byte-identical across execution knobs (shards ×
-//!   max-inflight) at every fault rate — the serve determinism contract;
+//! * the report is byte-identical across shard counts at every fault
+//!   rate — the serve determinism contract;
 //! * p99 staleness stays bounded by the refresh cadence: degraded-answer
 //!   serving never hands out state older than a few refresh intervals;
 //! * answers degrade monotonically in aggregate: the fresh-answer count
@@ -77,13 +77,7 @@ fn arg_str(key: &str, default: &str) -> String {
 /// One daemon run at the given fault rate and execution knobs. A fresh
 /// cloud per run keeps runs independent; everything is seeded, so the
 /// same arguments always produce the same report.
-fn run(
-    pools: usize,
-    queries: usize,
-    fault_rate: f64,
-    shards: usize,
-    inflight: usize,
-) -> ServeReport {
+fn run(pools: usize, queries: usize, fault_rate: f64, shards: usize) -> ServeReport {
     let mut bed = uniform_fleet(pools, 3, 2, 1);
     if fault_rate > 0.0 {
         bed.hv
@@ -103,7 +97,6 @@ fn run(
     let config = ServeConfig {
         fleet: FleetConfig {
             shards,
-            max_inflight_per_vm: inflight,
             ..FleetConfig::default()
         },
         ..ServeConfig::default()
@@ -127,17 +120,17 @@ fn main() {
 
     let mut rows = Vec::new();
     for &rate in rates {
-        let report = run(pools, queries, rate, 1, 1);
+        let report = run(pools, queries, rate, 1);
 
-        // Determinism contract: execution knobs must not change a byte.
+        // Determinism contract: the shard count must not change a byte.
         let rendered = serde_json::to_string_pretty(&report.to_json()).expect("serializes");
-        for &(shards, inflight) in &[(4usize, 2usize), (8, 4)] {
-            let other = run(pools, queries, rate, shards, inflight);
+        for shards in [4, 8] {
+            let other = run(pools, queries, rate, shards);
             let other_rendered =
                 serde_json::to_string_pretty(&other.to_json()).expect("serializes");
             assert_eq!(
                 rendered, other_rendered,
-                "rate={rate}: shards={shards}/inflight={inflight} changed the report bytes"
+                "rate={rate}: shards={shards} changed the report bytes"
             );
         }
 

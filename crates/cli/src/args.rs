@@ -53,6 +53,19 @@ impl Args {
         self.options.get(name).map(String::as_str)
     }
 
+    /// Rejects any `--key`, flag or option, named in none of the
+    /// space-separated `accepted` lists (naming the alphabetically first),
+    /// so a mistyped or retired flag is a usage error rather than a
+    /// silently different run.
+    pub fn accept_only(&self, accepted: &[&str]) -> Result<(), String> {
+        let known = |key: &&String| accepted.iter().any(|l| l.split(' ').any(|k| k == *key));
+        let unknown = self.flags.iter().chain(self.options.keys());
+        match unknown.filter(|key| !known(key)).min() {
+            Some(key) => Err(format!("unknown option --{key} (see `modchecker help`)")),
+            None => Ok(()),
+        }
+    }
+
     /// Parsed numeric value of `--name value`.
     pub fn value(&self, name: &str) -> Result<Option<usize>, String> {
         match self.options.get(name) {
@@ -75,11 +88,11 @@ mod tests {
 
     #[test]
     fn mixed_arguments() {
-        let a = parse("check --vms 15 --module http.sys --parallel");
+        let a = parse("check --vms 15 --module http.sys --static");
         assert_eq!(a.positional, vec!["check"]);
         assert_eq!(a.value("vms").unwrap(), Some(15));
         assert_eq!(a.raw_value("module"), Some("http.sys"));
-        assert!(a.flag("parallel"));
+        assert!(a.flag("static"));
         assert!(!a.flag("json"));
     }
 
@@ -94,6 +107,22 @@ mod tests {
     fn bad_number_is_error() {
         let a = parse("check --vms lots");
         assert!(a.value("vms").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_and_options_are_rejected_by_name() {
+        let accepted = &["vms module", "json"];
+        assert!(parse("check --vms 4 --module hal.dll --json")
+            .accept_only(accepted)
+            .is_ok());
+        let err = parse("check --vms 4 --parallel --module hal.dll")
+            .accept_only(accepted)
+            .unwrap_err();
+        assert!(err.contains("--parallel"), "{err}");
+        let err = parse("fleet-check --shardz 2 --json --max-inflight-per-vm 4")
+            .accept_only(accepted)
+            .unwrap_err();
+        assert!(err.contains("--max-inflight-per-vm"), "{err}");
     }
 
     #[test]

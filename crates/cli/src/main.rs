@@ -20,7 +20,7 @@ use mc_loadgen::{HeavyLoad, LoadProfile};
 use mc_vmi::VmiSession;
 use modchecker::{
     ContinuousMonitor, ModChecker, ModuleSearcher, MonitorConfig, MonitorEvent, RetryPolicy,
-    ScanJitter, ScanMode,
+    ScanJitter,
 };
 use modchecker_repro::testbed::Testbed;
 
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&mut args).map(|()| ExitCode::SUCCESS),
         "monitor" => cmd_monitor(&mut args).map(|()| ExitCode::SUCCESS),
         "validate-metrics" => cmd_validate_metrics(&mut args).map(|()| ExitCode::SUCCESS),
-        "techniques" => cmd_techniques().map(|()| ExitCode::SUCCESS),
+        "techniques" => cmd_techniques(&args).map(|()| ExitCode::SUCCESS),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -70,7 +70,7 @@ const USAGE: &str = "\
 modchecker — cross-VM kernel module integrity checking (ICPP 2012 reproduction)
 
 USAGE:
-  modchecker check --vms <N> --module <NAME> [--parallel] [--width64] [--static]
+  modchecker check --vms <N> --module <NAME> [--width64] [--static]
                    [--infect <technique>@<vm-index>] [--sha256] [--json]
                    [--compare pairwise|canonical] [--no-fast-capture]
                    [--retries <R>] [--deadline-ms <MS>] [--min-quorum <Q>]
@@ -86,10 +86,10 @@ USAGE:
   modchecker sweep [--loaded]            runtime vs pool size (Fig. 7/8 preview)
   modchecker sweep-all [--vms <N>]       list-diff + content-check every module
   modchecker fleet-check [--pools <P>] [--vms-per-pool <M>] [--modules-per-pool <K>]
-                         [--seed <S>] [--shards <N>] [--max-inflight-per-vm <K>]
+                         [--seed <S>] [--shards <N>]
                          [--discover] [--rounds <R>] [--compare pairwise|canonical]
-                         [--no-fast-capture]
-                         [--retries <R>] [--min-quorum <Q>] [--fault-seed <SEED>]
+                         [--no-fast-capture] [--retries <R>] [--deadline-ms <MS>]
+                         [--min-quorum <Q>] [--fault-seed <SEED>]
                          [--fault-rate <0..1>] [--json] [--metrics-out <PATH>]
                          [--trace-out <PATH>] [--static-prepass] [--cross-view]
                                          sharded multi-pool, multi-module sweep;
@@ -101,14 +101,16 @@ USAGE:
                    [--deadline-min-ms <MS>] [--deadline-max-ms <MS>]
                    [--queue-capacity <Q>] [--quota-rate <QPS>] [--quota-burst <B>]
                    [--refresh-ms <MS>] [--freshness-ms <MS>] [--events]
-                   [--shards <N>] [--max-inflight-per-vm <K>]
-                   [--fault-seed <SEED>] [--fault-rate <0..1>]
+                   [--shards <N>] [--compare pairwise|canonical]
+                   [--no-fast-capture] [--retries <R>] [--deadline-ms <MS>]
+                   [--min-quorum <Q>] [--fault-seed <SEED>] [--fault-rate <0..1>]
                    [--json] [--metrics-out <PATH>] [--trace-out <PATH>]
                                          attestation daemon over a seeded query
                                          stream: admission quotas, bounded queue,
                                          degraded answers under faults
   modchecker monitor [--vms <N>] [--rounds <R>] [--events] [--fault-seed <SEED>]
-                     [--fault-rate <0..1>] [--retries <R>] [--min-quorum <Q>]
+                     [--fault-rate <0..1>] [--retries <R>] [--deadline-ms <MS>]
+                     [--min-quorum <Q>]
                      [--compare pairwise|canonical] [--no-fast-capture]
                      [--scan-jitter <MAX_NS>] [--jitter-seed <SEED>]
                      [--metrics-out <PATH>]
@@ -120,7 +122,7 @@ Observability: --metrics-out writes the scan's metric snapshot (counters,
 gauges, histograms) as JSON; --trace-out writes the simulated-time span
 tree (capture → page_map/parse/hash per VM, plus the pool-level vote) as
 JSONL, one span per line. Both derive from the deterministic report, so the
-same seed yields byte-identical exports in sequential and parallel modes.
+same seed yields byte-identical exports however many cores the host has.
 
 Comparison: --compare canonical normalizes each capture once against its own
 load base via the PE .reloc table and majority-votes by digest bucket — O(t)
@@ -140,7 +142,8 @@ per-read retry budget, --deadline-ms the per-VM simulated capture time, and
 Exit codes: fleet-check exits 0 when every unit is clean, 2 when any VM is a
 vote suspect or statically flagged, 3 when there are no findings but the fleet
 cannot vouch for itself (a unit failed or lost its scan quorum), and 1 on
-usage or internal errors. Other commands exit 0/1.
+usage or internal errors, including an option the command does not accept.
+Other commands exit 0/1.
 
 Serving: serve builds the fleet (same --pools/--seed knobs as fleet-check),
 generates a seeded open-loop query stream, and runs the attestation daemon:
@@ -148,6 +151,10 @@ per-tenant token-bucket quotas, a bounded admission queue with typed
 rejections, health-based routing around quarantined VMs, and degraded
 (stale/unscannable) answers when fresh state cannot be had within the
 deadline. Same seeds ⇒ byte-identical report, regardless of --shards.
+
+Parallelism: check splits its scan over the host's cores (`taskset -c 0` runs
+the paper's sequential scan); --shards spreads a fleet sweep's pools over
+threads. Neither changes a report byte.
 
 Push monitoring: --events (monitor, serve) arms EPT-style write traps over
 every scanned module's page span and switches rounds to push mode — quiet
@@ -171,6 +178,14 @@ vote, catching vote-invisible tampering such as the IAT pivot; analyze
 
 Techniques: opcode-replacement, inline-hook, stub-modification, dll-hook,
 jump-over-junk, iat-pivot, overlapping-decode";
+
+// Option lists shared by several commands, for `Args::accept_only`: the
+// testbed builders, `fault_plan_of` with `chaos_config_of`, fleet topology
+// and the report outputs.
+const BED: &str = "vms width64 infect";
+const CHAOS: &str = "fault-seed fault-rate compare retries deadline-ms min-quorum no-fast-capture";
+const FLEET: &str = "pools vms-per-pool modules-per-pool seed shards";
+const OUTPUTS: &str = "json metrics-out trace-out";
 
 /// Parses the shared chaos flags into an optional [`FaultPlan`] covering
 /// every VM. Injection engages when either `--fault-seed` or
@@ -279,6 +294,7 @@ fn build_bed(args: &mut Args) -> Result<(Testbed, Option<String>), String> {
 }
 
 fn cmd_check(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&[BED, CHAOS, OUTPUTS, "module sha256 static"])?;
     let (mut bed, infected_target) = build_bed(args)?;
     let module = args
         .raw_value("module")
@@ -291,11 +307,6 @@ fn cmd_check(args: &mut Args) -> Result<(), String> {
     let config = chaos_config_of(
         args,
         modchecker::CheckConfig {
-            mode: if args.flag("parallel") {
-                ScanMode::Parallel
-            } else {
-                ScanMode::Sequential
-            },
             digest: if args.flag("sha256") {
                 modchecker::DigestAlgo::Sha256
             } else {
@@ -360,6 +371,7 @@ fn apply_hide(args: &mut Args, bed: &mut Testbed) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&[BED, "hide module metrics-out json"])?;
     let (mut bed, infected_target) = build_bed(args)?;
     apply_hide(args, &mut bed)?;
     let only_module = args
@@ -479,6 +491,7 @@ fn cmd_analyze(args: &mut Args) -> Result<(), String> {
 }
 
 fn cmd_list_modules(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&["vms width64"])?;
     let n = args.value("vms")?.unwrap_or(2);
     let bed = Testbed::cloud_with(
         n.max(2),
@@ -495,6 +508,7 @@ fn cmd_list_modules(args: &mut Args) -> Result<(), String> {
 }
 
 fn cmd_listdiff(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&["vms width64 hide"])?;
     let n = args.value("vms")?.unwrap_or(5);
     let mut bed = Testbed::cloud_with(
         n.max(2),
@@ -508,13 +522,14 @@ fn cmd_listdiff(args: &mut Args) -> Result<(), String> {
 }
 
 fn cmd_sweep_all(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&["vms width64"])?;
     let n = args.value("vms")?.unwrap_or(5);
     let bed = Testbed::cloud_with(
         n.max(2),
         width_of(args),
         &mc_pe::corpus::standard_corpus(width_of(args)),
     );
-    let (lists, reports) = ModChecker::with_mode(ScanMode::Parallel)
+    let (lists, reports) = ModChecker::new()
         .check_all_modules(&bed.hv, &bed.vm_ids)
         .map_err(|e| e.to_string())?;
     print!("{lists}");
@@ -538,11 +553,16 @@ fn cmd_sweep_all(args: &mut Args) -> Result<(), String> {
 }
 
 fn cmd_fleet_check(args: &mut Args) -> Result<ExitCode, String> {
+    args.accept_only(&[
+        FLEET,
+        CHAOS,
+        OUTPUTS,
+        "rounds discover static-prepass cross-view",
+    ])?;
     let pools = args.value("pools")?.unwrap_or(3);
     let vms = args.value("vms-per-pool")?.unwrap_or(4);
     let modules = args.value("modules-per-pool")?.unwrap_or(2);
     let shards = args.value("shards")?.unwrap_or(1).max(1);
-    let inflight = args.value("max-inflight-per-vm")?.unwrap_or(1).max(1);
     let rounds = args.value("rounds")?.unwrap_or(1).max(1);
     if pools < 1 {
         return Err("--pools must be at least 1".into());
@@ -569,11 +589,7 @@ fn cmd_fleet_check(args: &mut Args) -> Result<ExitCode, String> {
 
     let mut check = chaos_config_of(args, modchecker::CheckConfig::default())?;
     check.static_prepass = args.flag("static-prepass");
-    let sched = modchecker::FleetScheduler::new(modchecker::FleetConfig {
-        check,
-        shards,
-        max_inflight_per_vm: inflight,
-    });
+    let sched = modchecker::FleetScheduler::new(modchecker::FleetConfig { check, shards });
     let monitor = ContinuousMonitor::new(MonitorConfig {
         check,
         ..MonitorConfig::default()
@@ -698,11 +714,17 @@ fn float_value(args: &Args, name: &str, default: f64) -> Result<f64, String> {
 /// `serve`: run the attestation daemon over a seeded open-loop query
 /// stream and report every query's typed outcome.
 fn cmd_serve(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&[
+        FLEET,
+        CHAOS,
+        OUTPUTS,
+        "load-seed queries mean-gap-us burst-prob tenants deadline-min-ms deadline-max-ms",
+        "unknown-rate queue-capacity quota-rate quota-burst refresh-ms freshness-ms events",
+    ])?;
     let pools = args.value("pools")?.unwrap_or(2).max(1);
     let vms = args.value("vms-per-pool")?.unwrap_or(4);
     let modules = args.value("modules-per-pool")?.unwrap_or(2).max(1);
     let shards = args.value("shards")?.unwrap_or(1).max(1);
-    let inflight = args.value("max-inflight-per-vm")?.unwrap_or(1).max(1);
     if vms < 2 {
         return Err("--vms-per-pool must be at least 2".into());
     }
@@ -758,11 +780,7 @@ fn cmd_serve(args: &mut Args) -> Result<(), String> {
     let check = chaos_config_of(args, modchecker::CheckConfig::default())?;
     let serve_defaults = modchecker::ServeConfig::default();
     let config = modchecker::ServeConfig {
-        fleet: modchecker::FleetConfig {
-            check,
-            shards,
-            max_inflight_per_vm: inflight,
-        },
+        fleet: modchecker::FleetConfig { check, shards },
         queue_capacity: args
             .value("queue-capacity")?
             .unwrap_or(serve_defaults.queue_capacity),
@@ -816,6 +834,7 @@ fn cmd_serve(args: &mut Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&["loaded"])?;
     let loaded = args.flag("loaded");
     let mut bed = Testbed::cloud(15);
     let checker = ModChecker::new();
@@ -849,19 +868,17 @@ fn cmd_sweep(args: &mut Args) -> Result<(), String> {
 }
 
 fn cmd_monitor(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&[
+        CHAOS,
+        "vms rounds events scan-jitter jitter-seed metrics-out",
+    ])?;
     let n = args.value("vms")?.unwrap_or(6);
     let rounds = args.value("rounds")?.unwrap_or(3);
     let mut bed = Testbed::cloud(n.max(2));
     if let Some(plan) = fault_plan_of(args)? {
         bed.hv.inject_fault_plan(plan);
     }
-    let check = chaos_config_of(
-        args,
-        modchecker::CheckConfig {
-            mode: ScanMode::Parallel,
-            ..modchecker::CheckConfig::default()
-        },
-    )?;
+    let check = chaos_config_of(args, modchecker::CheckConfig::default())?;
     let scan_jitter = match args.value("scan-jitter")? {
         Some(max_ns) => Some(ScanJitter {
             seed: args.value("jitter-seed")?.unwrap_or(42) as u64,
@@ -954,6 +971,7 @@ fn cmd_monitor(args: &mut Args) -> Result<(), String> {
 /// Validates a `--metrics-out` export against a JSON schema file — the CI
 /// gate that keeps the exporter's shape stable.
 fn cmd_validate_metrics(args: &mut Args) -> Result<(), String> {
+    args.accept_only(&["file schema"])?;
     let file = args
         .raw_value("file")
         .ok_or("--file is required")?
@@ -980,7 +998,8 @@ fn cmd_validate_metrics(args: &mut Args) -> Result<(), String> {
     }
 }
 
-fn cmd_techniques() -> Result<(), String> {
+fn cmd_techniques(args: &Args) -> Result<(), String> {
+    args.accept_only(&[])?;
     println!(
         "{:<22} {:<16} {:<10} paper-reported mismatches",
         "technique", "target", "static"

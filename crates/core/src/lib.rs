@@ -22,10 +22,10 @@
 //!   Equation 1), then MD5-hashing every part and reporting mismatches.
 //!   Majority voting over the pool produces per-VM verdicts.
 //!
-//! Higher-level drivers live in [`pool`] (sequential — as benchmarked in the
-//! paper — and parallel — the paper's proposed improvement) and [`monitor`]
-//! (continuous scanning with snapshot-revert remediation, per the paper's
-//! §III discussion).
+//! Higher-level drivers live in [`pool`] (the paper's sequential scan, split
+//! over the host's cores when it has more than one — the paper's proposed
+//! improvement) and [`monitor`] (continuous scanning with snapshot-revert
+//! remediation, per the paper's §III discussion).
 //!
 //! ## Example
 //!
@@ -103,7 +103,7 @@ pub use obs::{
 pub use parts::{ModuleParts, PartId};
 pub use pool::{
     AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, CompareStrategy, ModChecker,
-    ModuleResults, ScanMode,
+    ModuleResults,
 };
 pub use report::{
     ComponentTimes, FleetPoolReport, FleetReport, FleetUnitReport, ModuleCheckReport,

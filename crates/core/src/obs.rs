@@ -5,9 +5,9 @@
 //! instrumentation side channels, and the spans/metrics are derived from
 //! the deterministic numbers already carried by [`PoolCheckReport`] /
 //! [`ModuleCheckReport`]. That is what makes the exported values
-//! byte-identical between sequential and parallel runs under the same
-//! fault seed — the report is, and this module adds nothing the report
-//! does not already pin down.
+//! byte-identical at any worker or shard count under the same fault seed
+//! — the report is, and this module adds nothing the report does not
+//! already pin down.
 //!
 //! The span tree mirrors the paper's component pipeline: a `check_pool`
 //! root covers the whole scan; under it one `capture` span per VM nests

@@ -3,11 +3,17 @@
 //! [`ModChecker::check_one`] is the paper's primary operation: take the
 //! module from one (reference) VM and compare it against the same module on
 //! the other `t − 1` VMs, majority-voting the verdict. The paper's
-//! prototype "accesses the virtual machines' memory in a sequence"
-//! ([`ScanMode::Sequential`]); its authors note the modular design "can
-//! support parallel access of virtual machines' memory which would
-//! considerably enhance the runtime performance" — [`ScanMode::Parallel`]
-//! implements exactly that with a rayon fan-out over VMs and pairs.
+//! prototype "accesses the virtual machines' memory in a sequence"; its
+//! authors note the modular design "can support parallel access of virtual
+//! machines' memory which would considerably enhance the runtime
+//! performance". Here the host's cores decide: every scan stage (capture,
+//! pairwise matrix, canonical forms) has one body that splits its items
+//! into one contiguous chunk per worker and runs each chunk as the
+//! paper's sequential loop with its own cost ledger. Uncached scans take
+//! one worker per available core; cached scans, whose steady-state stages
+//! are memo hits, take one. Chunk results and checker charges are
+//! gathered in chunk order, so the worker count never changes a report
+//! byte.
 //!
 //! [`ModChecker::check_pool`] extends the vote to every VM (full pairwise
 //! matrix) so each VM gets a verdict in one pass — what a monitoring daemon
@@ -22,8 +28,7 @@ use mc_hypervisor::{Hypervisor, SimDuration, VmId, PAGE_SIZE};
 use mc_vmi::{RetryPolicy, VmiError, VmiSession, VmiStats};
 
 use crate::checker::{
-    canonical_form, compare_pair, compare_pair_with, CanonicalForm, ExtractedModule, PairOutcome,
-    PairScratch,
+    canonical_form, compare_pair_with, CanonicalForm, ExtractedModule, PairOutcome, PairScratch,
 };
 use crate::digest::PartDigest;
 use crate::error::CheckError;
@@ -33,18 +38,6 @@ use crate::report::{
     VmScanStats, VmVerdict,
 };
 use crate::searcher::ModuleSearcher;
-
-/// How the pool is traversed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanMode {
-    /// One VM at a time, as the paper's prototype (Figures 7/8 measure
-    /// this).
-    #[default]
-    Sequential,
-    /// Concurrent capture and pairwise checking (the paper's proposed
-    /// improvement; ablation ABL-1).
-    Parallel,
-}
 
 /// How cross-VM agreement is established.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,8 +59,6 @@ pub enum CompareStrategy {
 /// Scanner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
-    /// Traversal mode.
-    pub mode: ScanMode,
     /// Cross-VM comparison strategy (paper: pairwise; tentpole: canonical).
     pub compare: CompareStrategy,
     /// Part fingerprint algorithm (paper: MD5; ablation ABL-6).
@@ -110,7 +101,6 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            mode: ScanMode::default(),
             compare: CompareStrategy::default(),
             digest: crate::digest::DigestAlgo::default(),
             static_prepass: false,
@@ -133,6 +123,64 @@ pub struct ModChecker {
 
 /// Bytes charged for hashing a capture's headers: they fit in one page.
 const HEADER_BYTES: u64 = 4096;
+
+/// Workers an uncached scan fans out over: one per available core.
+fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Splits `items` into at most `workers` contiguous chunks, maps each chunk
+/// through `f` — on its own thread when there is more than one — and
+/// returns the results in chunk order.
+fn per_chunk<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    let chunk_len = items.len().div_ceil(workers.max(1)).max(1);
+    let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
+    chunks.par_iter().map(|chunk| f(chunk)).collect()
+}
+
+/// A comparison-stage ledger: a session on `vm` whose attach charge is
+/// dropped (the capture counted it already); `None` when no capture
+/// survived to charge against.
+fn attach_ledger(hv: &Hypervisor, vm: Option<VmId>) -> Result<Option<VmiSession<'_>>, CheckError> {
+    vm.map(|vm| {
+        let mut ledger = VmiSession::attach(hv, vm)?;
+        ledger.take_elapsed();
+        Ok(ledger)
+    })
+    .transpose()
+}
+
+/// [`per_chunk`] for a comparison stage: each chunk charges Dom0's work to
+/// its own ledger on `ledger_vm`, and the chunks' checker time is summed
+/// into `times` in chunk order.
+fn charged_chunks<T: Sync, R: Send>(
+    hv: &Hypervisor,
+    ledger_vm: Option<VmId>,
+    items: &[T],
+    workers: usize,
+    times: &mut ComponentTimes,
+    f: impl Fn(&[T], Option<&mut VmiSession<'_>>) -> Vec<R> + Sync,
+) -> Result<Vec<R>, CheckError> {
+    let chunks = per_chunk(items, workers, |chunk| {
+        let mut ledger = attach_ledger(hv, ledger_vm)?;
+        let out = f(chunk, ledger.as_mut());
+        let elapsed = ledger
+            .as_mut()
+            .map_or(SimDuration::ZERO, VmiSession::take_elapsed);
+        Ok::<_, CheckError>((out, elapsed))
+    });
+    let mut out = Vec::with_capacity(items.len());
+    for chunk in chunks {
+        let (results, elapsed) = chunk?;
+        times.checker += elapsed;
+        out.extend(results);
+    }
+    Ok(out)
+}
 
 /// One VM's extraction product with its component times and introspection
 /// counters. The module is shared (`Arc`) so the capture cache can hand the
@@ -182,19 +230,9 @@ impl Extraction {
 }
 
 impl ModChecker {
-    /// Scanner with default (sequential) configuration.
+    /// Scanner with default configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Scanner with an explicit mode.
-    pub fn with_mode(mode: ScanMode) -> Self {
-        ModChecker {
-            config: CheckConfig {
-                mode,
-                ..CheckConfig::default()
-            },
-        }
     }
 
     /// Scanner with full configuration.
@@ -538,18 +576,23 @@ impl ModChecker {
         }
     }
 
-    /// Extracts the module from every VM (mode-dependent concurrency).
-    fn extract_all(&self, hv: &Hypervisor, vms: &[VmId], module: &str) -> Vec<Extraction> {
-        match self.config.mode {
-            ScanMode::Sequential => vms
+    /// Extracts the module from every VM, one chunk of VMs per worker.
+    fn extract_all(
+        &self,
+        hv: &Hypervisor,
+        vms: &[VmId],
+        module: &str,
+        workers: usize,
+    ) -> Vec<Extraction> {
+        per_chunk(vms, workers, |chunk| {
+            chunk
                 .iter()
                 .map(|&vm| self.extract_one(hv, vm, module))
-                .collect(),
-            ScanMode::Parallel => vms
-                .par_iter()
-                .map(|&vm| self.extract_one(hv, vm, module))
-                .collect(),
-        }
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// The paper's check: compare `module` on `reference` against the same
@@ -573,7 +616,7 @@ impl ModChecker {
         }
         let mut all = vec![reference];
         all.extend_from_slice(others);
-        let mut extractions = self.extract_all(hv, &all, module);
+        let mut extractions = self.extract_all(hv, &all, module, host_workers());
 
         let reference_ex = extractions.remove(0);
         let mut vmi = reference_ex.vmi;
@@ -671,11 +714,22 @@ impl ModChecker {
         vms: &[VmId],
         module: &str,
     ) -> Result<PoolCheckReport, CheckError> {
+        self.scan_pool(hv, vms, module, host_workers())
+    }
+
+    /// The uncached [`Self::check_pool`] body at an explicit worker count.
+    fn scan_pool(
+        &self,
+        hv: &Hypervisor,
+        vms: &[VmId],
+        module: &str,
+        workers: usize,
+    ) -> Result<PoolCheckReport, CheckError> {
         if vms.len() < 2 {
             return Err(CheckError::PoolTooSmall(vms.len()));
         }
-        let extractions = self.extract_all(hv, vms, module);
-        self.pool_report(hv, vms, module, extractions, None)
+        let extractions = self.extract_all(hv, vms, module, workers);
+        self.pool_report(hv, vms, module, extractions, None, workers)
     }
 
     /// [`Self::check_pool`] with a generation-guarded capture cache (see
@@ -699,10 +753,9 @@ impl ModChecker {
     /// Verdicts are identical to the poll scan — the same capture bytes
     /// vote — only the steady-state cost changes.
     ///
-    /// Cached extraction runs sequentially — the cache is one mutable
+    /// The whole scan runs on the calling thread: the cache is one mutable
     /// structure, and on the steady-state hit path there is no capture work
-    /// left to overlap. The comparison stage still honors
-    /// [`CheckConfig::mode`]. In canonical mode the static pre-pass runs
+    /// left to overlap. In canonical mode the static pre-pass runs
     /// the lint engine once per content bucket, memoized in the cache
     /// across rounds, and replicates the findings to every bucket member
     /// with diagnostic addresses rebased: it names the same VMs with the
@@ -724,7 +777,9 @@ impl ModChecker {
                 self.extract_one_cached_trusted(hv, vm, module, cache, trusted.contains(&vm))
             })
             .collect();
-        self.pool_report(hv, vms, module, extractions, Some(&mut cache.analysis))
+        // One worker: steady-state stages here are memo hits, cheaper than
+        // a fan-out's thread setup.
+        self.pool_report(hv, vms, module, extractions, Some(&mut cache.analysis), 1)
     }
 
     /// Shared back half of the pool scan: vote, matrix, report.
@@ -735,6 +790,7 @@ impl ModChecker {
         module: &str,
         extractions: Vec<Extraction>,
         analysis_cache: Option<&mut AnalysisCache>,
+        workers: usize,
     ) -> Result<PoolCheckReport, CheckError> {
         let mut times = ComponentTimes::default();
         let mut vmi = VmiStats::default();
@@ -785,16 +841,16 @@ impl ModChecker {
         let mut canonical_groups: Option<Vec<(Fingerprint, Vec<usize>)>> = None;
         let matrix: Vec<(usize, usize, PairOutcome)> =
             if self.config.compare == CompareStrategy::Canonical {
-                match self.canonical_matrix(hv, &extracted, ledger_vm, &mut times)? {
+                match self.canonical_matrix(hv, &extracted, ledger_vm, workers, &mut times)? {
                     Some((m, votes, groups)) => {
                         canonical_votes = Some(votes);
                         canonical_groups = Some(groups);
                         m
                     }
-                    None => self.pairwise_matrix(hv, &extracted, ledger_vm, &mut times)?,
+                    None => self.pairwise_matrix(hv, &extracted, ledger_vm, workers, &mut times)?,
                 }
             } else {
-                self.pairwise_matrix(hv, &extracted, ledger_vm, &mut times)?
+                self.pairwise_matrix(hv, &extracted, ledger_vm, workers, &mut times)?
             };
 
         // Static pre-pass. The canonical bucket structure lets the lint
@@ -896,25 +952,23 @@ impl ModChecker {
         hv: &Hypervisor,
         extracted: &[(usize, Arc<ExtractedModule>)],
         ledger_vm: Option<VmId>,
+        workers: usize,
         times: &mut ComponentTimes,
     ) -> Result<Vec<(usize, usize, PairOutcome)>, CheckError> {
         let pairs: Vec<(usize, usize)> = (0..extracted.len())
             .flat_map(|i| ((i + 1)..extracted.len()).map(move |j| (i, j)))
             .collect();
-        match self.config.mode {
-            ScanMode::Sequential => {
-                let mut ledger = match ledger_vm {
-                    Some(vm) => {
-                        let mut l = VmiSession::attach(hv, vm)?;
-                        l.take_elapsed();
-                        Some(l)
-                    }
-                    None => None,
-                };
-                // One scratch arena for the whole sweep: zero per-pair
-                // allocations after the buffers reach section size.
+        charged_chunks(
+            hv,
+            ledger_vm,
+            &pairs,
+            workers,
+            times,
+            |chunk, mut ledger| {
+                // One scratch arena per chunk: zero per-pair allocations after
+                // the buffers reach section size.
                 let mut scratch = PairScratch::new();
-                let out = pairs
+                chunk
                     .iter()
                     .map(|&(i, j)| {
                         (
@@ -923,48 +977,15 @@ impl ModChecker {
                             compare_pair_with(
                                 &extracted[i].1,
                                 &extracted[j].1,
-                                ledger.as_mut(),
+                                ledger.as_deref_mut(),
                                 &mut scratch,
                             )
                             .expect("one scan extracts every capture under one algorithm"),
                         )
                     })
-                    .collect();
-                if let Some(l) = &mut ledger {
-                    times.checker += l.take_elapsed();
-                }
-                Ok(out)
-            }
-            ScanMode::Parallel => {
-                // Cost accounting in parallel mode: charge each pair on a
-                // thread-local ledger and sum (total work is what matters;
-                // wall-clock division is modeled in the report). A ledger
-                // attach can itself fail under fault injection; the
-                // comparison still runs, just uncharged — verdicts must
-                // never depend on bookkeeping.
-                let results: Vec<(usize, usize, PairOutcome, SimDuration)> = pairs
-                    .par_iter()
-                    .map(|&(i, j)| {
-                        let mut ledger = ledger_vm.and_then(|vm| VmiSession::attach(hv, vm).ok());
-                        if let Some(l) = &mut ledger {
-                            l.take_elapsed();
-                        }
-                        let o = compare_pair(&extracted[i].1, &extracted[j].1, ledger.as_mut())
-                            .expect("one scan extracts every capture under one algorithm");
-                        let t = ledger
-                            .as_mut()
-                            .map_or(SimDuration::ZERO, VmiSession::take_elapsed);
-                        (extracted[i].0, extracted[j].0, o, t)
-                    })
-                    .collect();
-                let mut out = Vec::with_capacity(results.len());
-                for (i, j, o, t) in results {
-                    times.checker += t;
-                    out.push((i, j, o));
-                }
-                Ok(out)
-            }
-        }
+                    .collect()
+            },
+        )
     }
 
     /// The canonical-form path: normalize+hash once per capture, bucket by
@@ -977,51 +998,23 @@ impl ModChecker {
         hv: &Hypervisor,
         extracted: &[(usize, Arc<ExtractedModule>)],
         ledger_vm: Option<VmId>,
+        workers: usize,
         times: &mut ComponentTimes,
     ) -> Result<CanonicalOutcome, CheckError> {
         // Normalize and hash each capture once — O(t), the whole point.
-        let forms: Vec<Option<CanonicalForm>> = match self.config.mode {
-            ScanMode::Sequential => {
-                let mut ledger = match ledger_vm {
-                    Some(vm) => {
-                        let mut l = VmiSession::attach(hv, vm)?;
-                        l.take_elapsed();
-                        Some(l)
-                    }
-                    None => None,
-                };
-                let out = extracted
+        let forms = charged_chunks(
+            hv,
+            ledger_vm,
+            extracted,
+            workers,
+            times,
+            |chunk, mut ledger| {
+                chunk
                     .iter()
-                    .map(|(_, m)| canonical_form(m, ledger.as_mut()))
-                    .collect();
-                if let Some(l) = &mut ledger {
-                    times.checker += l.take_elapsed();
-                }
-                out
-            }
-            ScanMode::Parallel => {
-                let results: Vec<(Option<CanonicalForm>, SimDuration)> = extracted
-                    .par_iter()
-                    .map(|(_, m)| {
-                        let mut ledger = ledger_vm.and_then(|vm| VmiSession::attach(hv, vm).ok());
-                        if let Some(l) = &mut ledger {
-                            l.take_elapsed();
-                        }
-                        let f = canonical_form(m, ledger.as_mut());
-                        let t = ledger
-                            .as_mut()
-                            .map_or(SimDuration::ZERO, VmiSession::take_elapsed);
-                        (f, t)
-                    })
-                    .collect();
-                let mut out = Vec::with_capacity(results.len());
-                for (f, t) in results {
-                    times.checker += t;
-                    out.push(f);
-                }
-                out
-            }
-        };
+                    .map(|(_, m)| canonical_form(m, ledger.as_deref_mut()))
+                    .collect()
+            },
+        )?;
         if forms.iter().any(Option::is_none) {
             return Ok(None);
         }
@@ -1041,14 +1034,7 @@ impl ModChecker {
         // Targeted cross-bucket diff between representatives (at most
         // buckets², and buckets ≪ t on any realistic pool) explains which
         // parts disagree without re-running all t² pairs.
-        let mut ledger = match ledger_vm {
-            Some(vm) => {
-                let mut l = VmiSession::attach(hv, vm)?;
-                l.take_elapsed();
-                Some(l)
-            }
-            None => None,
-        };
+        let mut ledger = attach_ledger(hv, ledger_vm)?;
         let mut scratch = PairScratch::new();
         let mut matrix = Vec::new();
         let mut rep_mismatch: Vec<Vec<PartId>> = vec![Vec::new(); groups.len()];
@@ -1549,22 +1535,55 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_agrees_with_sequential() {
-        let (mut hv, guests, ids) = cloud(6);
-        guests[1]
-            .patch_module(&mut hv, "hal.dll", 0x100F, &[0xE9])
-            .unwrap();
-        let seq = ModChecker::with_mode(ScanMode::Sequential)
-            .check_pool(&hv, &ids, "hal.dll")
-            .unwrap();
-        let par = ModChecker::with_mode(ScanMode::Parallel)
-            .check_pool(&hv, &ids, "hal.dll")
-            .unwrap();
-        let seq_verdicts: Vec<bool> = seq.verdicts.iter().map(|v| v.clean).collect();
-        let par_verdicts: Vec<bool> = par.verdicts.iter().map(|v| v.clean).collect();
-        assert_eq!(seq_verdicts, par_verdicts);
-        let seq_suspects: Vec<_> = seq.suspects().map(|v| v.vm_name.clone()).collect();
-        assert_eq!(seq_suspects, vec!["dom2"]);
+    fn worker_count_never_changes_the_report() {
+        use mc_hypervisor::FaultPlan;
+        for compare in [CompareStrategy::Pairwise, CompareStrategy::Canonical] {
+            for faulted in [false, true] {
+                let (mut hv, guests, ids) = cloud(7);
+                guests[2]
+                    .patch_module(&mut hv, "hal.dll", 0x100F, &[0xE9])
+                    .unwrap();
+                let mut config = CheckConfig {
+                    compare,
+                    ..CheckConfig::default()
+                };
+                if faulted {
+                    // Transient faults with jittered retries everywhere, and
+                    // one VM lost mid-scan so an error class is reported.
+                    let plan = FaultPlan::transient(0xBEEF, 0.2);
+                    hv.inject_fault_plan(plan);
+                    hv.set_fault_plan(ids[5], Some(plan.lose_after(3))).unwrap();
+                    config.retry = RetryPolicy::with_max_retries(6).with_jitter(0.5);
+                }
+                let checker = ModChecker::with_config(config);
+                let scan = |workers: usize| {
+                    let report = checker.scan_pool(&hv, &ids, "hal.dll", workers).unwrap();
+                    let json = serde_json::to_string(&report.to_json()).unwrap();
+                    let text = format!("{json}\n{:?}", report.matrix);
+                    (report, text)
+                };
+                let (report, one) = scan(1);
+                assert_eq!(
+                    report
+                        .suspects()
+                        .map(|v| v.vm_name.as_str())
+                        .collect::<Vec<_>>(),
+                    vec!["dom3"],
+                    "{compare:?} faulted={faulted}"
+                );
+                if faulted {
+                    assert!(report.vmi.retries > 0, "the fault plan never fired");
+                    assert!(report.verdicts[5].error.is_some(), "dom6 was not lost");
+                }
+                for workers in [2, 3, 8] {
+                    assert_eq!(
+                        one,
+                        scan(workers).1,
+                        "{compare:?} faulted={faulted}: {workers} workers changed the report"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1722,33 +1741,6 @@ mod tests {
         assert!(canonical.suspects().all(|v| v
             .suspect_parts
             .contains(&PartId::SectionData(".text".into()))));
-    }
-
-    #[test]
-    fn canonical_parallel_mode_agrees_with_sequential() {
-        let (mut hv, guests, ids) = cloud(6);
-        guests[4]
-            .patch_module(&mut hv, "http.sys", 0x1005, &[0x90])
-            .unwrap();
-        let seq = canonical_checker()
-            .check_pool(&hv, &ids, "http.sys")
-            .unwrap();
-        let par = ModChecker::with_config(CheckConfig {
-            mode: ScanMode::Parallel,
-            compare: CompareStrategy::Canonical,
-            ..CheckConfig::default()
-        })
-        .check_pool(&hv, &ids, "http.sys")
-        .unwrap();
-        let seq_verdicts: Vec<bool> = seq.verdicts.iter().map(|v| v.clean).collect();
-        let par_verdicts: Vec<bool> = par.verdicts.iter().map(|v| v.clean).collect();
-        assert_eq!(seq_verdicts, par_verdicts);
-        assert_eq!(
-            seq.suspects()
-                .map(|v| v.vm_name.clone())
-                .collect::<Vec<_>>(),
-            vec!["dom5"]
-        );
     }
 
     #[test]

@@ -505,9 +505,8 @@ impl PoolCheckReport {
                 "total": self.times.total().as_millis_f64(),
             },
             // Introspection counters are pure functions of (fault seed, VM):
-            // every value below is identical for sequential and parallel
-            // scans — the chaos suite's byte-for-byte determinism check
-            // covers this section too.
+            // every value below is identical at any worker count — the
+            // pool scan's worker-count test covers this section too.
             "vmi": {
                 "reads": self.vmi.reads,
                 "pages_mapped": self.vmi.pages_mapped,
@@ -624,10 +623,10 @@ impl FleetPoolReport {
 /// VMs that could not be assigned to any pool.
 ///
 /// Everything in here — and in [`FleetReport::to_json`] — is a pure
-/// function of (cloud state, fault seed, check config). Shard count and
-/// in-flight bounds only reorder execution, so a fixed `--fault-seed`
-/// yields byte-identical JSON for sequential, parallel and sharded runs;
-/// the golden tests pin exactly that.
+/// function of (cloud state, fault seed, check config). The shard count
+/// only reorders execution, so a fixed `--fault-seed` yields
+/// byte-identical JSON at every shard count; the golden tests pin exactly
+/// that.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
     /// Per-pool results, fleet pool order.
@@ -688,8 +687,7 @@ impl FleetReport {
 
     /// Machine-readable form (stable key order). Deliberately excludes
     /// anything execution-dependent — no shard count, no cache stats —
-    /// so runs differing only in `--shards`/`--max-inflight-per-vm`
-    /// serialize byte-identically.
+    /// so runs differing only in `--shards` serialize byte-identically.
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
             "pools": self

@@ -16,10 +16,10 @@
 //!    size descending (big captures first — classic LPT), then by name.
 //!    The order is a pure function of scheduler state, never of timing.
 //! 4. **Execute.** Pools are assigned to shards by longest-processing-time
-//!    (LPT) over an estimated cost; shards run on the rayon pool, and
-//!    within a pool units dispatch in batches of `max_inflight_per_vm` —
-//!    every unit in a batch touches all of the pool's VMs, so the batch
-//!    width *is* the per-VM in-flight bound.
+//!    (LPT) over an estimated cost; shards run side by side (one shard runs
+//!    on the calling thread), and within a pool units run one at a time in
+//!    priority order — every unit touches all of the pool's VMs and shares
+//!    the pool's capture cache.
 //!
 //! **Determinism.** Each unit's [`crate::report::PoolCheckReport`] is a
 //! pure function of (cloud state, fault seed, check config): fault streams
@@ -27,8 +27,8 @@
 //! sweep each `(VM, module)` capture-cache key is owned by exactly one
 //! unit. Execution order therefore cannot change any unit's bytes, and
 //! results are always assembled in canonical (pool, priority) order — so a
-//! fixed `--fault-seed` yields byte-identical [`FleetReport`] JSON for
-//! sequential, parallel and sharded runs. The golden tests pin this.
+//! fixed `--fault-seed` yields byte-identical [`FleetReport`] JSON at every
+//! shard count. The golden tests pin this.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -149,14 +149,11 @@ fn jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
 /// Fleet scheduler configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
-    /// Per-unit check configuration (mode, compare strategy, retries…).
+    /// Per-unit check configuration (compare strategy, retries…).
     pub check: CheckConfig,
-    /// Number of shards pools are spread over. `1` = fully sequential.
+    /// Number of shards pools are spread over. `1` = the whole sweep runs
+    /// on the calling thread.
     pub shards: usize,
-    /// Maximum units dispatched concurrently within one pool. Every unit
-    /// touches all of the pool's VMs, so this bounds in-flight units per
-    /// VM. `1` = units run strictly one at a time per pool.
-    pub max_inflight_per_vm: usize,
 }
 
 impl Default for FleetConfig {
@@ -164,7 +161,6 @@ impl Default for FleetConfig {
         FleetConfig {
             check: CheckConfig::default(),
             shards: 1,
-            max_inflight_per_vm: 1,
         }
     }
 }
@@ -182,7 +178,7 @@ struct WorkUnit {
 /// Holds cross-sweep state: one [`CaptureCache`] per pool (so repeated
 /// sweeps reuse page generations) and the suspect history that drives
 /// hot-first unit priority. Sweeps take `&self`; internal state is behind
-/// mutexes so a sweep can run from the rayon pool.
+/// mutexes so shards can share it.
 #[derive(Debug, Default)]
 pub struct FleetScheduler {
     checker: ModChecker,
@@ -272,11 +268,11 @@ impl FleetScheduler {
         fleet: &Fleet,
         trust: Option<&EventPlane>,
     ) -> FleetReport {
-        // Phase 1: list scans, one per pool, across the rayon pool. A pool
-        // whose every member is armed-and-quiet serves its cached listing.
+        // Phase 1: list scans, one per pool. A pool whose every member is
+        // armed-and-quiet serves its cached listing.
         let listings: Vec<Result<ListDiffReport, CheckError>> = fleet
             .pools
-            .par_iter()
+            .iter()
             .map(|p| {
                 if let Some(plane) = trust {
                     if p.vms.iter().all(|&vm| plane.vm_quiet(vm)) {
@@ -337,46 +333,32 @@ impl FleetScheduler {
         }
 
         // Phase 4: execute. Shards in parallel; within a shard pools in
-        // order; within a pool units in priority order, `max_inflight`
-        // at a time.
-        let cache_handles: Vec<Arc<Mutex<CaptureCache>>> = fleet
-            .pools
-            .iter()
-            .map(|p| self.cache_handle(&p.name))
-            .collect();
-        let batch = self.config.max_inflight_per_vm.max(1);
-        // `(pool index, unit index, result)` — the slot coordinates phase 5
-        // assembles by.
-        type SlottedResult = (usize, usize, Result<PoolCheckReport, CheckError>);
-        let shard_results: Vec<Vec<SlottedResult>> = shard_groups
+        // order; within a pool units one at a time in priority order.
+        type PoolResults = (usize, Vec<Result<PoolCheckReport, CheckError>>);
+        let shard_results: Vec<Vec<PoolResults>> = shard_groups
             .par_iter()
             .map(|pool_idxs| {
-                let mut out = Vec::new();
-                for &pi in pool_idxs {
-                    let pool = &fleet.pools[pi];
-                    let units = &pool_units[pi];
-                    for (bi, chunk) in units.chunks(batch).enumerate() {
-                        let reports: Vec<Result<PoolCheckReport, CheckError>> = chunk
-                            .par_iter()
-                            .map(|u| self.run_unit(hv, pool, &cache_handles[pi], &u.module, trust))
+                pool_idxs
+                    .iter()
+                    .map(|&pi| {
+                        let pool = &fleet.pools[pi];
+                        let cache = self.cache_handle(&pool.name);
+                        let reports = pool_units[pi]
+                            .iter()
+                            .map(|u| self.run_unit(hv, pool, &cache, &u.module, trust))
                             .collect();
-                        for (ci, report) in reports.into_iter().enumerate() {
-                            out.push((pi, bi * batch + ci, report));
-                        }
-                    }
-                }
-                out
+                        (pi, reports)
+                    })
+                    .collect()
             })
             .collect();
 
-        // Phase 5: canonical-order assembly — results land in their
-        // (pool, priority) slots regardless of which shard ran them.
-        let mut slots: Vec<Vec<Option<Result<PoolCheckReport, CheckError>>>> = pool_units
-            .iter()
-            .map(|units| units.iter().map(|_| None).collect())
-            .collect();
-        for (pi, ui, report) in shard_results.into_iter().flatten() {
-            slots[pi][ui] = Some(report);
+        // Phase 5: canonical-order assembly — each pool's results land in
+        // its slot regardless of which shard ran them.
+        let mut results: Vec<Vec<Result<PoolCheckReport, CheckError>>> =
+            fleet.pools.iter().map(|_| Vec::new()).collect();
+        for (pi, reports) in shard_results.into_iter().flatten() {
+            results[pi] = reports;
         }
 
         let mut pools_out = Vec::with_capacity(fleet.pools.len());
@@ -388,14 +370,14 @@ impl FleetScheduler {
                 .collect();
             let units: Vec<FleetUnitReport> = pool_units[pi]
                 .iter()
-                .zip(std::mem::take(&mut slots[pi]))
+                .zip(std::mem::take(&mut results[pi]))
                 .enumerate()
                 .map(|(priority, (u, result))| FleetUnitReport {
                     pool: pool.name.clone(),
                     module: u.module.clone(),
                     priority,
                     hot: u.hot,
-                    result: result.unwrap_or(Err(CheckError::PoolTooSmall(0))),
+                    result,
                 })
                 .collect();
             let (lists, list_error) = match &listings[pi] {
@@ -629,17 +611,16 @@ mod tests {
             .patch_module(&mut hv, "p1m1.sys", 0x1008, &[0xDE, 0xAD])
             .unwrap();
         hv.inject_fault_plan(FaultPlan::transient(7, 0.02));
-        let render = |shards: usize, inflight: usize| {
+        let render = |shards: usize| {
             let sched = FleetScheduler::new(FleetConfig {
                 shards,
-                max_inflight_per_vm: inflight,
                 ..FleetConfig::default()
             });
             serde_json::to_string_pretty(&sched.sweep(&hv, &fleet).to_json()).unwrap()
         };
-        let sequential = render(1, 1);
-        assert_eq!(sequential, render(4, 2), "shards must not change bytes");
-        assert_eq!(sequential, render(8, 4), "shards must not change bytes");
+        let sequential = render(1);
+        assert_eq!(sequential, render(4), "shards must not change bytes");
+        assert_eq!(sequential, render(8), "shards must not change bytes");
     }
 
     #[test]
@@ -690,7 +671,7 @@ mod tests {
         guests[1][0]
             .patch_module(&mut hv, "p1m1.sys", 0x1000, &[0xE9, 0x10, 0x00, 0x00, 0x00])
             .unwrap();
-        let render = |shards: usize, inflight: usize| {
+        let render = |shards: usize| {
             let sched = FleetScheduler::new(FleetConfig {
                 check: CheckConfig {
                     compare: crate::pool::CompareStrategy::Canonical,
@@ -698,14 +679,13 @@ mod tests {
                     ..CheckConfig::default()
                 },
                 shards,
-                max_inflight_per_vm: inflight,
             });
             serde_json::to_string_pretty(&sched.sweep(&hv, &fleet).to_json()).unwrap()
         };
-        let sequential = render(1, 1);
+        let sequential = render(1);
         assert!(sequential.contains("statically_flagged"));
-        assert_eq!(sequential, render(4, 2), "prepass must not change bytes");
-        assert_eq!(sequential, render(8, 4), "prepass must not change bytes");
+        assert_eq!(sequential, render(4), "prepass must not change bytes");
+        assert_eq!(sequential, render(8), "prepass must not change bytes");
     }
 
     #[test]

@@ -55,12 +55,11 @@
 //! Because arrivals are an input (seeded upstream, in `mc-loadgen`), the
 //! queue drains in simulated time, and the refresh wall is a model
 //! parameter, the resulting [`ServeReport`] is a pure function of
-//! `(hypervisor state, fleet, queries, ServeConfig model knobs)`. The
-//! execution knobs inside [`FleetConfig`] (`shards`,
-//! `max_inflight_per_vm`) only reorder real computation whose results are
-//! already proven byte-stable (DESIGN.md §11), so `ServeReport::to_json`
-//! is byte-identical across worker counts — the same argument, one layer
-//! up. DESIGN.md §13 spells it out.
+//! `(hypervisor state, fleet, queries, ServeConfig model knobs)`. The one
+//! execution knob, [`FleetConfig::shards`], only reorders real computation
+//! whose results are already proven byte-stable (DESIGN.md §11), so
+//! `ServeReport::to_json` is byte-identical across shard counts — the
+//! same argument, one layer up. DESIGN.md §13 spells it out.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
@@ -104,15 +103,15 @@ impl Default for QuotaPolicy {
 
 /// Daemon configuration.
 ///
-/// Everything except `fleet.shards` / `fleet.max_inflight_per_vm` is a
-/// *model* knob and therefore part of the deterministic answer: two runs
-/// differing in any model knob may legitimately differ byte-for-byte.
-/// The two execution knobs must not change a single output byte — that is
-/// the serve determinism contract, enforced by `tests/serve_sim.rs`.
+/// Everything except `fleet.shards` is a *model* knob and therefore part
+/// of the deterministic answer: two runs differing in any model knob may
+/// legitimately differ byte-for-byte. The shard count must not change a
+/// single output byte — that is the serve determinism contract, enforced
+/// by `tests/serve_sim.rs`.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Sweep/rescan configuration. `check` configures every scan the
-    /// daemon runs; `shards`/`max_inflight_per_vm` are execution-only.
+    /// daemon runs; `shards` is execution-only.
     pub fleet: FleetConfig,
     /// Admission queue bound (queries in flight, including the one being
     /// served). At capacity, arrivals are rejected [`Rejected::QueueFull`].
@@ -347,8 +346,8 @@ pub struct TenantStats {
 /// The daemon's deterministic account of one serve run.
 ///
 /// Like [`FleetReport`], the JSON form deliberately excludes anything
-/// execution-dependent — runs differing only in `fleet.shards` /
-/// `fleet.max_inflight_per_vm` serialize byte-identically.
+/// execution-dependent — runs differing only in `fleet.shards` serialize
+/// byte-identically.
 #[derive(Clone, Debug)]
 pub struct ServeReport {
     /// Every query's account, arrival order.
@@ -474,8 +473,7 @@ impl ServeReport {
     }
 
     /// Machine-readable form (stable key order). Excludes everything
-    /// execution-dependent: byte-identical across
-    /// `fleet.shards`/`fleet.max_inflight_per_vm` settings.
+    /// execution-dependent: byte-identical across `fleet.shards` settings.
     pub fn to_json(&self) -> serde_json::Value {
         let ms = |d: Option<SimDuration>| d.map(SimDuration::as_millis_f64);
         serde_json::json!({
@@ -1339,18 +1337,17 @@ mod tests {
             })
             .collect();
         let mut renders = Vec::new();
-        for (shards, inflight) in [(1usize, 1usize), (4, 2), (8, 4)] {
+        for shards in [1, 4, 8] {
             let mut cfg = ServeConfig {
                 refresh_interval: SimDuration::from_millis(5),
                 ..ServeConfig::default()
             };
             cfg.fleet.shards = shards;
-            cfg.fleet.max_inflight_per_vm = inflight;
             let report = AttestServer::new(cfg).run(&hv, &fleet, &queries);
             renders.push(serde_json::to_string_pretty(&report.to_json()).unwrap());
         }
         assert_eq!(renders[0], renders[1], "shards must not change a byte");
-        assert_eq!(renders[0], renders[2], "inflight must not change a byte");
+        assert_eq!(renders[0], renders[2], "shards must not change a byte");
     }
 
     #[test]

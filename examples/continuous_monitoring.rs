@@ -10,9 +10,7 @@
 //! ```
 
 use crossbeam::channel::unbounded;
-use modchecker::{
-    remediate, CheckConfig, ContinuousMonitor, MonitorConfig, MonitorEvent, ScanMode,
-};
+use modchecker::{remediate, ContinuousMonitor, MonitorConfig, MonitorEvent};
 use modchecker_repro::testbed::Testbed;
 
 fn main() {
@@ -36,10 +34,6 @@ fn main() {
 
     let mut monitor = ContinuousMonitor::new(MonitorConfig {
         modules: vec!["hal.dll".into(), "http.sys".into(), "dummy.sys".into()],
-        check: CheckConfig {
-            mode: ScanMode::Parallel,
-            ..CheckConfig::default()
-        },
         ..MonitorConfig::default()
     });
 

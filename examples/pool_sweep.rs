@@ -11,7 +11,7 @@
 //! ```
 
 use mc_pe::corpus::ModuleBlueprint;
-use modchecker::{ListAnomaly, ModChecker, ScanMode};
+use modchecker::{ListAnomaly, ModChecker};
 use modchecker_repro::testbed::Testbed;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         .patch_module(&mut bed.hv, "hal.dll", 0x1005, &[0xEB, 0x10])
         .unwrap();
 
-    let (lists, reports) = ModChecker::with_mode(ScanMode::Parallel)
+    let (lists, reports) = ModChecker::new()
         .check_all_modules(&bed.hv, &bed.vm_ids)
         .unwrap();
 

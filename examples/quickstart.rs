@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use modchecker::{ModChecker, ScanMode};
+use modchecker::ModChecker;
 use modchecker_repro::testbed::Testbed;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     // 2. Check hal.dll across the pool: despite the different bases (and
     //    therefore different in-memory bytes at every relocated address),
     //    RVA adjustment reconciles the images and everything matches.
-    let checker = ModChecker::with_mode(ScanMode::Sequential);
+    let checker = ModChecker::new();
     let report = checker.check_pool(&bed.hv, &bed.vm_ids, "hal.dll").unwrap();
     println!("\nclean cloud:\n{report}");
     assert!(report.all_clean());

@@ -2,12 +2,13 @@
 //!
 //! Implements the one parallel-iterator chain this workspace uses —
 //! `slice.par_iter().map(f).collect()` — on scoped std threads: the input is
-//! split into one contiguous chunk per available core, each chunk is mapped
-//! on its own thread, and results are reassembled in input order (the same
-//! ordering guarantee rayon's indexed collect gives). No work stealing, so
-//! one straggler chunk can idle other threads; for this workspace's
-//! uniform per-VM work items that is an acceptable trade for zero
-//! dependencies.
+//! split into one contiguous chunk per available core, and results are
+//! reassembled in input order (the same ordering guarantee rayon's indexed
+//! collect gives). A map of one item, or on a one-core host, runs on the
+//! calling thread with no thread setup at all; otherwise each chunk is
+//! mapped on its own scoped thread. No work stealing, so one straggler
+//! chunk can idle other threads; for this workspace's uniform per-VM work
+//! items that is an acceptable trade for zero dependencies.
 
 #![warn(missing_docs)]
 
@@ -72,12 +73,12 @@ where
     /// Runs the map across threads and gathers results in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
         let n = self.items.len();
-        if n == 0 {
-            return std::iter::empty().collect();
+        let cores = || thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        // One item never asks for the core count; one worker never spawns.
+        let workers = if n > 1 { cores().min(n) } else { 1 };
+        if workers == 1 {
+            return self.items.iter().map(&self.f).collect();
         }
-        let workers = thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(n);
         let chunk = n.div_ceil(workers);
         let f = &self.f;
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -120,6 +121,16 @@ mod tests {
         assert_eq!(plus, vec![4, 2, 3]);
         let empty: Vec<u32> = Vec::<u32>::new().par_iter().map(|&x| x).collect();
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn a_one_item_map_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids: Vec<std::thread::ThreadId> = [7u8]
+            .par_iter()
+            .map(|_| std::thread::current().id())
+            .collect();
+        assert_eq!(ids, vec![caller]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use mc_hypervisor::{AddressWidth, FaultPlan, SimDuration};
 use mc_pe::corpus::ModuleBlueprint;
 use modchecker::{
-    CheckConfig, ModChecker, QuorumStatus, RetryPolicy, ScanMode, VerdictErrorKind, VerdictStatus,
+    CheckConfig, ModChecker, QuorumStatus, RetryPolicy, VerdictErrorKind, VerdictStatus,
 };
 use modchecker_repro::testbed::Testbed;
 use proptest::prelude::*;
@@ -34,33 +34,21 @@ fn bed(n: usize) -> Testbed {
     )
 }
 
-fn scanner(mode: ScanMode) -> ModChecker {
-    ModChecker::with_config(CheckConfig {
-        mode,
-        ..CheckConfig::default()
-    })
-}
-
 #[test]
 fn clean_pool_under_transient_faults_scans_clean_with_full_quorum() {
     // The headline acceptance scenario: 8 VMs, 5% transient read faults
     // everywhere. The retry budget rides the noise out; nobody is flagged
     // and nobody drops out.
-    for mode in [ScanMode::Sequential, ScanMode::Parallel] {
-        let mut bed = bed(8);
-        bed.hv.inject_fault_plan(FaultPlan::transient(1234, 0.05));
-        let report = scanner(mode)
-            .check_pool(&bed.hv, &bed.vm_ids, "hal.dll")
-            .unwrap();
-        assert!(
-            report.all_clean(),
-            "{mode:?}: transient faults flagged a VM"
-        );
-        assert!(!report.any_discrepancy());
-        assert_eq!(report.quorum, QuorumStatus::Full, "{mode:?}");
-        assert_eq!(report.scanned, 8);
-        assert!(report.verdicts.iter().all(|v| v.error.is_none()));
-    }
+    let mut bed = bed(8);
+    bed.hv.inject_fault_plan(FaultPlan::transient(1234, 0.05));
+    let report = ModChecker::new()
+        .check_pool(&bed.hv, &bed.vm_ids, "hal.dll")
+        .unwrap();
+    assert!(report.all_clean(), "transient faults flagged a VM");
+    assert!(!report.any_discrepancy());
+    assert_eq!(report.quorum, QuorumStatus::Full);
+    assert_eq!(report.scanned, 8);
+    assert!(report.verdicts.iter().all(|v| v.error.is_none()));
 }
 
 #[test]
@@ -193,38 +181,32 @@ fn paused_vms_ride_out_within_the_retry_budget() {
 
 #[test]
 fn same_seed_reproduces_the_report_byte_for_byte() {
-    let run = |mode: ScanMode| {
+    let run = || {
         let mut bed = bed(6);
         bed.guests[4]
             .patch_module(&mut bed.hv, "ndis.sys", 0x1007, &[0x90, 0x90])
             .unwrap();
         bed.hv.inject_fault_plan(FaultPlan::chaos(0xC0FFEE, 0.06));
-        let report = scanner(mode)
+        let report = ModChecker::new()
             .check_pool(&bed.hv, &bed.vm_ids, "ndis.sys")
             .unwrap();
         serde_json::to_string_pretty(&report.to_json()).unwrap()
     };
-    assert_eq!(run(ScanMode::Sequential), run(ScanMode::Sequential));
-    assert_eq!(run(ScanMode::Parallel), run(ScanMode::Parallel));
-    // Per-VM fault streams are seeded independently of scheduling, so the
-    // two modes also agree with each other.
-    assert_eq!(run(ScanMode::Sequential), run(ScanMode::Parallel));
+    assert_eq!(run(), run());
 }
 
 #[test]
 fn retry_jitter_shifts_schedules_per_vm_without_touching_verdicts() {
     // Backoff jitter decorrelates retry storms: each VM draws its waits
     // from its own seeded stream, so schedules are *distinct* across VMs
-    // yet fully *deterministic* — same seed, same report, regardless of
-    // scan mode.
-    let run = |mode: ScanMode, jitter: f64| {
+    // yet fully *deterministic* — same seed, same report.
+    let run = |jitter: f64| {
         let mut bed = bed(6);
         // Scatter-gather captures consult the fault layer once per batch
         // (not per page), so the per-consult probability is raised to keep
         // several VMs retrying — the comparison below needs them.
         bed.hv.inject_fault_plan(FaultPlan::transient(0xBEEF, 0.2));
         ModChecker::with_config(CheckConfig {
-            mode,
             retry: RetryPolicy::with_max_retries(6).with_jitter(jitter),
             ..CheckConfig::default()
         })
@@ -234,15 +216,13 @@ fn retry_jitter_shifts_schedules_per_vm_without_touching_verdicts() {
     let render =
         |r: &modchecker::PoolCheckReport| serde_json::to_string_pretty(&r.to_json()).unwrap();
 
-    let on = run(ScanMode::Sequential, 0.5);
-    // Deterministic: the jittered run reproduces byte-for-byte, and the
-    // per-VM streams don't care how the scan was scheduled.
-    assert_eq!(render(&on), render(&run(ScanMode::Sequential, 0.5)));
-    assert_eq!(render(&on), render(&run(ScanMode::Parallel, 0.5)));
+    let on = run(0.5);
+    // Deterministic: the jittered run reproduces byte-for-byte.
+    assert_eq!(render(&on), render(&run(0.5)));
 
     // Jitter moves timing only: verdicts and quorum match the unjittered
     // run exactly.
-    let off = run(ScanMode::Sequential, 0.0);
+    let off = run(0.0);
     assert_eq!(on.quorum, off.quorum);
     for (a, b) in on.verdicts.iter().zip(&off.verdicts) {
         assert_eq!(a.vm_name, b.vm_name);
@@ -285,7 +265,6 @@ proptest! {
         seed in 0u64..1_000,
         transient_pct in 0u32..30,
         chaotic in proptest::bool::ANY,
-        parallel in proptest::bool::ANY,
         retries in 0u32..6,
         lose_victim in 0usize..5,
         lose_after in 0u64..40,
@@ -305,7 +284,6 @@ proptest! {
             )
             .unwrap();
         let checker = ModChecker::with_config(CheckConfig {
-            mode: if parallel { ScanMode::Parallel } else { ScanMode::Sequential },
             retry: RetryPolicy::with_max_retries(retries),
             ..CheckConfig::default()
         });

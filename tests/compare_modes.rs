@@ -11,7 +11,7 @@ use mc_pe::corpus::ModuleBlueprint;
 use mc_vmi::VmiSession;
 use modchecker::{
     compare_pair, compare_pair_with, CheckConfig, CompareStrategy, ExtractedModule, ModChecker,
-    ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, ScanMode, VerdictStatus,
+    ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, VerdictStatus,
 };
 use modchecker_repro::testbed::Testbed;
 use proptest::prelude::*;
@@ -245,24 +245,11 @@ fn adjusted_digest_memos_leave_the_pairwise_matrix_unchanged() {
         let (bed, _) = Testbed::infected_cloud(VMS, technique, &[victim]).unwrap();
         let target = technique.infection().target_module().to_string();
 
-        // Sequential and parallel sweeps share captures across pairs, the
-        // parallel one concurrently; both must report the same matrix,
-        // verdicts and checker charge.
-        let scan = |mode| {
-            ModChecker::with_mode(mode)
-                .check_pool(&bed.hv, &bed.vm_ids, &target)
-                .expect("pool check")
-        };
-        let seq = scan(ScanMode::Sequential);
-        let par = scan(ScanMode::Parallel);
-        assert_eq!(verdict_keys(&seq), verdict_keys(&par), "{technique}");
-        assert_eq!(
-            pair_keys(&seq.matrix),
-            pair_keys(&par.matrix),
-            "{technique}"
-        );
-        assert_eq!(seq.times.checker, par.times.checker, "{technique}");
-        let suspects: Vec<String> = seq.suspects().map(|v| v.vm_name.clone()).collect();
+        // The pool scan shares captures, and their memos, across pairs.
+        let scan = ModChecker::new()
+            .check_pool(&bed.hv, &bed.vm_ids, &target)
+            .expect("pool check");
+        let suspects: Vec<String> = scan.suspects().map(|v| v.vm_name.clone()).collect();
         assert_eq!(suspects, vec![format!("dom{}", victim + 1)], "{technique}");
 
         // The same matrix from captures that carry memos across the sweep
@@ -298,7 +285,7 @@ fn adjusted_digest_memos_leave_the_pairwise_matrix_unchanged() {
                 "{technique}, pass {pass}"
             );
         }
-        assert_eq!(pair_keys(&seq.matrix), pair_keys(&fresh), "{technique}");
+        assert_eq!(pair_keys(&scan.matrix), pair_keys(&fresh), "{technique}");
     }
 }
 

@@ -2,7 +2,7 @@
 
 use mc_hypervisor::{AddressWidth, SimDuration};
 use mc_pe::corpus::ModuleBlueprint;
-use modchecker::{ModChecker, ScanMode};
+use modchecker::ModChecker;
 use modchecker_repro::testbed::Testbed;
 
 fn small_corpus(width: AddressWidth) -> Vec<ModuleBlueprint> {
@@ -49,28 +49,6 @@ fn sixty_four_bit_cloud_is_equally_checkable() {
         .unwrap();
     let suspects: Vec<&str> = report.suspects().map(|v| v.vm_name.as_str()).collect();
     assert_eq!(suspects, vec!["dom3"]);
-}
-
-#[test]
-fn parallel_and_sequential_scans_agree_everywhere() {
-    let mut bed = Testbed::cloud_with(8, AddressWidth::W32, &small_corpus(AddressWidth::W32));
-    bed.guests[5]
-        .patch_module(&mut bed.hv, "ndis.sys", 0x1040, &[0xDE, 0xAD])
-        .unwrap();
-
-    for module in ["hal.dll", "ndis.sys", "http.sys"] {
-        let seq = ModChecker::with_mode(ScanMode::Sequential)
-            .check_pool(&bed.hv, &bed.vm_ids, module)
-            .unwrap();
-        let par = ModChecker::with_mode(ScanMode::Parallel)
-            .check_pool(&bed.hv, &bed.vm_ids, module)
-            .unwrap();
-        for (a, b) in seq.verdicts.iter().zip(&par.verdicts) {
-            assert_eq!(a.vm_name, b.vm_name);
-            assert_eq!(a.clean, b.clean, "{module}/{}", a.vm_name);
-            assert_eq!(a.suspect_parts, b.suspect_parts, "{module}/{}", a.vm_name);
-        }
-    }
 }
 
 #[test]

@@ -47,16 +47,10 @@ fn config(compare: CompareStrategy) -> CheckConfig {
     }
 }
 
-fn run_mode(
-    bed: &FleetBed,
-    compare: CompareStrategy,
-    shards: usize,
-    inflight: usize,
-) -> FleetReport {
+fn run_mode(bed: &FleetBed, compare: CompareStrategy, shards: usize) -> FleetReport {
     let sched = FleetScheduler::new(FleetConfig {
         check: config(compare),
         shards,
-        max_inflight_per_vm: inflight,
     });
     sched.sweep(&bed.hv, &bed.fleet)
 }
@@ -135,18 +129,13 @@ fn assert_oracle(seed: u64, mode: &str, bed: &FleetBed, report: &FleetReport) {
 
 /// Canonical comparison with the per-bucket static pre-pass on top.
 /// Returns the scheduler too so the caller can audit `analysis_runs`.
-fn run_prepass_mode(
-    bed: &FleetBed,
-    shards: usize,
-    inflight: usize,
-) -> (FleetScheduler, FleetReport) {
+fn run_prepass_mode(bed: &FleetBed, shards: usize) -> (FleetScheduler, FleetReport) {
     let sched = FleetScheduler::new(FleetConfig {
         check: CheckConfig {
             static_prepass: true,
             ..config(CompareStrategy::Canonical)
         },
         shards,
-        max_inflight_per_vm: inflight,
     });
     let report = sched.sweep(&bed.hv, &bed.fleet);
     (sched, report)
@@ -205,22 +194,22 @@ fn randomized_fleets_match_the_oracle_in_all_four_modes() {
     let cases = case_count();
     for seed in 0..cases {
         let bed = random_fleet(seed);
-        let pairwise_seq = run_mode(&bed, CompareStrategy::Pairwise, 1, 1);
+        let pairwise_seq = run_mode(&bed, CompareStrategy::Pairwise, 1);
         assert_oracle(seed, "pairwise/sequential", &bed, &pairwise_seq);
-        let pairwise_sharded = run_mode(&bed, CompareStrategy::Pairwise, 8, 4);
+        let pairwise_sharded = run_mode(&bed, CompareStrategy::Pairwise, 8);
         assert_oracle(seed, "pairwise/sharded", &bed, &pairwise_sharded);
-        let canonical_seq = run_mode(&bed, CompareStrategy::Canonical, 1, 1);
+        let canonical_seq = run_mode(&bed, CompareStrategy::Canonical, 1);
         assert_oracle(seed, "canonical/sequential", &bed, &canonical_seq);
-        let canonical_sharded = run_mode(&bed, CompareStrategy::Canonical, 8, 4);
+        let canonical_sharded = run_mode(&bed, CompareStrategy::Canonical, 8);
         assert_oracle(seed, "canonical/sharded", &bed, &canonical_sharded);
 
         // Fifth mode: canonical comparison + per-bucket static pre-pass.
         // The vote oracle is unchanged (the IAT pivot stays vote-clean);
         // the pre-pass oracle adds the stealth and run-bound checks.
-        let (prepass_sched, prepass_seq) = run_prepass_mode(&bed, 1, 1);
+        let (prepass_sched, prepass_seq) = run_prepass_mode(&bed, 1);
         assert_oracle(seed, "canonical+prepass/sequential", &bed, &prepass_seq);
         assert_prepass_oracle(seed, &bed, &prepass_sched, &prepass_seq);
-        let (sharded_sched, prepass_sharded) = run_prepass_mode(&bed, 8, 4);
+        let (sharded_sched, prepass_sharded) = run_prepass_mode(&bed, 8);
         assert_oracle(seed, "canonical+prepass/sharded", &bed, &prepass_sharded);
         assert_prepass_oracle(seed, &bed, &sharded_sched, &prepass_sharded);
 

@@ -6,8 +6,7 @@ use mc_attacks::{worm, Technique};
 use mc_hypervisor::{AddressWidth, FaultPlan};
 use mc_pe::corpus::ModuleBlueprint;
 use modchecker::{
-    remediate, CheckConfig, ContinuousMonitor, HealthPolicy, ModChecker, MonitorConfig,
-    MonitorEvent, ScanMode,
+    remediate, ContinuousMonitor, HealthPolicy, ModChecker, MonitorConfig, MonitorEvent,
 };
 use modchecker_repro::testbed::Testbed;
 
@@ -77,10 +76,6 @@ fn threaded_monitor_streams_events() {
 
     let mut monitor = ContinuousMonitor::new(MonitorConfig {
         modules: vec!["hal.dll".into(), "tcpip.sys".into()],
-        check: CheckConfig {
-            mode: ScanMode::Parallel,
-            ..CheckConfig::default()
-        },
         ..MonitorConfig::default()
     });
     let (tx, rx) = unbounded();

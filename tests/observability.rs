@@ -3,16 +3,16 @@
 //!
 //! 1. **No lost simulated time.** The `check_pool` root span's duration
 //!    equals the report's wall-clock total, and its children (per-VM
-//!    `capture` spans plus the pool-level `vote`) sum to it exactly — in
-//!    both scan modes.
-//! 2. **Mode-invariant export.** Under the same fault seed, sequential and
-//!    parallel scans export byte-identical metrics JSON and span trees.
+//!    `capture` spans plus the pool-level `vote`) sum to it exactly — under
+//!    both compare strategies.
+//! 2. **Deterministic export.** Under the same fault seed, repeated scans
+//!    export byte-identical metrics JSON and span trees.
 //! 3. **Round-trip.** The JSON exporter's output parses back to the same
 //!    numbers, and every Prometheus text line is well formed.
 
 use mc_hypervisor::{AddressWidth, FaultPlan};
 use mc_pe::corpus::ModuleBlueprint;
-use modchecker::{observe_scan, CheckConfig, ModChecker, ScanMode, ScanObservation};
+use modchecker::{observe_scan, CheckConfig, CompareStrategy, ModChecker, ScanObservation};
 use modchecker_repro::testbed::Testbed;
 
 fn bed(n: usize) -> Testbed {
@@ -27,27 +27,24 @@ fn bed(n: usize) -> Testbed {
     )
 }
 
-fn chaos_scan(mode: ScanMode) -> ScanObservation {
+fn chaos_scan() -> ScanObservation {
     let mut bed = bed(6);
     bed.guests[4]
         .patch_module(&mut bed.hv, "ndis.sys", 0x1007, &[0x90, 0x90])
         .unwrap();
     bed.hv.inject_fault_plan(FaultPlan::chaos(0xC0FFEE, 0.06));
-    let report = ModChecker::with_config(CheckConfig {
-        mode,
-        ..CheckConfig::default()
-    })
-    .check_pool(&bed.hv, &bed.vm_ids, "ndis.sys")
-    .unwrap();
+    let report = ModChecker::new()
+        .check_pool(&bed.hv, &bed.vm_ids, "ndis.sys")
+        .unwrap();
     observe_scan(&report)
 }
 
 #[test]
 fn span_durations_sum_to_the_report_wall_clock_in_both_modes() {
-    for mode in [ScanMode::Sequential, ScanMode::Parallel] {
+    for mode in [CompareStrategy::Pairwise, CompareStrategy::Canonical] {
         let bed = bed(5);
         let report = ModChecker::with_config(CheckConfig {
-            mode,
+            compare: mode,
             ..CheckConfig::default()
         })
         .check_pool(&bed.hv, &bed.vm_ids, "hal.dll")
@@ -92,19 +89,19 @@ fn span_durations_sum_to_the_report_wall_clock_in_both_modes() {
 }
 
 #[test]
-fn metrics_export_is_byte_identical_across_scan_modes_under_chaos() {
-    let export = |mode| {
-        let obs = chaos_scan(mode);
+fn metrics_export_is_byte_identical_across_runs_under_chaos() {
+    let export = || {
+        let obs = chaos_scan();
         let metrics = serde_json::to_string_pretty(&obs.registry.to_json()).unwrap();
         let trace = obs.trace.to_jsonl();
         (metrics, trace)
     };
-    let seq = export(ScanMode::Sequential);
-    let par = export(ScanMode::Parallel);
-    assert_eq!(seq.0, par.0, "metrics JSON must not depend on scheduling");
-    assert_eq!(seq.1, par.1, "span tree must not depend on scheduling");
+    let first = export();
+    let second = export();
+    assert_eq!(first.0, second.0, "metrics JSON must follow from the seed");
+    assert_eq!(first.1, second.1, "span tree must follow from the seed");
     // And the chaos actually left fingerprints worth exporting.
-    let obs = chaos_scan(ScanMode::Sequential);
+    let obs = chaos_scan();
     assert!(obs.registry.counter("vmi_retries_total") > 0);
     assert!(obs.registry.counter("hv_fault_injections_total") > 0);
     assert_eq!(obs.registry.counter("scan_verdict_suspect_total"), 1);
@@ -112,7 +109,7 @@ fn metrics_export_is_byte_identical_across_scan_modes_under_chaos() {
 
 #[test]
 fn json_export_round_trips_through_the_parser() {
-    let obs = chaos_scan(ScanMode::Sequential);
+    let obs = chaos_scan();
     let rendered = serde_json::to_string_pretty(&obs.registry.to_json()).unwrap();
     let parsed = serde_json::from_str(&rendered).expect("exported metrics must re-parse");
 
@@ -148,7 +145,7 @@ fn json_export_round_trips_through_the_parser() {
 
 #[test]
 fn prometheus_text_export_is_well_formed() {
-    let obs = chaos_scan(ScanMode::Parallel);
+    let obs = chaos_scan();
     let text = obs.registry.to_prometheus_text();
     assert!(!text.is_empty());
     let mut samples = 0usize;
@@ -168,7 +165,7 @@ fn prometheus_text_export_is_well_formed() {
 
 #[test]
 fn trace_jsonl_is_one_parsable_span_per_line() {
-    let obs = chaos_scan(ScanMode::Sequential);
+    let obs = chaos_scan();
     let jsonl = obs.trace.to_jsonl();
     let mut names = Vec::new();
     for line in jsonl.lines() {

@@ -18,8 +18,8 @@
 //!   in that answer's verdict (neither as a suspect nor as statically
 //!   flagged): quarantined evidence is withheld, not served.
 //! * **Execution-knob determinism** — the full `ServeReport` JSON is
-//!   byte-identical between (shards=1, inflight=1) and (shards=4,
-//!   inflight=2); worker layout must not change a single byte.
+//!   byte-identical between shards=1 and shards=4; worker layout must not
+//!   change a single byte.
 //!
 //! Every assertion message carries the reproducing seed. Case count
 //! defaults to 120 and is overridable via `SERVE_SIM_CASES`.
@@ -39,11 +39,10 @@ fn case_count() -> u64 {
 /// Model knobs varied per seed — small queues and tight quotas on some
 /// seeds so the rejection paths actually fire; generous ones on others so
 /// the serving paths dominate.
-fn config_for(seed: u64, shards: usize, inflight: usize) -> ServeConfig {
+fn config_for(seed: u64, shards: usize) -> ServeConfig {
     ServeConfig {
         fleet: FleetConfig {
             shards,
-            max_inflight_per_vm: inflight,
             ..FleetConfig::default()
         },
         queue_capacity: 2 + (seed % 15) as usize,
@@ -80,20 +79,20 @@ fn serve_contract_holds_across_random_fleets() {
         };
         let stream = mc_loadgen::generate(&profile, &catalog);
 
-        let report = AttestServer::new(config_for(seed, 1, 1)).run(&bed.hv, &bed.fleet, &stream);
+        let report = AttestServer::new(config_for(seed, 1)).run(&bed.hv, &bed.fleet, &stream);
         check_contract(
             seed,
             &report,
             &stream.len(),
-            config_for(seed, 1, 1).queue_capacity,
+            config_for(seed, 1).queue_capacity,
         );
 
         // Execution knobs must not change a byte.
-        let sharded = AttestServer::new(config_for(seed, 4, 2)).run(&bed.hv, &bed.fleet, &stream);
+        let sharded = AttestServer::new(config_for(seed, 4)).run(&bed.hv, &bed.fleet, &stream);
         assert_eq!(
             serde_json::to_string_pretty(&report.to_json()).unwrap(),
             serde_json::to_string_pretty(&sharded.to_json()).unwrap(),
-            "seed {seed}: shards=4/inflight=2 changed the report bytes"
+            "seed {seed}: shards=4 changed the report bytes"
         );
     }
 }
