@@ -152,8 +152,8 @@ cargo run --release -q -p modchecker-cli --bin modchecker -- \
 test -s target/ci-serve-trace.jsonl || { echo "ci: serve trace export is empty" >&2; exit 1; }
 
 # Capture gate: the fast-path equivalence suite (translate-cache walk
-# accounting, tree-root/flat-digest grouping identity across the attack
-# corpus, torn/paged-out fault plans, leaf-locality property), then
+# accounting, torn/paged-out fault plans, partially refreshed caches
+# voting like cold scans, fast path on/off byte-identity), then
 # fig_capture, which itself asserts the >= 4x steady-state capture
 # speedup at t=16 and that reports are byte-identical with the fast path
 # on and off (simulated times and VMI counters stripped), writing

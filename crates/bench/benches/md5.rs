@@ -6,7 +6,9 @@ use std::hint::black_box;
 
 fn bench_md5(c: &mut Criterion) {
     let mut group = c.benchmark_group("md5");
-    for size in [1usize << 10, 64 << 10, 256 << 10, 1 << 20] {
+    // 64 B and 248 B are header-part sizes: there the padding block, not
+    // the bulk loop, is most of the work.
+    for size in [64usize, 248, 1 << 10, 64 << 10, 256 << 10, 1 << 20] {
         let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("oneshot", size), &data, |b, data| {

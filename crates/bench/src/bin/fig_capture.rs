@@ -5,7 +5,7 @@
 //! loaded-module list and copying module images out of guest memory. This
 //! figure measures what the capture fast path (DESIGN.md §14 — per-session
 //! translate caching, scatter-gather stable reads, arena buffers, and
-//! leaf-level cache refreshes keyed by page write-generations) buys on the
+//! page-granular cache refreshes keyed by page write-generations) buys on the
 //! workload that dominates a monitoring fleet: warm rounds where almost
 //! nothing changed.
 //!
@@ -17,14 +17,14 @@
 //! * **steady** — rounds where every VM dirties exactly one page (the
 //!   same bytes are re-written, so write-generations move but verdicts
 //!   cannot). Fast side: warm [`CaptureCache`] + fast path — each round
-//!   re-reads one page per VM (leaf refresh). Paper side: the uncached
+//!   re-reads one page per VM (partial refresh). Paper side: the uncached
 //!   page-by-page recapture loop the prototype describes.
 //!
 //! Shape claims verified:
 //! * verdicts are byte-identical across fast-path on/off (times and VMI
 //!   counters stripped — those are *supposed* to move);
 //! * the fast side actually exercised the new machinery (vectored reads,
-//!   translate-cache hits, leaf refreshes > 0; legacy side all zero);
+//!   translate-cache hits, partial refreshes > 0; legacy side all zero);
 //! * steady-state capture speedup is at least 4× (the gate).
 //!
 //! Emits `BENCH_capture.json` (`--out <PATH>` overrides) plus the usual
@@ -195,13 +195,13 @@ fn main() {
     let stats = cache.stats();
     assert!(
         stats.partial_hits >= (rounds * POOL) as u64,
-        "every measured round should leaf-refresh every VM (got {} partial hits)",
+        "every measured round should partially refresh every VM (got {} partial hits)",
         stats.partial_hits
     );
     assert_eq!(stats.invalidations, 0, "nothing changed shape");
     assert!(
         stats.pages_reused > stats.pages_refreshed,
-        "a one-dirty-page round must reuse more leaves than it refreshes"
+        "a one-dirty-page round must reuse more pages than it refreshes"
     );
 
     let cold_speedup =

@@ -130,7 +130,7 @@ instead of the O(t²) pairwise matrix; reloc-less modules fall back to
 pairwise automatically.
 
 Capture: the scatter-gather fast path (per-session translate cache, one
-batched copy per physical run, leaf-level cache refreshes) is on by default;
+batched copy per physical run, page-granular cache refreshes) is on by default;
 --no-fast-capture restores the paper's page-by-page loop for ablation —
 verdicts are byte-identical either way.
 

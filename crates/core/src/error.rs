@@ -54,6 +54,14 @@ pub enum CheckError {
     },
     /// A pool check needs at least two VMs.
     PoolTooSmall(usize),
+    /// A partial refresh named a page twice or past the end of the
+    /// capture.
+    BadPageList {
+        /// The offending page index.
+        page: usize,
+        /// Pages in the capture.
+        pages: usize,
+    },
     /// Two captures were hashed under different digest algorithms — their
     /// digests are incomparable, so the pair cannot be voted on.
     AlgoMismatch {
@@ -89,6 +97,12 @@ impl fmt::Display for CheckError {
             }
             CheckError::PoolTooSmall(n) => {
                 write!(f, "cross-VM comparison needs ≥ 2 VMs, got {n}")
+            }
+            CheckError::BadPageList { page, pages } => {
+                write!(
+                    f,
+                    "page refresh lists page {page} twice or past the capture's {pages} pages"
+                )
             }
             CheckError::AlgoMismatch { a, b } => {
                 write!(f, "digest algorithm mismatch: {a} vs {b}")
@@ -143,6 +157,10 @@ mod tests {
                 &["x.sys", "dom2"],
             ),
             (CheckError::PoolTooSmall(1), &["2", "1"]),
+            (
+                CheckError::BadPageList { page: 9, pages: 4 },
+                &["page 9", "4 pages"],
+            ),
             (
                 CheckError::AlgoMismatch {
                     a: DigestAlgo::Md5,

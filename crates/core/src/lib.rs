@@ -80,7 +80,6 @@ pub mod rva;
 pub mod sched;
 pub mod searcher;
 pub mod serve;
-pub mod treehash;
 
 pub use arena::{ArenaStats, CaptureArena};
 pub use checker::{
@@ -119,7 +118,6 @@ pub use serve::{
 pub use mc_vmi::RetryPolicy;
 pub use rva::{adjust_rvas, normalize_with_reloc_table, AdjustStats};
 pub use searcher::{ModuleImage, ModuleRef, ModuleSearcher};
-pub use treehash::TreeHash;
 
 /// Locks `m`, recovering the guard if a panicking thread poisoned it.
 ///

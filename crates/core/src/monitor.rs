@@ -944,7 +944,7 @@ mod tests {
         remediate(&mut hv, report, "clean").unwrap();
         // The revert restores pre-patch page stamps, which differ from the
         // cached (patched) capture's stamps — the moved pages must be
-        // re-read (leaf-level refresh), never served back infected.
+        // re-read (page-granular refresh), never served back infected.
         let after = m.run_round(&hv, &ids);
         assert!(after
             .iter()
@@ -1141,10 +1141,10 @@ mod tests {
         let cache = lock(&m.cache);
         for module in ["hal.dll", "ndis.sys"] {
             assert!(
-                cache.tree_root(ids[0], module).is_none(),
+                !cache.contains(ids[0], module),
                 "reverted dom1 still caches {module}"
             );
-            assert!(cache.tree_root(ids[1], module).is_some());
+            assert!(cache.contains(ids[1], module));
         }
         drop(cache);
 

@@ -19,6 +19,7 @@
 //! matrix) so each VM gets a verdict in one pass — what a monitoring daemon
 //! wants.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -385,70 +386,106 @@ impl ModChecker {
         };
         let generations = session.range_generations(entry.base, entry.size).ok();
 
-        // Probe outcome, decided under an immutable borrow of the entry:
-        // `Full` — every stamp (and base/algo) unchanged, reuse as-is;
-        // `Partial` — same module shape (base, algo, page count, byte
-        // length) but some stamps moved: refresh exactly those pages;
-        // anything else is a stale entry and a full recapture.
+        // Probe outcome, decided against the entry in place: `Full` —
+        // every stamp (and base/algo) unchanged, reuse as-is; `Partial` —
+        // same module shape (base, algo, page count, byte length) but some
+        // stamps moved: the entry comes out of the cache to have exactly
+        // those pages refreshed; anything else is a miss and a full
+        // recapture, stale entries discarded (their buffers back to the
+        // arena) before the copy.
         enum Probe {
-            Full,
-            Partial(Vec<usize>),
-            Stale,
-            Cold,
+            Full(Arc<ExtractedModule>),
+            Partial {
+                key: (VmId, String),
+                hit: CacheEntry,
+                gens: Vec<mc_hypervisor::PageGeneration>,
+                dirty: Vec<usize>,
+            },
+            Miss {
+                key: (VmId, String),
+                gens: Option<Vec<mc_hypervisor::PageGeneration>>,
+            },
         }
-        let probe = match (&generations, cache.entries.get(&key)) {
-            (Some(gens), Some(hit)) if hit.base == entry.base && hit.algo == self.config.digest => {
-                if hit.generations == *gens {
-                    Probe::Full
+        let probe = match (generations, cache.entries.entry(key)) {
+            (Some(gens), Entry::Occupied(slot))
+                if slot.get().base == entry.base && slot.get().algo == self.config.digest =>
+            {
+                let hit = slot.get();
+                if hit.generations == gens {
+                    Probe::Full(Arc::clone(&hit.module))
                 } else if hit.generations.len() == gens.len()
                     && hit.module.image.bytes.len() == entry.size as usize
                 {
-                    let dirty: Vec<usize> = gens
+                    let dirty = gens
                         .iter()
                         .zip(&hit.generations)
                         .enumerate()
                         .filter(|(_, (now, then))| now != then)
                         .map(|(i, _)| i)
                         .collect();
-                    Probe::Partial(dirty)
+                    let (key, hit) = slot.remove_entry();
+                    Probe::Partial {
+                        key,
+                        hit,
+                        gens,
+                        dirty,
+                    }
                 } else {
-                    Probe::Stale
+                    cache.stats.invalidations += 1;
+                    let (key, stale) = slot.remove_entry();
+                    cache.arena.reclaim(stale.module);
+                    Probe::Miss {
+                        key,
+                        gens: Some(gens),
+                    }
                 }
             }
-            (_, Some(_)) => Probe::Stale,
-            (_, None) => Probe::Cold,
+            (gens, Entry::Occupied(slot)) => {
+                cache.stats.invalidations += 1;
+                let (key, stale) = slot.remove_entry();
+                cache.arena.reclaim(stale.module);
+                Probe::Miss { key, gens }
+            }
+            (gens, Entry::Vacant(slot)) => Probe::Miss {
+                key: slot.into_key(),
+                gens,
+            },
         };
 
-        match probe {
-            Probe::Full => {
-                let hit = &cache.entries[&key];
+        let (key, generations) = match probe {
+            Probe::Full(module) => {
                 cache.stats.hits += 1;
                 times.searcher = session.take_elapsed();
-                let module = Arc::clone(&hit.module);
                 return finish(Ok(module), times, &session);
             }
-            Probe::Partial(dirty) => {
-                // Leaf-level refresh: re-read and re-stamp only the pages
-                // whose write-generation moved; every other page's bytes
-                // and tree leaf are reused verbatim. The rebuilt capture
+            Probe::Partial {
+                key,
+                hit,
+                gens,
+                dirty,
+            } => {
+                // Page-granular refresh: re-read and re-stamp only the
+                // pages whose write-generation moved; every other page's
+                // bytes are reused verbatim, and the refreshed capture is
+                // re-parsed (digests included) like a fresh one. It
                 // replaces the entry — a refresh is exactly as current as
-                // a fresh capture (the stamps were probed before the
-                // copy, same conservative race story as the miss path).
+                // a fresh capture (the stamps were probed before the copy,
+                // same conservative race story as the miss path).
                 cache.stats.partial_hits += 1;
-                let hit = cache.entries.remove(&key).expect("probed above");
-                let gens = generations.expect("partial hits require stamps");
                 let mut bytes = cache.arena.acquire(hit.module.image.bytes.len());
                 bytes.copy_from_slice(&hit.module.image.bytes);
                 if let Err(e) =
                     ModuleSearcher::refresh_pages(&mut session, entry.base, &mut bytes, &dirty)
                 {
                     cache.arena.release(bytes);
+                    cache.arena.reclaim(hit.module);
                     times.searcher = session.take_elapsed();
                     Self::drop_stale(cache, vm, &key, &e);
                     return finish(Err(e), times, &session);
                 }
                 times.searcher = session.take_elapsed();
 
+                let page = |i: usize| i * PAGE_SIZE..(i * PAGE_SIZE + PAGE_SIZE).min(bytes.len());
                 // Tamper evidence: generations moved yet every refreshed
                 // page reads back byte-identical to the cached capture —
                 // the module was written and then restored. A polling scan
@@ -456,36 +493,28 @@ impl ModChecker {
                 // says an adversary raced the scan window (DESIGN.md §16).
                 if self.config.tamper_evidence
                     && !dirty.is_empty()
-                    && dirty.iter().all(|&i| {
-                        let span = (bytes.len() - i * PAGE_SIZE).min(PAGE_SIZE);
-                        bytes[i * PAGE_SIZE..i * PAGE_SIZE + span]
-                            == hit.module.image.bytes[i * PAGE_SIZE..i * PAGE_SIZE + span]
-                    })
+                    && dirty
+                        .iter()
+                        .all(|&i| bytes[page(i)] == hit.module.image.bytes[page(i)])
                 {
                     cache.stats.silent_restores += 1;
                     cache.silent_restores.insert((vm, module.to_string()));
                 }
 
-                let page_span = |idx: usize| (bytes.len() - idx * PAGE_SIZE).min(PAGE_SIZE);
-                let dirty_bytes: u64 = dirty.iter().map(|&i| page_span(i) as u64).sum();
+                let dirty_bytes: u64 = dirty.iter().map(|&i| page(i).len() as u64).sum();
                 let cost = *session.cost_model();
                 session.charge_process(cost.parse_byte_ns, dirty_bytes);
                 times.parser = session.take_elapsed();
                 // Headers live in page 0; their digests only move when it
-                // does. Leaf re-digests are cache bookkeeping, uncharged —
-                // the miss path never charges tree construction either.
+                // does.
                 if dirty.contains(&0) {
                     session.charge_process(
                         cost.hash_byte_ns * self.config.digest.cost_factor(),
                         HEADER_BYTES,
                     );
                 }
-                let mut tree = hit.tree.clone();
-                for &i in &dirty {
-                    tree.update_leaf(i, &bytes[i * PAGE_SIZE..i * PAGE_SIZE + page_span(i)]);
-                }
                 cache.stats.pages_refreshed += dirty.len() as u64;
-                cache.stats.pages_reused += (tree.leaf_count() - dirty.len()) as u64;
+                cache.stats.pages_reused += (bytes.len().div_ceil(PAGE_SIZE) - dirty.len()) as u64;
 
                 let image = crate::searcher::ModuleImage {
                     vm: hit.module.image.vm,
@@ -503,7 +532,6 @@ impl ModChecker {
                             base: entry.base,
                             algo: self.config.digest,
                             generations: gens,
-                            tree,
                             module: Arc::clone(m),
                         },
                     );
@@ -513,9 +541,8 @@ impl ModChecker {
                 cache.arena.reclaim(hit.module);
                 return finish(extracted, times, &session);
             }
-            Probe::Stale => cache.stats.invalidations += 1,
-            Probe::Cold => {}
-        }
+            Probe::Miss { key, gens } => (key, gens),
+        };
         cache.stats.misses += 1;
 
         // Miss: full capture, same component accounting as the uncached
@@ -533,30 +560,17 @@ impl ModChecker {
             }
         };
         times.searcher = session.take_elapsed();
-        // Tree construction is cache bookkeeping, uncharged.
-        let tree = crate::treehash::TreeHash::build(self.config.digest, &image.bytes);
         let extracted = self.parse_capture(&mut session, image, &mut times);
-        match (&extracted, generations) {
-            (Ok(m), Some(gens)) => {
-                let old = cache.entries.insert(
-                    key,
-                    CacheEntry {
-                        base: entry.base,
-                        algo: self.config.digest,
-                        generations: gens,
-                        tree,
-                        module: Arc::clone(m),
-                    },
-                );
-                if let Some(old) = old {
-                    cache.arena.reclaim(old.module);
-                }
-            }
-            _ => {
-                if let Some(old) = cache.entries.remove(&key) {
-                    cache.arena.reclaim(old.module);
-                }
-            }
+        if let (Ok(m), Some(gens)) = (&extracted, generations) {
+            cache.entries.insert(
+                key,
+                CacheEntry {
+                    base: entry.base,
+                    algo: self.config.digest,
+                    generations: gens,
+                    module: Arc::clone(m),
+                },
+            );
         }
         finish(extracted, times, &session)
     }
@@ -571,7 +585,9 @@ impl ModChecker {
                 cache.evict_vm(vm);
             }
             _ => {
-                cache.entries.remove(key);
+                if let Some(gone) = cache.entries.remove(key) {
+                    cache.arena.reclaim(gone.module);
+                }
             }
         }
     }
@@ -1231,19 +1247,19 @@ pub struct CacheStats {
     /// subscriber proved the watched frames quiet).
     pub trusted_hits: u64,
     /// Rounds that refreshed only the pages whose write-generation moved
-    /// and reused every other leaf of the cached capture (leaf-level
+    /// and reused every other page of the cached capture (page-granular
     /// partial invalidation, DESIGN.md §14).
     pub partial_hits: u64,
-    /// Pages re-read and re-digested by partial hits.
+    /// Pages re-read by partial hits.
     pub pages_refreshed: u64,
-    /// Pages whose cached bytes and tree leaves were reused by partial
-    /// hits without touching guest memory.
+    /// Pages whose cached bytes were reused by partial hits without
+    /// touching guest memory.
     pub pages_reused: u64,
     /// Rounds that captured afresh (first sight or invalidated).
     pub misses: u64,
     /// Cached entries discarded wholesale: the module relocated, resized,
     /// the digest algorithm changed, or the stamp probe itself failed —
-    /// shapes the leaf-level refresh cannot bridge. (A moved generation
+    /// shapes a page-granular refresh cannot bridge. (A moved generation
     /// alone is a partial hit, not an invalidation.)
     pub invalidations: u64,
     /// Cached entries discarded for VM-lifecycle reasons rather than
@@ -1317,10 +1333,6 @@ struct CacheEntry {
     base: u64,
     algo: crate::digest::DigestAlgo,
     generations: Vec<mc_hypervisor::PageGeneration>,
-    /// Page-granular digest tree over the cached bytes, maintained
-    /// incrementally: a partial hit re-digests exactly the refreshed
-    /// leaves. Leaves line up one-to-one with `generations`.
-    tree: crate::treehash::TreeHash,
     module: Arc<ExtractedModule>,
 }
 
@@ -1352,14 +1364,10 @@ impl CaptureCache {
         self.silent_restores.iter().cloned().collect()
     }
 
-    /// The incremental tree root of one cached capture — `None` when no
-    /// entry exists. Equal roots ⟺ equal flat digests (the equivalence
-    /// suite pins this), so tests can audit the incrementally-maintained
-    /// tree against a from-scratch rebuild.
-    pub fn tree_root(&self, vm: VmId, module: &str) -> Option<crate::digest::PartDigest> {
-        self.entries
-            .get(&(vm, module.to_string()))
-            .map(|e| e.tree.root())
+    /// True when a capture of `module` on `vm` is cached.
+    #[cfg(test)]
+    pub(crate) fn contains(&self, vm: VmId, module: &str) -> bool {
+        self.entries.contains_key(&(vm, module.to_string()))
     }
 
     /// Number of live entries.
@@ -1374,7 +1382,9 @@ impl CaptureCache {
 
     /// Drops every cached capture (counters survive).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        for (_, gone) in self.entries.drain() {
+            self.arena.reclaim(gone.module);
+        }
     }
 
     /// Drops every entry belonging to one VM — called when the VM's
@@ -1382,9 +1392,11 @@ impl CaptureCache {
     /// quarantined, snapshot-reverted). Returns how many entries went;
     /// each is counted in [`CacheStats::evictions`].
     pub fn evict_vm(&mut self, vm: VmId) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|(id, _), _| *id != vm);
-        let evicted = before - self.entries.len();
+        let mut evicted = 0;
+        for (_, gone) in self.entries.extract_if(|(id, _), _| *id == vm) {
+            self.arena.reclaim(gone.module);
+            evicted += 1;
+        }
         self.stats.evictions += evicted as u64;
         evicted
     }
@@ -1791,8 +1803,8 @@ mod tests {
         );
 
         // A guest write moves one page's generation: exactly that VM's
-        // entry takes the leaf-level refresh (one page re-read, the other
-        // leaves reused) and the verdict flips — identically to an
+        // entry takes the page-granular refresh (one page re-read, the
+        // other pages reused) and the verdict flips — identically to an
         // uncached scan. Nothing is invalidated wholesale.
         guests[1]
             .patch_module(&mut hv, "hal.dll", 0x1003, &[0xCC])
@@ -1804,7 +1816,7 @@ mod tests {
         assert_eq!(cache.stats().partial_hits, 1);
         assert_eq!(cache.stats().hits, 7);
         assert_eq!(cache.stats().misses, 4);
-        // The one-byte patch dirtied exactly one page; every other leaf of
+        // The one-byte patch dirtied exactly one page; every other page of
         // the in-memory image (7 pages after section alignment) was reused.
         assert_eq!(cache.stats().pages_refreshed, 1);
         assert_eq!(cache.stats().pages_reused, 6);
@@ -1831,11 +1843,16 @@ mod tests {
             .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
             .unwrap();
         assert_eq!(cache.len(), 3);
+        let recycled = cache.arena_stats().recycled_bytes;
         guests[0].dkom_hide(&mut hv, "hal.dll").unwrap();
         let report = checker
             .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
             .unwrap();
         assert_eq!(cache.len(), 2, "hidden module's entry is evicted");
+        assert!(
+            cache.arena_stats().recycled_bytes > recycled,
+            "the dropped entry's buffer goes back to the arena"
+        );
         assert_eq!(
             report
                 .suspects()
@@ -1843,6 +1860,135 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["dom1"]
         );
+    }
+
+    #[test]
+    fn evicted_entries_return_their_buffers_to_the_arena() {
+        let (hv, _guests, ids) = cloud(4);
+        let checker = ModChecker::new();
+        let mut cache = CaptureCache::new();
+        let scan = |cache: &mut CaptureCache| {
+            for module in ["hal.dll", "http.sys"] {
+                let report = checker
+                    .check_pool_with_cache(&hv, &ids, module, cache)
+                    .unwrap();
+                assert!(report.all_clean(), "{module}");
+            }
+        };
+        scan(&mut cache);
+        let warm = cache.arena_stats();
+        assert_eq!(cache.evict_vm(ids[2]), 2);
+        scan(&mut cache);
+        let rescanned = cache.arena_stats();
+        assert_eq!(
+            cache.stats().misses,
+            8 + 2,
+            "only the evicted VM recaptures"
+        );
+        assert_eq!(
+            rescanned.allocs, warm.allocs,
+            "the recaptures reuse the evicted buffers"
+        );
+        assert!(
+            rescanned.reuses >= warm.reuses + 2,
+            "{warm:?} → {rescanned:?}"
+        );
+    }
+
+    #[test]
+    fn clearing_the_cache_returns_every_buffer_to_the_arena() {
+        let (hv, _guests, ids) = cloud(3);
+        let checker = ModChecker::new();
+        let mut cache = CaptureCache::new();
+        for module in ["hal.dll", "http.sys"] {
+            checker
+                .check_pool_with_cache(&hv, &ids, module, &mut cache)
+                .unwrap();
+        }
+        let retained = cache.arena.retained();
+        cache.clear();
+        assert!(cache.is_empty());
+        assert_eq!(cache.arena.retained(), retained + 6, "2 modules × 3 VMs");
+    }
+
+    #[test]
+    fn a_relocated_modules_stale_entry_returns_its_buffer_to_the_arena() {
+        let (mut hv, mut guests, ids) = cloud(4);
+        let checker = ModChecker::new();
+        let mut cache = CaptureCache::new();
+        checker
+            .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
+            .unwrap();
+        let warm = cache.arena_stats();
+
+        // dom2 unloads hal.dll and loads the same file past every module
+        // it has: same bytes modulo relocation, different base.
+        let end = ["hal.dll", "http.sys"]
+            .iter()
+            .map(|m| {
+                let m = guests[1].find_module(m).unwrap();
+                m.base + m.size as u64
+            })
+            .max()
+            .unwrap();
+        let pe = ModuleBlueprint::new("hal.dll", AddressWidth::W32, 12 * 1024)
+            .build()
+            .unwrap();
+        guests[1].unload(&mut hv, "hal.dll").unwrap();
+        guests[1]
+            .load(&mut hv, "hal.dll", &pe, end.next_multiple_of(0x10000))
+            .unwrap();
+
+        let report = checker
+            .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
+            .unwrap();
+        assert!(report.all_clean(), "{report}");
+        let stats = cache.stats();
+        assert_eq!((stats.invalidations, stats.misses), (1, 5));
+        let after = cache.arena_stats();
+        assert!(
+            after.recycled_bytes > warm.recycled_bytes,
+            "the stale entry's buffer goes back to the arena"
+        );
+        assert_eq!(after.allocs, warm.allocs, "the recapture allocates nothing");
+    }
+
+    #[test]
+    fn a_failed_partial_refresh_returns_both_buffers_to_the_arena() {
+        use mc_hypervisor::FaultPlan;
+        // Lose dom1 after `k` reads, for the smallest `k` that lets the
+        // list walk through and fails the page refresh itself.
+        for k in 1..64 {
+            let (mut hv, guests, ids) = cloud(3);
+            let checker = ModChecker::new();
+            let mut cache = CaptureCache::new();
+            checker
+                .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
+                .unwrap();
+            guests[0]
+                .patch_module(&mut hv, "hal.dll", 0x1003, &[0xCC])
+                .unwrap();
+            hv.set_fault_plan(ids[0], Some(FaultPlan::none(5).lose_after(k)))
+                .unwrap();
+            let recycled = cache.arena_stats().recycled_bytes;
+            checker
+                .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
+                .unwrap();
+            if cache.stats().partial_hits == 0 {
+                continue; // lost during the list walk
+            }
+            assert!(
+                !cache.contains(ids[0], "hal.dll"),
+                "k={k}: a refresh that fails must not leave the entry behind"
+            );
+            let image = 12 * 1024 + 4096; // hal.dll's in-memory size, page-rounded
+            assert!(
+                cache.arena_stats().recycled_bytes - recycled >= 2 * image as u64,
+                "k={k}: the refresh buffer and the superseded capture both come back"
+            );
+            return;
+        }
+        panic!("no loss point fell inside the page refresh");
     }
 
     #[test]

@@ -769,6 +769,39 @@ mod tests {
     }
 
     #[test]
+    fn a_text_write_is_caught_by_the_next_poll_sweep_through_a_partial_hit() {
+        let (mut hv, guests, fleet) = fleet_bed(2, 4, 2);
+        let sched = FleetScheduler::new(FleetConfig::default());
+        // Two poll sweeps warm the caches: the first captures, the second
+        // is served from the cache in full.
+        assert!(sched.sweep(&hv, &fleet).all_clean());
+        assert!(sched.sweep(&hv, &fleet).all_clean());
+        let warm = sched.cache_stats();
+        assert_eq!(warm.partial_hits, 0);
+
+        // One byte of `.text` on one VM: its page's generation moves, so
+        // the next sweep must refresh that page rather than serve the
+        // stale capture.
+        guests[0][2]
+            .patch_module(&mut hv, "p0m1.sys", 0x1008, &[0xCC])
+            .unwrap();
+        let swept = sched.sweep(&hv, &fleet);
+        assert_eq!(
+            swept.suspects(),
+            vec![(
+                "pool0".to_string(),
+                "p0m1.sys".to_string(),
+                "p0dom2".to_string()
+            )]
+        );
+        let after = sched.cache_stats();
+        assert_eq!(after.partial_hits, warm.partial_hits + 1);
+        assert_eq!(after.pages_refreshed, warm.pages_refreshed + 1);
+        assert_eq!(after.misses, warm.misses, "no full recapture");
+        assert_eq!(after.invalidations, warm.invalidations);
+    }
+
+    #[test]
     fn cache_stats_sums_every_field_of_every_pool_cache() {
         let (mut hv, guests, fleet) = fleet_bed(2, 4, 2);
         let mut plane = EventPlane::new();

@@ -173,8 +173,9 @@ impl ModuleSearcher {
 
     /// Re-reads only the pages of `image` whose index appears in
     /// `dirty_pages`, in one scatter-gather stable read (the partial-hit
-    /// refresh of an otherwise-valid cached capture). Page indices must
-    /// be in range and ascending.
+    /// refresh of an otherwise-valid cached capture). A page index listed
+    /// twice or past the end of `bytes` is a [`CheckError::BadPageList`],
+    /// raised before any guest read.
     pub fn refresh_pages(
         session: &mut VmiSession<'_>,
         base: u64,
@@ -184,15 +185,16 @@ impl ModuleSearcher {
         if dirty_pages.is_empty() {
             return Ok(());
         }
-        let len = bytes.len();
         let mut chunks: Vec<Option<&mut [u8]>> = bytes.chunks_mut(PAGE_SIZE).map(Some).collect();
+        let pages = chunks.len();
         let mut reqs = Vec::with_capacity(dirty_pages.len());
-        for &idx in dirty_pages {
-            debug_assert!(idx * PAGE_SIZE < len, "dirty page {idx} out of range");
-            let chunk = chunks[idx].take().expect("dirty page listed twice");
+        for &page in dirty_pages {
+            let Some(buf) = chunks.get_mut(page).and_then(Option::take) else {
+                return Err(CheckError::BadPageList { page, pages });
+            };
             reqs.push(VectoredRead {
-                va: base + (idx * PAGE_SIZE) as u64,
-                buf: chunk,
+                va: base + (page * PAGE_SIZE) as u64,
+                buf,
             });
         }
         session.read_va_vectored_stable(&mut reqs)?;
@@ -478,6 +480,28 @@ mod tests {
         let mut patched = stale.bytes.clone();
         ModuleSearcher::refresh_pages(&mut s, stale.base, &mut patched, &[2]).unwrap();
         assert_eq!(patched, fresh.bytes);
+    }
+
+    #[test]
+    fn repeated_or_out_of_range_dirty_pages_are_typed_errors() {
+        let (hv, guests) = cloud(AddressWidth::W32, 1);
+        let mut s = VmiSession::attach(&hv, guests[0].vm)
+            .unwrap()
+            .with_fast_capture();
+        let image = ModuleSearcher::find(&mut s, "http.sys").unwrap();
+        let pages = image.bytes.len().div_ceil(PAGE_SIZE);
+        let reads = s.stats().reads;
+        let mut bytes = image.bytes.clone();
+        for (dirty, page) in [(vec![1, 2, 1], 1), (vec![0, pages], pages)] {
+            match ModuleSearcher::refresh_pages(&mut s, image.base, &mut bytes, &dirty) {
+                Err(CheckError::BadPageList { page: p, pages: n }) => {
+                    assert_eq!((p, n), (page, pages), "{dirty:?}");
+                }
+                other => panic!("{dirty:?}: want BadPageList, got {other:?}"),
+            }
+        }
+        assert_eq!(s.stats().reads, reads, "a bad page list reads nothing");
+        assert_eq!(bytes, image.bytes);
     }
 
     #[test]
