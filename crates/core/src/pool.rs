@@ -198,6 +198,9 @@ struct Extraction {
     vmi: VmiStats,
     /// Anomalies the fault layer injected into the session.
     fault_injections: u64,
+    /// Serial of the capture-cache entry holding `result`'s capture, when
+    /// it came from (or went into) the cache.
+    entry: Option<u64>,
 }
 
 impl Extraction {
@@ -214,7 +217,14 @@ impl Extraction {
             vm_name,
             vmi: session.stats(),
             fault_injections: session.fault_injections(),
+            entry: None,
         }
+    }
+
+    /// The same extraction, tagged with the cache entry its capture is.
+    fn cached_as(mut self, serial: Option<u64>) -> Self {
+        self.entry = serial;
+        self
     }
 
     /// An extraction that failed before a session existed (attach error):
@@ -226,6 +236,7 @@ impl Extraction {
             vm_name,
             vmi: VmiStats::default(),
             fault_injections: 0,
+            entry: None,
         }
     }
 }
@@ -370,13 +381,17 @@ impl ModChecker {
                     cache.stats.hits += 1;
                     cache.stats.trusted_hits += 1;
                     times.searcher = session.take_elapsed();
-                    let module = Arc::clone(&hit.module);
-                    return finish(Ok(module), times, &session);
+                    let (module, serial) = (Arc::clone(&hit.module), hit.serial);
+                    return finish(Ok(module), times, &session).cached_as(Some(serial));
                 }
             }
         }
 
-        let entry = match ModuleSearcher::find_ref(&mut session, module) {
+        // The size check runs before the generation probe: a forged
+        // `SizeOfImage` must not size the probe.
+        let found = ModuleSearcher::find_ref(&mut session, module)
+            .and_then(|e| ModuleSearcher::check_size(&session, &e).map(|()| e));
+        let entry = match found {
             Ok(e) => e,
             Err(e) => {
                 times.searcher = session.take_elapsed();
@@ -394,7 +409,7 @@ impl ModChecker {
         // recapture, stale entries discarded (their buffers back to the
         // arena) before the copy.
         enum Probe {
-            Full(Arc<ExtractedModule>),
+            Full(Arc<ExtractedModule>, u64),
             Partial {
                 key: (VmId, String),
                 hit: CacheEntry,
@@ -412,7 +427,7 @@ impl ModChecker {
             {
                 let hit = slot.get();
                 if hit.generations == gens {
-                    Probe::Full(Arc::clone(&hit.module))
+                    Probe::Full(Arc::clone(&hit.module), hit.serial)
                 } else if hit.generations.len() == gens.len()
                     && hit.module.image.bytes.len() == entry.size as usize
                 {
@@ -453,10 +468,10 @@ impl ModChecker {
         };
 
         let (key, generations) = match probe {
-            Probe::Full(module) => {
+            Probe::Full(module, serial) => {
                 cache.stats.hits += 1;
                 times.searcher = session.take_elapsed();
-                return finish(Ok(module), times, &session);
+                return finish(Ok(module), times, &session).cached_as(Some(serial));
             }
             Probe::Partial {
                 key,
@@ -525,21 +540,13 @@ impl ModChecker {
                 };
                 let extracted = ExtractedModule::with_algo(image, self.config.digest).map(Arc::new);
                 times.checker = session.take_elapsed();
-                if let Ok(m) = &extracted {
-                    cache.entries.insert(
-                        key,
-                        CacheEntry {
-                            base: entry.base,
-                            algo: self.config.digest,
-                            generations: gens,
-                            module: Arc::clone(m),
-                        },
-                    );
-                }
+                let serial = extracted.as_ref().ok().map(|m| {
+                    cache.insert(key, entry.base, self.config.digest, gens, Arc::clone(m))
+                });
                 // The superseded capture's buffer comes back to the arena
                 // if this round held the last reference.
                 cache.arena.reclaim(hit.module);
-                return finish(extracted, times, &session);
+                return finish(extracted, times, &session).cached_as(serial);
             }
             Probe::Miss { key, gens } => (key, gens),
         };
@@ -561,18 +568,13 @@ impl ModChecker {
         };
         times.searcher = session.take_elapsed();
         let extracted = self.parse_capture(&mut session, image, &mut times);
-        if let (Ok(m), Some(gens)) = (&extracted, generations) {
-            cache.entries.insert(
-                key,
-                CacheEntry {
-                    base: entry.base,
-                    algo: self.config.digest,
-                    generations: gens,
-                    module: Arc::clone(m),
-                },
-            );
-        }
-        finish(extracted, times, &session)
+        let serial = match (&extracted, generations) {
+            (Ok(m), Some(gens)) => {
+                Some(cache.insert(key, entry.base, self.config.digest, gens, Arc::clone(m)))
+            }
+            _ => None,
+        };
+        finish(extracted, times, &session).cached_as(serial)
     }
 
     /// Cache hygiene after a failed cached extraction: a failure that is
@@ -795,7 +797,7 @@ impl ModChecker {
             .collect();
         // One worker: steady-state stages here are memo hits, cheaper than
         // a fan-out's thread setup.
-        self.pool_report(hv, vms, module, extractions, Some(&mut cache.analysis), 1)
+        self.pool_report(hv, vms, module, extractions, Some(cache), 1)
     }
 
     /// Shared back half of the pool scan: vote, matrix, report.
@@ -805,7 +807,7 @@ impl ModChecker {
         vms: &[VmId],
         module: &str,
         extractions: Vec<Extraction>,
-        analysis_cache: Option<&mut AnalysisCache>,
+        cache: Option<&mut CaptureCache>,
         workers: usize,
     ) -> Result<PoolCheckReport, CheckError> {
         let mut times = ComponentTimes::default();
@@ -824,6 +826,11 @@ impl ModChecker {
             });
         }
         let vm_names: Vec<String> = extractions.iter().map(|ex| ex.vm_name.clone()).collect();
+        // The cache entries that voted, when every VM's capture is one.
+        let entries: Option<Vec<u64>> = extractions
+            .iter()
+            .map(|ex| ex.result.as_ref().ok().and(ex.entry))
+            .collect();
 
         // Split successes and failures, remembering positions.
         let mut extracted: Vec<(usize, Arc<ExtractedModule>)> = Vec::new();
@@ -842,49 +849,16 @@ impl ModChecker {
         } else {
             QuorumStatus::Degraded
         };
-        // The pairwise ledger charges Dom0's comparison work to a session
-        // against a VM that is actually reachable; with nothing extracted
-        // there are no pairs and no ledger to keep.
-        let ledger_vm = extracted.first().map(|(_, m)| m.image.vm);
 
-        // Build the comparison matrix. Canonical mode normalizes each
-        // capture once and groups by fingerprint; it degrades to the full
-        // pairwise sweep when any capture lacks a parseable `.reloc` table
-        // (the canonical path cannot vouch for a module it cannot
-        // normalize, and mixing normalized with unnormalized digests would
-        // compare incomparables).
-        let mut canonical_votes: Option<HashMap<usize, CanonicalVote>> = None;
-        let mut canonical_groups: Option<Vec<(Fingerprint, Vec<usize>)>> = None;
-        let matrix: Vec<(usize, usize, PairOutcome)> =
-            if self.config.compare == CompareStrategy::Canonical {
-                match self.canonical_matrix(hv, &extracted, ledger_vm, workers, &mut times)? {
-                    Some((m, votes, groups)) => {
-                        canonical_votes = Some(votes);
-                        canonical_groups = Some(groups);
-                        m
-                    }
-                    None => self.pairwise_matrix(hv, &extracted, ledger_vm, workers, &mut times)?,
-                }
-            } else {
-                self.pairwise_matrix(hv, &extracted, ledger_vm, workers, &mut times)?
-            };
-
-        // Static pre-pass. The canonical bucket structure lets the lint
-        // engine run once per distinct content, not once per VM; without it
-        // (pairwise strategy, reloc-less fallback, or no cache offered) the
-        // scan degrades gracefully to the per-VM pass.
-        let static_findings: Vec<mc_analysis::AnalysisReport> = if self.config.static_prepass {
-            match (&canonical_groups, analysis_cache) {
-                (Some(groups), Some(cache)) => {
-                    Self::bucketed_static_scan(&extracted, groups, cache)
-                }
-                _ => extracted
-                    .iter()
-                    .filter_map(|(_, m)| Self::static_scan(m))
-                    .collect(),
+        let Vote {
+            matrix,
+            canonical: canonical_votes,
+            static_findings,
+        } = match cache {
+            Some(cache) => {
+                self.memoized_vote(hv, vms, module, &extracted, entries, cache, &mut times)?
             }
-        } else {
-            Vec::new()
+            None => self.vote(hv, &extracted, None, workers, &mut times)?,
         };
 
         // Per-VM verdicts: the vote runs among the scanned VMs only.
@@ -959,6 +933,119 @@ impl ModChecker {
             fault_injections,
             static_findings,
         })
+    }
+
+    /// The vote over the successful extractions: comparison matrix,
+    /// canonical per-VM votes and static pre-pass findings. Charges Dom0's
+    /// comparison work to `times.checker`.
+    fn vote(
+        &self,
+        hv: &Hypervisor,
+        extracted: &[(usize, Arc<ExtractedModule>)],
+        analysis_cache: Option<&mut AnalysisCache>,
+        workers: usize,
+        times: &mut ComponentTimes,
+    ) -> Result<Vote, CheckError> {
+        // The pairwise ledger charges Dom0's comparison work to a session
+        // against a VM that is actually reachable; with nothing extracted
+        // there are no pairs and no ledger to keep.
+        let ledger_vm = extracted.first().map(|(_, m)| m.image.vm);
+
+        // Build the comparison matrix. Canonical mode normalizes each
+        // capture once and groups by fingerprint; it degrades to the full
+        // pairwise sweep when any capture lacks a parseable `.reloc` table
+        // (the canonical path cannot vouch for a module it cannot
+        // normalize, and mixing normalized with unnormalized digests would
+        // compare incomparables).
+        let mut canonical = None;
+        let mut canonical_groups: Option<Vec<(Fingerprint, Vec<usize>)>> = None;
+        let matrix: Vec<(usize, usize, PairOutcome)> =
+            if self.config.compare == CompareStrategy::Canonical {
+                match self.canonical_matrix(hv, extracted, ledger_vm, workers, times)? {
+                    Some((m, votes, groups)) => {
+                        canonical = Some(votes);
+                        canonical_groups = Some(groups);
+                        m
+                    }
+                    None => self.pairwise_matrix(hv, extracted, ledger_vm, workers, times)?,
+                }
+            } else {
+                self.pairwise_matrix(hv, extracted, ledger_vm, workers, times)?
+            };
+
+        // Static pre-pass. The canonical bucket structure lets the lint
+        // engine run once per distinct content, not once per VM; without it
+        // (pairwise strategy, reloc-less fallback, or no cache offered) the
+        // scan degrades gracefully to the per-VM pass.
+        let static_findings: Vec<mc_analysis::AnalysisReport> = if self.config.static_prepass {
+            match (&canonical_groups, analysis_cache) {
+                (Some(groups), Some(cache)) => Self::bucketed_static_scan(extracted, groups, cache),
+                _ => extracted
+                    .iter()
+                    .filter_map(|(_, m)| Self::static_scan(m))
+                    .collect(),
+            }
+        } else {
+            Vec::new()
+        };
+        Ok(Vote {
+            matrix,
+            canonical,
+            static_findings,
+        })
+    }
+
+    /// [`Self::vote`] for a cached scan, reusing the unit's memoized vote
+    /// when nothing it depends on moved (ROADMAP item 2, "reuse unit
+    /// verdicts"). Canonical mode only, and only when every VM's capture is
+    /// a cache entry (`entries`): the vote is then a pure function of those
+    /// captures, their order, the config and the charge rates, which is
+    /// exactly the memo key. A reuse charges the memoized checker time and
+    /// counts the analysis lookups it replaces as hits, so the report and
+    /// every counter read as if the vote had been recomputed.
+    #[allow(clippy::too_many_arguments)]
+    fn memoized_vote(
+        &self,
+        hv: &Hypervisor,
+        vms: &[VmId],
+        module: &str,
+        extracted: &[(usize, Arc<ExtractedModule>)],
+        entries: Option<Vec<u64>>,
+        cache: &mut CaptureCache,
+        times: &mut ComponentTimes,
+    ) -> Result<Vote, CheckError> {
+        let key = entries
+            .filter(|_| self.config.compare == CompareStrategy::Canonical)
+            .map(|entries| VoteKey {
+                vms: vms.to_vec(),
+                entries,
+                slowdown: hv.dom0_slowdown().to_bits(),
+                cost: hv.cost,
+                static_prepass: self.config.static_prepass,
+                digest: self.config.digest,
+            });
+        let Some(key) = key else {
+            return self.vote(hv, extracted, Some(&mut cache.analysis), 1, times);
+        };
+        if let Some(memo) = cache.votes.get(module).filter(|m| m.key == key) {
+            times.checker += memo.checker;
+            cache.analysis.stats.hits += memo.analysis_lookups;
+            #[cfg(test)]
+            {
+                cache.vote_reuses += 1;
+            }
+            return Ok(memo.vote.clone());
+        }
+        let (checker, lookups) = (times.checker, cache.analysis.stats.lookups());
+        let vote = self.vote(hv, extracted, Some(&mut cache.analysis), 1, times)?;
+        let memo = VoteMemo {
+            key,
+            vote: vote.clone(),
+            checker: times.checker - checker,
+            analysis_lookups: cache.analysis.stats.lookups() - lookups,
+        };
+        cache.votes.insert(module.to_string(), memo);
+        Ok(vote)
     }
 
     /// The full O(t²) pairwise matrix over successful extractions (tuple
@@ -1170,6 +1257,41 @@ fn import_table_digest(m: &ExtractedModule) -> u64 {
     h
 }
 
+/// What a unit's captures vote: the comparison matrix (tuple indices are
+/// positions in the scanned `vms`), the canonical per-VM votes (`None` on
+/// the pairwise path) and the static pre-pass findings.
+#[derive(Clone, Debug)]
+struct Vote {
+    matrix: Vec<(usize, usize, PairOutcome)>,
+    canonical: Option<HashMap<usize, CanonicalVote>>,
+    static_findings: Vec<mc_analysis::AnalysisReport>,
+}
+
+/// Everything a canonical unit's [`Vote`] and its checker charge depend
+/// on besides the capture bytes, which the entry serials stand for.
+#[derive(Clone, Debug, PartialEq)]
+struct VoteKey {
+    vms: Vec<VmId>,
+    /// Serial of each VM's capture-cache entry, in `vms` order.
+    entries: Vec<u64>,
+    /// Dom0 contention scales every checker charge (`f64` bits).
+    slowdown: u64,
+    cost: mc_hypervisor::CostModel,
+    static_prepass: bool,
+    digest: crate::digest::DigestAlgo,
+}
+
+/// One module's memoized vote in a [`CaptureCache`].
+#[derive(Clone, Debug)]
+struct VoteMemo {
+    key: VoteKey,
+    vote: Vote,
+    /// Checker time the vote charged.
+    checker: SimDuration,
+    /// Analysis-cache lookups the vote made.
+    analysis_lookups: u64,
+}
+
 /// One scanned VM's canonical-mode vote inputs, keyed by its position in
 /// the original `vms` slice.
 #[derive(Clone, Debug, Default)]
@@ -1199,6 +1321,13 @@ pub struct AnalysisCacheStats {
     pub runs: u64,
     /// Bucket verdicts served from the cache without running the analyzer.
     pub hits: u64,
+}
+
+impl AnalysisCacheStats {
+    /// Every lookup, run or hit.
+    fn lookups(self) -> u64 {
+        self.runs + self.hits
+    }
 }
 
 /// Per-content static analysis cache for the canonical-mode pre-pass.
@@ -1326,6 +1455,15 @@ pub struct CaptureCache {
     /// Content-addressed, so it never goes stale: [`CaptureCache::clear`]
     /// and evictions leave it alone.
     analysis: AnalysisCache,
+    /// Last vote per module, keyed by the entry serials that voted: an
+    /// entry replaced, refreshed or dropped takes its serial with it, so
+    /// a memo can only match captures it was computed from.
+    votes: HashMap<String, VoteMemo>,
+    /// Serial for the next inserted entry.
+    next_serial: u64,
+    /// Votes served from `votes` (test instrumentation).
+    #[cfg(test)]
+    vote_reuses: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -1334,6 +1472,9 @@ struct CacheEntry {
     algo: crate::digest::DigestAlgo,
     generations: Vec<mc_hypervisor::PageGeneration>,
     module: Arc<ExtractedModule>,
+    /// Unique per insert within this cache: identifies the capture
+    /// without holding it.
+    serial: u64,
 }
 
 impl CaptureCache {
@@ -1345,6 +1486,31 @@ impl CaptureCache {
     /// Cumulative hit/miss/invalidation counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// Stores a fresh capture under `key`, replacing any entry there, and
+    /// returns its serial.
+    fn insert(
+        &mut self,
+        key: (VmId, String),
+        base: u64,
+        algo: crate::digest::DigestAlgo,
+        generations: Vec<mc_hypervisor::PageGeneration>,
+        module: Arc<ExtractedModule>,
+    ) -> u64 {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        let entry = CacheEntry {
+            base,
+            algo,
+            generations,
+            module,
+            serial,
+        };
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.arena.reclaim(old.module);
+        }
+        serial
     }
 
     /// Run/hit counters of the static pre-pass memo.
@@ -1364,6 +1530,20 @@ impl CaptureCache {
         self.silent_restores.iter().cloned().collect()
     }
 
+    /// Votes served from the memo so far.
+    #[cfg(test)]
+    pub(crate) fn vote_reuses(&self) -> u64 {
+        self.vote_reuses
+    }
+
+    /// Drops every memoized vote, leaving captures cached: a cache in
+    /// this state recomputes every vote, which makes it the oracle a
+    /// memoized scan must match.
+    #[cfg(test)]
+    pub(crate) fn forget_votes(&mut self) {
+        self.votes.clear();
+    }
+
     /// True when a capture of `module` on `vm` is cached.
     #[cfg(test)]
     pub(crate) fn contains(&self, vm: VmId, module: &str) -> bool {
@@ -1380,11 +1560,12 @@ impl CaptureCache {
         self.entries.is_empty()
     }
 
-    /// Drops every cached capture (counters survive).
+    /// Drops every cached capture and memoized vote (counters survive).
     pub fn clear(&mut self) {
         for (_, gone) in self.entries.drain() {
             self.arena.reclaim(gone.module);
         }
+        self.votes.clear();
     }
 
     /// Drops every entry belonging to one VM — called when the VM's
@@ -1459,8 +1640,9 @@ impl ModChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::VerdictErrorKind;
     use mc_guest::{build_cloud_with_modules, GuestOs};
-    use mc_hypervisor::AddressWidth;
+    use mc_hypervisor::{AddressWidth, FaultPlan};
     use mc_pe::corpus::ModuleBlueprint;
 
     fn cloud(n: usize) -> (Hypervisor, Vec<GuestOs>, Vec<VmId>) {
@@ -2239,5 +2421,157 @@ mod tests {
                 silent_restores: 18,
             }
         );
+    }
+
+    /// A canonical checker with the static pre-pass, so every part of a
+    /// memoized vote — matrix, bucket votes, findings, analysis hits — is
+    /// live.
+    fn memo_checker() -> ModChecker {
+        ModChecker::with_config(CheckConfig {
+            compare: CompareStrategy::Canonical,
+            static_prepass: true,
+            ..CheckConfig::default()
+        })
+    }
+
+    /// Scans through `cache` and, from the same cache state with its vote
+    /// memos dropped, through a clone: the two reports (every field, via
+    /// `Debug`) and every cache counter must agree. Returns the report and
+    /// whether the scan reused a memoized vote.
+    fn scan_against_oracle(
+        checker: &ModChecker,
+        hv: &Hypervisor,
+        ids: &[VmId],
+        cache: &mut CaptureCache,
+    ) -> (PoolCheckReport, bool) {
+        let mut oracle = cache.clone();
+        oracle.forget_votes();
+        let want = checker
+            .check_pool_with_cache(hv, ids, "hal.dll", &mut oracle)
+            .unwrap();
+        let reuses = cache.vote_reuses();
+        let got = checker
+            .check_pool_with_cache(hv, ids, "hal.dll", cache)
+            .unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(cache.stats(), oracle.stats());
+        assert_eq!(cache.analysis_stats(), oracle.analysis_stats());
+        (got, cache.vote_reuses() > reuses)
+    }
+
+    fn suspect_names(r: &PoolCheckReport) -> Vec<String> {
+        r.suspects().map(|v| v.vm_name.clone()).collect()
+    }
+
+    #[test]
+    fn a_one_byte_text_write_between_scans_is_flagged_by_the_next() {
+        let (mut hv, guests, ids) = cloud(4);
+        let checker = memo_checker();
+        let mut cache = CaptureCache::new();
+        let (cold, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(cold.all_clean() && !reused);
+        let (steady, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(steady.all_clean());
+        assert!(reused, "an unchanged unit reuses its vote");
+
+        guests[1]
+            .patch_module(&mut hv, "hal.dll", 0x1003, &[0xCC])
+            .unwrap();
+        let (patched, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(!reused, "a refreshed capture is a new entry");
+        assert_eq!(suspect_names(&patched), vec!["dom2"]);
+        // The new vote is memoized in turn, and still flags the write.
+        let (again, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(reused);
+        assert_eq!(suspect_names(&again), vec!["dom2"]);
+    }
+
+    #[test]
+    fn a_scan_with_a_failed_extraction_never_reuses() {
+        let (mut hv, _guests, ids) = cloud(4);
+        let checker = memo_checker();
+        let mut cache = CaptureCache::new();
+        // Transient faults the retries ride out change no capture: the
+        // vote is reused, and still matches the oracle.
+        hv.inject_fault_plan(FaultPlan::transient(9, 0.05));
+        scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        let (steady, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(reused && steady.all_clean());
+        assert!(steady.vmi.retries > 0, "the plan injected faults");
+
+        // Every read of one VM faults: its extraction fails, so the vote
+        // runs afresh among the survivors.
+        hv.set_fault_plan(ids[2], Some(FaultPlan::transient(9, 1.0)))
+            .unwrap();
+        let (faulted, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(!reused, "a failed extraction must not reuse");
+        assert_eq!(faulted.scanned, 3);
+        assert_eq!(faulted.verdicts[2].status, VerdictStatus::Unscannable);
+
+        // The fault clears: that VM recaptures (a new entry), then the
+        // steady state reuses again.
+        hv.set_fault_plan(ids[2], None).unwrap();
+        let (recovered, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(!reused && recovered.all_clean());
+        let (_, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(reused);
+    }
+
+    #[test]
+    fn a_changed_dom0_load_recharges_the_checker() {
+        let (mut hv, _guests, ids) = cloud(4);
+        let checker = memo_checker();
+        let mut cache = CaptureCache::new();
+        scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        let (idle, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(reused);
+        for &id in &ids {
+            hv.vm_mut(id).unwrap().cpu_demand = 8.0;
+        }
+        let (loaded, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(!reused, "a new slowdown re-derives the charge");
+        assert!(
+            loaded.times.checker > idle.times.checker,
+            "loaded {} vs idle {}",
+            loaded.times.checker,
+            idle.times.checker
+        );
+        let (_, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(reused, "the loaded vote is memoized in turn");
+    }
+
+    #[test]
+    fn a_forged_64_bit_size_of_image_is_a_verdict_not_an_abort() {
+        let mut hv = Hypervisor::new();
+        let width = AddressWidth::W64;
+        let bps = vec![ModuleBlueprint::new("hal.dll", width, 12 * 1024)];
+        let guests = build_cloud_with_modules(&mut hv, 4, width, &bps).unwrap();
+        let ids: Vec<VmId> = guests.iter().map(|g| g.vm).collect();
+        let offs = mc_guest::ldr::LdrOffsets::for_width(width);
+        let entry = guests[1].find_module("hal.dll").unwrap().ldr_entry_va;
+        hv.vm_mut(ids[1])
+            .unwrap()
+            .write_virt(entry + offs.size_of_image, &u64::MAX.to_le_bytes())
+            .unwrap();
+
+        let checker = ModChecker::new();
+        let uncached = checker.check_pool(&hv, &ids, "hal.dll").unwrap();
+        let mut cache = CaptureCache::new();
+        let cached = checker
+            .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
+            .unwrap();
+        let error = |r: &PoolCheckReport| r.verdicts[1].error.clone().expect("dom2 fails");
+        assert_eq!(error(&uncached).kind, VerdictErrorKind::CaptureFailed);
+        assert!(error(&uncached).detail.contains(&u64::MAX.to_string()));
+        assert_eq!(error(&cached), error(&uncached));
+        assert_eq!(cached.verdicts[1].status, uncached.verdicts[1].status);
+        assert!(!cache.contains(ids[1], "hal.dll"));
+
+        let mut plane = crate::events::EventPlane::new();
+        assert!(matches!(
+            plane.arm_pair(&mut hv, ids[1], "hal.dll", true),
+            Err(CheckError::ImplausibleSize { size: u64::MAX, .. })
+        ));
+        assert!(plane.arm_pair(&mut hv, ids[0], "hal.dll", true).is_ok());
     }
 }

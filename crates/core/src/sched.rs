@@ -869,6 +869,125 @@ mod tests {
         assert!(total.silent_restores > 0, "{total:?}");
     }
 
+    /// Votes reused across every pool cache of `sched`.
+    fn vote_reuses(sched: &FleetScheduler) -> u64 {
+        lock(&sched.caches)
+            .values()
+            .map(|c| lock(c).vote_reuses())
+            .sum()
+    }
+
+    /// Sweeps through `sched` and through a clone of its state with the
+    /// vote memos dropped; the two reports must serialize byte-identically.
+    fn sweep_against_oracle(
+        sched: &FleetScheduler,
+        hv: &Hypervisor,
+        fleet: &Fleet,
+        trust: Option<&EventPlane>,
+    ) -> FleetReport {
+        let oracle = FleetScheduler::new(sched.config);
+        for (pool, cache) in lock(&sched.caches).iter() {
+            let mut c = lock(cache).clone();
+            c.forget_votes();
+            lock(&oracle.caches).insert(pool.clone(), Arc::new(Mutex::new(c)));
+        }
+        *lock(&oracle.history) = lock(&sched.history).clone();
+        *lock(&oracle.last_listings) = lock(&sched.last_listings).clone();
+        let want = oracle.sweep_with_trust(hv, fleet, trust);
+        let got = sched.sweep_with_trust(hv, fleet, trust);
+        let json = |r: &FleetReport| serde_json::to_string_pretty(&r.to_json()).unwrap();
+        assert_eq!(json(&got), json(&want));
+        got
+    }
+
+    /// A report's verdict content: everything but simulated time and the
+    /// introspection counters, which push mode exists to cut.
+    fn verdict_json(report: &FleetReport) -> String {
+        fn strip(v: &mut serde_json::Value) {
+            match v {
+                serde_json::Value::Object(obj) => {
+                    obj.retain(|(k, _)| {
+                        !matches!(
+                            k.as_str(),
+                            "times_ms" | "vmi" | "simulated_wall_sequential_ms"
+                        )
+                    });
+                    obj.iter_mut().for_each(|(_, v)| strip(v));
+                }
+                serde_json::Value::Array(items) => items.iter_mut().for_each(strip),
+                _ => {}
+            }
+        }
+        let mut v = report.to_json();
+        strip(&mut v);
+        serde_json::to_string_pretty(&v).unwrap()
+    }
+
+    #[test]
+    fn push_and_poll_sweeps_agree_with_vote_reuse_active() {
+        let (mut hv, guests, fleet) = fleet_bed(2, 4, 2);
+        guests[0][1]
+            .patch_module(&mut hv, "p0m0.sys", 0x1000, &[0xE9, 0x10, 0x00, 0x00, 0x00])
+            .unwrap();
+        let mut plane = EventPlane::new();
+        for pool in &fleet.pools {
+            let listing = ListDiff::scan_with(&hv, &pool.vms, true).unwrap();
+            plane
+                .arm_modules(&mut hv, &pool.vms, &listing.consensus_modules)
+                .unwrap();
+        }
+        let config = FleetConfig {
+            check: CheckConfig {
+                compare: crate::pool::CompareStrategy::Canonical,
+                static_prepass: true,
+                ..CheckConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let (poll, push) = (FleetScheduler::new(config), FleetScheduler::new(config));
+        let sweep_both = |hv: &Hypervisor, plane: &mut EventPlane| {
+            plane.drain(hv);
+            let polled = sweep_against_oracle(&poll, hv, &fleet, None);
+            let pushed = sweep_against_oracle(&push, hv, &fleet, Some(plane));
+            assert_eq!(verdict_json(&polled), verdict_json(&pushed));
+            polled
+        };
+        // Cold, then two quiet sweeps: the quiet ones reuse every vote.
+        let hooked = (
+            "pool0".to_string(),
+            "p0m0.sys".to_string(),
+            "p0dom1".to_string(),
+        );
+        let cold = sweep_both(&hv, &mut plane);
+        assert_eq!(cold.suspects(), vec![hooked.clone()]);
+        assert!(verdict_json(&cold).contains("statically_flagged\": [\n"));
+        sweep_both(&hv, &mut plane);
+        sweep_both(&hv, &mut plane);
+        let units = cold.units_total() as u64;
+        assert_eq!(vote_reuses(&poll), 2 * units);
+        assert_eq!(vote_reuses(&push), 2 * units);
+
+        // A one-byte write: both modes flag it on the next sweep, and only
+        // the written unit recomputes its vote.
+        guests[1][2]
+            .patch_module(&mut hv, "p1m1.sys", 0x1008, &[0xCC])
+            .unwrap();
+        let written = sweep_both(&hv, &mut plane);
+        assert_eq!(
+            written.suspects(),
+            vec![
+                hooked,
+                (
+                    "pool1".to_string(),
+                    "p1m1.sys".to_string(),
+                    "p1dom2".to_string()
+                )
+            ]
+        );
+        assert_eq!(vote_reuses(&poll), 3 * units - 1);
+        assert_eq!(vote_reuses(&push), 3 * units - 1);
+    }
+
     #[test]
     fn lpt_assignment_is_deterministic_and_balanced() {
         let costs = vec![10, 7, 7, 3, 1];

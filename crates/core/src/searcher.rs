@@ -11,12 +11,10 @@
 //! bounded list length, cycle detection, size caps on both names and module
 //! images, and typed errors instead of panics on unreadable pointers.
 
-use std::collections::HashSet;
-
 use mc_guest::ldr::LdrOffsets;
 use mc_guest::PS_LOADED_MODULE_LIST;
 use mc_hypervisor::{VmId, PAGE_SIZE};
-use mc_vmi::{VectoredRead, VmiSession};
+use mc_vmi::{VaSet, VectoredRead, VmiSession};
 
 use crate::arena::CaptureArena;
 use crate::error::{CheckError, MAX_LIST_WALK, MAX_MODULE_SIZE};
@@ -24,6 +22,15 @@ use crate::error::{CheckError, MAX_LIST_WALK, MAX_MODULE_SIZE};
 /// Upper bound on a `BaseDllName` length in bytes (Windows caps paths well
 /// below this; a forged 64 KB length must not trigger a huge read).
 const MAX_NAME_BYTES: u16 = 512;
+
+/// Reads a `BaseDllName` buffer of `len` bytes (already capped at
+/// [`MAX_NAME_BYTES`]) into a stack buffer and decodes it.
+fn read_name(session: &mut VmiSession<'_>, buffer: u64, len: u16) -> Result<String, CheckError> {
+    let mut raw = [0u8; MAX_NAME_BYTES as usize];
+    let raw = &mut raw[..usize::from(len)];
+    session.read_va(buffer, raw)?;
+    Ok(mc_guest::ldr::decode_utf16(raw))
+}
 
 /// A module list entry as discovered by traversal (no image bytes yet).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,7 +70,7 @@ impl ModuleSearcher {
         let offs = LdrOffsets::for_width(session.width());
         let head = session.symbol(PS_LOADED_MODULE_LIST)?;
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = VaSet::default();
         let mut at = session.read_ptr(head + offs.flink)?;
         while at != head {
             if out.len() >= MAX_LIST_WALK || !seen.insert(at) {
@@ -83,7 +90,7 @@ impl ModuleSearcher {
     pub fn find_ref(session: &mut VmiSession<'_>, module: &str) -> Result<ModuleRef, CheckError> {
         let offs = LdrOffsets::for_width(session.width());
         let head = session.symbol(PS_LOADED_MODULE_LIST)?;
-        let mut seen = HashSet::new();
+        let mut seen = VaSet::default();
         let mut walked = 0usize;
         let mut at = session.read_ptr(head + offs.flink)?;
         while at != head {
@@ -137,13 +144,7 @@ impl ModuleSearcher {
         entry: &ModuleRef,
         arena: Option<&mut CaptureArena>,
     ) -> Result<ModuleImage, CheckError> {
-        if entry.size == 0 || entry.size > MAX_MODULE_SIZE {
-            return Err(CheckError::ImplausibleSize {
-                vm: session.vm_name().to_string(),
-                module: entry.name.clone(),
-                size: entry.size,
-            });
-        }
+        Self::check_size(session, entry)?;
         let mut bytes = match arena {
             Some(arena) => arena.acquire(entry.size as usize),
             None => vec![0u8; entry.size as usize],
@@ -169,6 +170,24 @@ impl ModuleSearcher {
             base: entry.base,
             bytes,
         })
+    }
+
+    /// Rejects an entry whose `SizeOfImage` is zero or above
+    /// [`MAX_MODULE_SIZE`] as [`CheckError::ImplausibleSize`]. The size
+    /// is guest-controlled: every path that sizes work by it — a capture,
+    /// a generation probe, a watch plan — checks it first.
+    pub(crate) fn check_size(
+        session: &VmiSession<'_>,
+        entry: &ModuleRef,
+    ) -> Result<(), CheckError> {
+        if entry.size == 0 || entry.size > MAX_MODULE_SIZE {
+            return Err(CheckError::ImplausibleSize {
+                vm: session.vm_name().to_string(),
+                module: entry.name.clone(),
+                size: entry.size,
+            });
+        }
+        Ok(())
     }
 
     /// Re-reads only the pages of `image` whose index appears in
@@ -223,10 +242,8 @@ impl ModuleSearcher {
         let ustr = entry_va + offs.base_dll_name;
         let len = session.read_u16(ustr)?.min(MAX_NAME_BYTES) & !1;
         let buffer = session.read_ptr(ustr + offs.ustr_buffer)?;
-        let mut raw = vec![0u8; len as usize];
-        session.read_va(buffer, &mut raw)?;
         Ok(ModuleRef {
-            name: mc_guest::ldr::decode_utf16(&raw),
+            name: read_name(session, buffer, len)?,
             base,
             size,
             entry_va,
@@ -276,10 +293,8 @@ impl ModuleSearcher {
         let size = u64::from_le_bytes(size_b);
         let len = u16::from_le_bytes(len_b).min(MAX_NAME_BYTES) & !1;
         let buffer = u64::from_le_bytes(bufp_b);
-        let mut raw = vec![0u8; len as usize];
-        session.read_va(buffer, &mut raw)?;
         Ok(ModuleRef {
-            name: mc_guest::ldr::decode_utf16(&raw),
+            name: read_name(session, buffer, len)?,
             base,
             size,
             entry_va,

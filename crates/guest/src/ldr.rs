@@ -76,13 +76,16 @@ pub fn encode_utf16(name: &str) -> Vec<u8> {
     name.encode_utf16().flat_map(u16::to_le_bytes).collect()
 }
 
-/// Decodes a UTF-16LE buffer back to a `String` (lossy on bad surrogates).
+/// Decodes a UTF-16LE buffer back to a `String` (lossy on bad surrogates,
+/// exactly as [`String::from_utf16_lossy`]). Decodes straight from the
+/// bytes: an ASCII name costs one allocation, the string itself.
 pub fn decode_utf16(bytes: &[u8]) -> String {
-    let units: Vec<u16> = bytes
+    let units = bytes
         .chunks_exact(2)
-        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-        .collect();
-    String::from_utf16_lossy(&units)
+        .map(|c| u16::from_le_bytes([c[0], c[1]]));
+    let mut out = String::with_capacity(bytes.len() / 2);
+    out.extend(char::decode_utf16(units).map(|c| c.unwrap_or(char::REPLACEMENT_CHARACTER)));
+    out
 }
 
 /// Writes an `LDR_DATA_TABLE_ENTRY` at `entry_va` (links left NULL; see
@@ -177,6 +180,22 @@ mod tests {
         let enc = encode_utf16("hal.dll");
         assert_eq!(enc.len(), 14);
         assert_eq!(decode_utf16(&enc), "hal.dll");
+    }
+
+    proptest::proptest! {
+        /// Decoding straight from the bytes matches the standard lossy
+        /// decoder on arbitrary buffers: unpaired surrogates, odd lengths
+        /// (the stray byte is ignored) and non-ASCII units.
+        #[test]
+        fn utf16_decode_matches_the_std_lossy_decoder(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..96),
+        ) {
+            let units: Vec<u16> = bytes
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .collect();
+            proptest::prop_assert_eq!(decode_utf16(&bytes), String::from_utf16_lossy(&units));
+        }
     }
 
     fn entry_round_trip(width: AddressWidth) {

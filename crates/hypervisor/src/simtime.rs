@@ -112,7 +112,7 @@ impl fmt::Display for SimDuration {
 ///
 /// Units: `*_ns` are flat nanosecond charges; `*_byte_ns` are nanoseconds
 /// per byte processed.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// One-time cost of attaching a VMI session to a VM (handle lookup,
     /// address-space identification).

@@ -176,7 +176,9 @@ impl Vm {
     pub fn resolve_frames(&self, va: u64, len: u64) -> Result<Vec<u64>, HvError> {
         let pages = Self::pages_crossed(va, len);
         let first_page_va = va & !(PAGE_SIZE as u64 - 1);
-        let mut frames = Vec::with_capacity(pages as usize);
+        // `len` may come from guest memory: grow with the pages that
+        // actually translate instead of preallocating for the claim.
+        let mut frames = Vec::new();
         for i in 0..pages {
             let pva = first_page_va.saturating_add(i << PAGE_SHIFT);
             frames.push(self.aspace.translate(&self.mem, pva)? >> PAGE_SHIFT);

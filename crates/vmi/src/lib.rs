@@ -30,13 +30,19 @@
 
 #![warn(missing_docs)]
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use mc_hypervisor::{
     AddressWidth, FaultDecision, FaultState, HvError, Hypervisor, SimDuration, Vm, VmId, PAGE_SHIFT,
 };
 use rand::SeedableRng;
+
+#[cfg(test)]
+mod reference;
 
 /// Introspection errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -308,6 +314,62 @@ pub struct ImageHit {
     pub size_of_image: u64,
 }
 
+/// Hasher for guest-address keys (page VAs, LDR entry VAs): one folded
+/// 64×64→128-bit multiply per key instead of SipHash. Page-aligned keys
+/// have twelve zero low bits; folding the product's high half into its
+/// low half spreads the significant bits over the bits a hash table
+/// indexes by. The guest chooses some of these addresses (list links),
+/// so the multiply is keyed with a per-process random seed
+/// ([`VaBuildHasher`]): colliding addresses cannot be precomputed.
+#[derive(Clone, Copy, Debug)]
+pub struct VaHasher(u64);
+
+impl Hasher for VaHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+/// Builds [`VaHasher`]s seeded once per process from the standard
+/// library's random hash keys. Hash values only place keys in buckets;
+/// no map keyed this way is iterated, so the seed never reaches output.
+#[derive(Clone, Copy, Debug)]
+pub struct VaBuildHasher(u64);
+
+impl Default for VaBuildHasher {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        VaBuildHasher(*SEED.get_or_init(|| RandomState::new().hash_one(0u64)))
+    }
+}
+
+impl BuildHasher for VaBuildHasher {
+    type Hasher = VaHasher;
+
+    fn build_hasher(&self) -> VaHasher {
+        VaHasher(self.0)
+    }
+}
+
+/// A set of guest addresses keyed by [`VaHasher`].
+pub type VaSet = HashSet<u64, VaBuildHasher>;
+
+/// Preallocation cap for per-page result vectors: a range's page count
+/// comes from guest memory (`SizeOfImage`), so it bounds nothing until
+/// each page has actually translated.
+const PREALLOC_PAGES: u64 = 256;
+
 /// Per-session fast-path state (see [`VmiSession::with_fast_capture`]).
 ///
 /// Caching VA→PA translations for the lifetime of a session is sound
@@ -318,9 +380,49 @@ pub struct ImageHit {
 #[derive(Debug, Default)]
 struct FastPathState {
     /// Page-aligned guest VA → guest PA of the backing frame.
-    translate: HashMap<u64, u64>,
+    translate: HashMap<u64, u64, VaBuildHasher>,
     /// Page-aligned guest VAs already foreign-mapped this session.
-    mapped: HashSet<u64>,
+    mapped: VaSet,
+    /// The current read's plan: `(page VA, frame PA)` for every page it
+    /// crosses, sorted by VA and deduplicated. Reused by every read, so a
+    /// warm session plans without allocating.
+    plan: Vec<(u64, u64)>,
+}
+
+impl FastPathState {
+    /// Resolves page-aligned `pva` through the translate cache, walking
+    /// the page tables on a miss. Returns the frame address and whether
+    /// the cache answered.
+    fn resolve(&mut self, vm: &Vm, pva: u64) -> Result<(u64, bool), HvError> {
+        match self.translate.entry(pva) {
+            Entry::Occupied(e) => Ok((*e.get(), true)),
+            Entry::Vacant(e) => Ok((*e.insert(vm.translate(pva)?), false)),
+        }
+    }
+
+    /// Starts a new plan with the pages a `len`-byte read at `va` crosses.
+    fn plan_range(&mut self, va: u64, len: u64) {
+        self.plan.clear();
+        self.add_range(va, len);
+    }
+
+    /// Adds the pages a `len`-byte read at `va` crosses to the plan (not
+    /// yet sorted or deduplicated).
+    fn add_range(&mut self, va: u64, len: u64) {
+        let first = va & !((1u64 << PAGE_SHIFT) - 1);
+        self.plan
+            .extend((0..Vm::pages_crossed(va, len)).map(|i| (first + (i << PAGE_SHIFT), 0)));
+    }
+
+    /// The frame address the plan resolved for the page holding `va`.
+    fn planned_frame(&self, va: u64) -> u64 {
+        let pva = va & !((1u64 << PAGE_SHIFT) - 1);
+        let i = self
+            .plan
+            .binary_search_by_key(&pva, |&(p, _)| p)
+            .expect("every page a read crosses is planned");
+        self.plan[i].1
+    }
 }
 
 /// An introspection session against one guest VM.
@@ -352,6 +454,10 @@ pub struct VmiSession<'hv> {
     /// while sequential and parallel scans stay byte-identical.
     jitter_rng: rand::rngs::StdRng,
     deadline: Option<SimDuration>,
+    /// Routes fast-path reads through the pre-planner implementation
+    /// (differential tests only).
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl fmt::Debug for VmiSession<'_> {
@@ -398,6 +504,8 @@ impl<'hv> VmiSession<'hv> {
                 0x6A17_7E12_u64 ^ (u64::from(id.0) << 17),
             ),
             deadline: None,
+            #[cfg(test)]
+            reference: false,
         };
         s.charge(SimDuration::from_nanos(s.cost.vmi_attach_ns));
         Ok(s)
@@ -513,6 +621,10 @@ impl<'hv> VmiSession<'hv> {
     /// byte/page statistics, so the performance figures count only useful
     /// work.
     fn read_va_attempt(&mut self, va: u64, buf: &mut [u8]) -> Result<(), VmiError> {
+        #[cfg(test)]
+        if self.reference {
+            return self.reference_read_va_attempt(va, buf);
+        }
         let decision = match &mut self.fault {
             Some(state) => state.on_read(va, buf.len()),
             None => FaultDecision::Proceed {
@@ -534,15 +646,17 @@ impl<'hv> VmiSession<'hv> {
                 torn_byte
             }
         };
-        if self.fast.is_some() {
+        if let Some(fast) = &mut self.fast {
             // Fast path: translate via the session cache (walks charged
             // per miss), map first-touch pages per contiguous physical
-            // run, then pay per-byte copy only.
-            let pages = Self::page_vas(va, buf.len() as u64);
-            self.fast_plan_pages(&pages)?;
+            // run, then pay per-byte copy only — straight from the frames
+            // the plan resolved.
+            fast.plan_range(va, buf.len() as u64);
+            self.fast_plan()?;
             self.stats.reads += 1;
             self.stats.bytes_copied += buf.len() as u64;
             self.charge(self.cost.read_cost(0, buf.len() as u64));
+            self.copy_planned(va, buf)?;
         } else {
             // The paper's prototype: every page crossed pays its
             // translation and foreign map.
@@ -552,8 +666,8 @@ impl<'hv> VmiSession<'hv> {
             self.stats.bytes_copied += buf.len() as u64;
             self.stats.page_walks += pages;
             self.charge(self.cost.read_cost(pages, buf.len() as u64));
+            self.vm.read_virt(va, buf)?;
         }
-        self.vm.read_virt(va, buf)?;
         if let Some(off) = torn_byte {
             // A concurrent guest write landed mid-copy: one byte of the
             // returned buffer is stale. Silent by design — only
@@ -563,65 +677,64 @@ impl<'hv> VmiSession<'hv> {
         Ok(())
     }
 
-    /// Page-aligned VAs of every page a `len`-byte read at `va` crosses.
-    fn page_vas(va: u64, len: u64) -> Vec<u64> {
-        let pages = Vm::pages_crossed(va, len);
-        let first = va & !((1u64 << PAGE_SHIFT) - 1);
-        (0..pages).map(|i| first + (i << PAGE_SHIFT)).collect()
-    }
-
-    /// Fast-path planning for a sorted, deduplicated list of page-aligned
-    /// VAs: resolves each through the translate cache (charging one
-    /// page-table walk per miss), then charges one foreign map per
-    /// contiguous physical run of not-yet-mapped pages. The `mapped` set
-    /// is only updated once every translation has succeeded, so a hostile
-    /// unmapped VA cannot leave charged-for state behind.
-    fn fast_plan_pages(&mut self, page_vas: &[u64]) -> Result<(), VmiError> {
+    /// Fast-path planning over the session's plan (page-aligned VAs,
+    /// sorted and deduplicated): resolves each page through the translate
+    /// cache (charging one page-table walk per miss) and records its frame
+    /// in the plan, then charges one foreign map per contiguous physical
+    /// run of not-yet-mapped pages. The `mapped` set is only updated once
+    /// every translation has succeeded, so a hostile unmapped VA cannot
+    /// leave charged-for state behind.
+    fn fast_plan(&mut self) -> Result<(), VmiError> {
         let vm = self.vm;
-        let (walks, hits, new_pages) = {
-            let fast = self.fast.as_mut().expect("fast path enabled");
-            let mut walks = 0u64;
-            let mut hits = 0u64;
-            let mut resolved = Vec::with_capacity(page_vas.len());
-            for &pva in page_vas {
-                match fast.translate.get(&pva).copied() {
-                    Some(pa) => {
-                        hits += 1;
-                        resolved.push((pva, pa));
-                    }
-                    None => {
-                        let pa = vm.translate(pva)?;
-                        fast.translate.insert(pva, pa);
-                        walks += 1;
-                        resolved.push((pva, pa));
-                    }
-                }
-            }
-            let new_pages: Vec<(u64, u64)> = resolved
-                .into_iter()
-                .filter(|&(pva, _)| fast.mapped.insert(pva))
-                .collect();
-            (walks, hits, new_pages)
-        };
+        let fast = self.fast.as_mut().expect("fast path enabled");
+        let mut walks = 0u64;
+        for i in 0..fast.plan.len() {
+            let (pa, hit) = fast.resolve(vm, fast.plan[i].0)?;
+            fast.plan[i].1 = pa;
+            walks += u64::from(!hit);
+        }
+        let hits = fast.plan.len() as u64 - walks;
         // Contiguous physical runs among the newly mapped pages: virtually
         // consecutive *and* physically adjacent pages share one
         // `xc_map_foreign_range`-style call.
         let page = 1u64 << PAGE_SHIFT;
-        let mut runs = 0u64;
+        let (mut new_pages, mut runs) = (0u64, 0u64);
         let mut prev: Option<(u64, u64)> = None;
-        for &(pva, pa) in &new_pages {
-            let contiguous = prev.is_some_and(|(pva0, pa0)| pva == pva0 + page && pa == pa0 + page);
-            if !contiguous {
+        for &(pva, pa) in &fast.plan {
+            if !fast.mapped.insert(pva) {
+                continue;
+            }
+            new_pages += 1;
+            if !prev.is_some_and(|(pva0, pa0)| pva == pva0 + page && pa == pa0 + page) {
                 runs += 1;
             }
             prev = Some((pva, pa));
         }
         self.stats.page_walks += walks;
         self.stats.translate_cache_hits += hits;
-        self.stats.pages_mapped += new_pages.len() as u64;
+        self.stats.pages_mapped += new_pages;
         self.charge(SimDuration::from_nanos(
             walks * self.cost.translate_ns + runs * self.cost.page_map_ns,
         ));
+        Ok(())
+    }
+
+    /// Copies `buf.len()` bytes at `va` out of the frames the current plan
+    /// resolved — the same page-by-page copy as [`Vm::read_virt`], without
+    /// walking the page tables a second time.
+    fn copy_planned(&self, va: u64, buf: &mut [u8]) -> Result<(), HvError> {
+        let fast = self.fast.as_ref().expect("fast path enabled");
+        let page_mask = (1u64 << PAGE_SHIFT) - 1;
+        let mut at = va;
+        let mut done = 0usize;
+        while done < buf.len() {
+            let off = at & page_mask;
+            let take = ((page_mask + 1 - off) as usize).min(buf.len() - done);
+            let pa = fast.planned_frame(at) + off;
+            self.vm.mem.read_phys(pa, &mut buf[done..done + take])?;
+            done += take;
+            at += take as u64;
+        }
         Ok(())
     }
 
@@ -724,6 +837,10 @@ impl<'hv> VmiSession<'hv> {
         &mut self,
         requests: &mut [VectoredRead<'_>],
     ) -> Result<(), VmiError> {
+        #[cfg(test)]
+        if self.reference {
+            return self.reference_read_va_vectored_attempt(requests);
+        }
         let total: usize = requests.iter().map(|r| r.buf.len()).sum();
         let first_va = requests.iter().map(|r| r.va).min().unwrap_or(0);
         let decision = match &mut self.fault {
@@ -747,19 +864,20 @@ impl<'hv> VmiSession<'hv> {
                 torn_byte
             }
         };
-        let mut pages = Vec::new();
+        let fast = self.fast.as_mut().expect("fast path enabled");
+        fast.plan.clear();
         for r in requests.iter() {
-            pages.extend(Self::page_vas(r.va, r.buf.len() as u64));
+            fast.add_range(r.va, r.buf.len() as u64);
         }
-        pages.sort_unstable();
-        pages.dedup();
-        self.fast_plan_pages(&pages)?;
+        fast.plan.sort_unstable();
+        fast.plan.dedup();
+        self.fast_plan()?;
         self.stats.reads += requests.len() as u64;
         self.stats.vectored_reads += 1;
         self.stats.bytes_copied += total as u64;
         self.charge(self.cost.read_cost(0, total as u64));
         for r in requests.iter_mut() {
-            self.vm.read_virt(r.va, r.buf)?;
+            self.copy_planned(r.va, r.buf)?;
         }
         if let Some(mut off) = torn_byte {
             for r in requests.iter_mut() {
@@ -932,26 +1050,8 @@ impl<'hv> VmiSession<'hv> {
             // Fast sessions answer repeat probes from the translate cache
             // (free), and a probe that misses warms the cache for the
             // capture that usually follows it.
-            let pva = va & !((1u64 << PAGE_SHIFT) - 1);
-            let vm = self.vm;
-            let (pa, hit) = {
-                let fast = self.fast.as_mut().expect("fast path enabled");
-                match fast.translate.get(&pva).copied() {
-                    Some(pa) => (pa, true),
-                    None => {
-                        let pa = vm.translate(pva)?;
-                        fast.translate.insert(pva, pa);
-                        (pa, false)
-                    }
-                }
-            };
-            if hit {
-                self.stats.translate_cache_hits += 1;
-            } else {
-                self.stats.page_walks += 1;
-                self.charge(SimDuration::from_nanos(self.cost.translate_ns));
-            }
-            return Ok(vm.mem.page_generation(pa)?);
+            let pa = self.fast_translate(va & !((1u64 << PAGE_SHIFT) - 1))?;
+            return Ok(self.vm.mem.page_generation(pa)?);
         }
         self.stats.page_walks += 1;
         self.charge(SimDuration::from_nanos(self.cost.translate_ns));
@@ -967,7 +1067,7 @@ impl<'hv> VmiSession<'hv> {
     ) -> Result<Vec<mc_hypervisor::PageGeneration>, VmiError> {
         let pages = Vm::pages_crossed(va, len);
         let first_page_va = va & !((1u64 << PAGE_SHIFT) - 1);
-        let mut out = Vec::with_capacity(pages as usize);
+        let mut out = Vec::with_capacity(pages.min(PREALLOC_PAGES) as usize);
         for i in 0..pages {
             out.push(self.page_generation(first_page_va + (i << PAGE_SHIFT))?);
         }
@@ -991,26 +1091,12 @@ impl<'hv> VmiSession<'hv> {
     pub fn arm_watches(&mut self, va: u64, len: u64) -> Result<mc_hypervisor::WatchPlan, VmiError> {
         let pages = Vm::pages_crossed(va, len);
         let first_page_va = va & !((1u64 << PAGE_SHIFT) - 1);
-        let mut frames = Vec::with_capacity(pages as usize);
+        let mut frames = Vec::with_capacity(pages.min(PREALLOC_PAGES) as usize);
         for i in 0..pages {
             self.check_deadline()?;
             let pva = first_page_va + (i << PAGE_SHIFT);
             let pa = if self.fast.is_some() {
-                let vm = self.vm;
-                let fast = self.fast.as_mut().expect("fast path enabled");
-                match fast.translate.get(&pva).copied() {
-                    Some(pa) => {
-                        self.stats.translate_cache_hits += 1;
-                        pa
-                    }
-                    None => {
-                        let pa = vm.translate(pva)?;
-                        fast.translate.insert(pva, pa);
-                        self.stats.page_walks += 1;
-                        self.charge(SimDuration::from_nanos(self.cost.translate_ns));
-                        pa
-                    }
-                }
+                self.fast_translate(pva)?
             } else {
                 self.stats.page_walks += 1;
                 self.charge(SimDuration::from_nanos(self.cost.translate_ns));
@@ -1024,6 +1110,22 @@ impl<'hv> VmiSession<'hv> {
             len,
             frames,
         })
+    }
+
+    /// Translates page-aligned `pva` through the fast path's cache: a hit
+    /// is free, a miss walks the page tables once and charges
+    /// [`mc_hypervisor::CostModel::translate_ns`].
+    fn fast_translate(&mut self, pva: u64) -> Result<u64, VmiError> {
+        let vm = self.vm;
+        let fast = self.fast.as_mut().expect("fast path enabled");
+        let (pa, hit) = fast.resolve(vm, pva)?;
+        if hit {
+            self.stats.translate_cache_hits += 1;
+        } else {
+            self.stats.page_walks += 1;
+            self.charge(SimDuration::from_nanos(self.cost.translate_ns));
+        }
+        Ok(pa)
     }
 
     /// Charges non-introspection processing time (parser/hasher/differ) to
