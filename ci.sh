@@ -230,7 +230,7 @@ done
 
 # Test-count floor: the workspace suite must never silently shrink. Bump
 # the floor when tests are added; lowering it is a reviewed decision.
-TEST_FLOOR=552
+TEST_FLOOR=564
 echo "==> test-count floor (>= $TEST_FLOOR)"
 TEST_COUNT=$(cargo test --workspace -q -- --list 2>/dev/null | grep -c ': test$')
 echo "    $TEST_COUNT tests listed"

@@ -35,20 +35,24 @@
 //!
 //! ## Determinism
 //!
-//! Every collection here is ordered (`BTreeMap`/`BTreeSet`/sorted `Vec`),
-//! the worklist is drained in ascending offset order, and no host pointer
-//! or hash-map iteration order ever influences the result — two analyses
-//! of the same bytes produce byte-identical reports, which the fleet
-//! scheduler's bucket-level replication relies on.
+//! The traversal marks decoded offsets in a dense per-section `seen`
+//! table and drains its worklist in ascending offset order; the result is
+//! an offset-sorted vector. The reachable set is the closure of the roots
+//! under "fall through, or follow an unconditional transfer", so it does
+//! not depend on the order streams are walked in — the ascending drain
+//! only keeps the walk itself reproducible. No host pointer or hash-map
+//! iteration order ever influences the result: two analyses of the same
+//! bytes produce byte-identical reports, which the fleet scheduler's
+//! bucket-level replication relies on.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use mc_pe::consts::DIR_BASERELOC;
 use mc_pe::parser::ParsedModule;
 use mc_pe::reloc::parse_reloc_section;
-use mc_pe::AddressWidth;
 
-use crate::decoder::{decode, Kind, Mode, Sweep};
+use crate::decoder::{decode, Instruction, Kind, Mode, Sweep};
+use crate::read_thunk;
 
 /// The corpus codegen's fixed function prologue
 /// (`PUSH EBP; MOV EBP, ESP; SUB ESP, 0x20`).
@@ -72,14 +76,31 @@ pub enum RootKind {
 pub struct SectionCfg {
     /// Index of the section within [`ParsedModule::sections`].
     pub section: usize,
-    /// Reachable instructions: section-local offset → (length, kind).
-    pub insns: BTreeMap<usize, (usize, Kind)>,
-    /// Instruction-start offsets of the *linear sweep* over the same
-    /// bytes — the comparison set for the sweep-vs-CFG disagreement lint.
-    pub sweep_boundaries: BTreeSet<usize>,
+    /// Reachable instructions in ascending offset order (section-local
+    /// offsets; each offset appears once).
+    pub insns: Vec<Instruction>,
+    /// The *linear sweep*'s instruction starts over the same bytes, as a
+    /// dense table: `sweep_boundaries[off]` is true when the sweep decodes
+    /// an instruction at `off`. The comparison set for the sweep-vs-CFG
+    /// disagreement lint.
+    pub sweep_boundaries: Vec<bool>,
     /// Function spans `[start, end)` delimited by the corpus
     /// prologue/epilogue byte patterns, merged into disjoint intervals.
     pub function_spans: Vec<(usize, usize)>,
+}
+
+impl SectionCfg {
+    /// True when the traversal decoded an instruction at `offset`.
+    pub fn reaches(&self, offset: usize) -> bool {
+        self.insns
+            .binary_search_by_key(&offset, |i| i.offset)
+            .is_ok()
+    }
+
+    /// True when the linear sweep decodes an instruction at `offset`.
+    pub fn on_sweep_boundary(&self, offset: usize) -> bool {
+        self.sweep_boundaries.get(offset) == Some(&true)
+    }
 }
 
 /// A deterministic control-flow graph over one captured module image.
@@ -99,6 +120,20 @@ impl Cfg {
     /// Never fails: malformed directories degrade to fewer roots, and an
     /// image with no roots yields an empty (but still valid) graph.
     pub fn build(p: &ParsedModule, base: u64, image: &[u8], mode: Mode) -> Cfg {
+        Self::build_with(p, base, image, mode, |_, data| sweep_boundaries(data, mode))
+    }
+
+    /// [`Cfg::build`] with each executable section's sweep boundary table
+    /// supplied by `boundaries(section_index, section_bytes)` — the lint
+    /// engine's linear sweep has already decoded every byte, so the graph
+    /// reuses its marks instead of sweeping a second time.
+    pub(crate) fn build_with(
+        p: &ParsedModule,
+        base: u64,
+        image: &[u8],
+        mode: Mode,
+        mut boundaries: impl FnMut(usize, &[u8]) -> Vec<bool>,
+    ) -> Cfg {
         let mut roots: Vec<(u32, RootKind)> = Vec::new();
         if let Some(ep) = p.entry_point(image).filter(|&ep| ep != 0) {
             roots.push((ep, RootKind::EntryPoint));
@@ -123,12 +158,6 @@ impl Cfg {
             let Some(data) = image.get(sec.data_range.clone()) else {
                 continue;
             };
-            let mut scfg = SectionCfg {
-                section: index,
-                insns: BTreeMap::new(),
-                sweep_boundaries: Sweep::new(data, mode).map(|i| i.offset).collect(),
-                function_spans: function_spans(data),
-            };
             // Worklist of pending stream starts, drained in ascending
             // order for determinism.
             let mut pending: BTreeSet<usize> = roots
@@ -138,10 +167,19 @@ impl Cfg {
                     (local < data.len()).then_some(local)
                 })
                 .collect();
+            let mut seen = vec![false; data.len()];
+            let mut insns = Vec::new();
             while let Some(start) = pending.pop_first() {
-                instructions += walk_stream(data, start, mode, &mut scfg.insns, &mut pending);
+                walk_stream(data, start, mode, &mut seen, &mut insns, &mut pending);
             }
-            sections.push(scfg);
+            insns.sort_unstable_by_key(|i| i.offset);
+            instructions += insns.len();
+            sections.push(SectionCfg {
+                section: index,
+                insns,
+                sweep_boundaries: boundaries(index, data),
+                function_spans: function_spans(data),
+            });
         }
         Cfg {
             roots,
@@ -156,56 +194,62 @@ impl Cfg {
     }
 }
 
-/// Decodes one stream starting at `start`, recording instructions until a
-/// terminator. Branch targets worth following are added to `pending`.
-/// Returns the number of newly recorded instructions.
+/// The linear sweep's instruction starts over `data`, as a dense table.
+pub(crate) fn sweep_boundaries(data: &[u8], mode: Mode) -> Vec<bool> {
+    let mut marks = vec![false; data.len()];
+    for insn in Sweep::new(data, mode) {
+        marks[insn.offset] = true;
+    }
+    marks
+}
+
+/// Decodes one stream starting at `start`, recording instructions into
+/// `insns` (and `seen`) until a terminator or an already-decoded offset.
+/// Branch targets worth following are added to `pending`.
 fn walk_stream(
     data: &[u8],
     start: usize,
     mode: Mode,
-    insns: &mut BTreeMap<usize, (usize, Kind)>,
+    seen: &mut [bool],
+    insns: &mut Vec<Instruction>,
     pending: &mut BTreeSet<usize>,
-) -> usize {
+) {
     let mut at = start;
-    let mut recorded = 0usize;
-    loop {
-        if insns.contains_key(&at) {
-            return recorded; // joined an already-decoded stream
-        }
+    // Stop on joining an already-decoded stream or running off the end.
+    while seen.get(at) == Some(&false) {
         let Some(insn) = decode(data, at, mode) else {
-            return recorded; // ran off the section end
+            return;
         };
-        insns.insert(at, (insn.len, insn.kind.clone()));
-        recorded += 1;
-        match insn.kind {
-            Kind::Ret | Kind::Unknown => return recorded,
+        seen[at] = true;
+        at = insn.end();
+        let stop = match insn.kind {
+            Kind::Ret | Kind::Unknown | Kind::IndirectBranch { call: false, .. } => true,
             Kind::RelBranch { opcode, target, .. } => {
                 // The unconditional transfers (and only those) are real
                 // control flow in this profile; see the module docs.
                 let unconditional = matches!(opcode, 0xE9 | 0xEB);
-                let follow = unconditional || opcode == 0xE8;
-                if follow {
+                if unconditional || opcode == 0xE8 {
                     if let Ok(t) = usize::try_from(target) {
-                        if t < data.len() && !insns.contains_key(&t) {
+                        if seen.get(t) == Some(&false) {
                             pending.insert(t);
                         }
                     }
                 }
-                if unconditional {
-                    return recorded;
-                }
+                unconditional
             }
-            Kind::IndirectBranch { call: false, .. } => return recorded,
-            _ => {}
+            _ => false,
+        };
+        insns.push(insn);
+        if stop {
+            return;
         }
-        at = insn.end();
     }
 }
 
 /// Base-relocation slot values that, rebased to RVAs, point at a function
 /// prologue inside an executable section. Malformed relocation data yields
 /// an empty list rather than an error.
-fn relocated_prologue_targets(p: &ParsedModule, base: u64, image: &[u8]) -> Vec<u32> {
+pub(crate) fn relocated_prologue_targets(p: &ParsedModule, base: u64, image: &[u8]) -> Vec<u32> {
     const MAX_SLOTS: usize = 1 << 16;
 
     let mut out = Vec::new();
@@ -224,17 +268,12 @@ fn relocated_prologue_targets(p: &ParsedModule, base: u64, image: &[u8]) -> Vec<
     let Some(slot_rvas) = parse_reloc_section(reloc_bytes) else {
         return out;
     };
-    let slot_len = p.width.bytes();
     for slot_rva in slot_rvas.into_iter().take(MAX_SLOTS) {
         let Some(off) = p.rva_to_offset(slot_rva) else {
             continue;
         };
-        let Some(bytes) = image.get(off..off + slot_len) else {
+        let Some(value) = read_thunk(image, off, p.width) else {
             continue;
-        };
-        let value = match p.width {
-            AddressWidth::W32 => u64::from(u32::from_le_bytes(bytes.try_into().unwrap())),
-            AddressWidth::W64 => u64::from_le_bytes(bytes.try_into().unwrap()),
         };
         // The loader wrote `RVA + base` into the slot; undo the rebase.
         let target = value.wrapping_sub(base);
@@ -269,7 +308,7 @@ fn function_spans(data: &[u8]) -> Vec<(usize, usize)> {
     }
     let mut epilogue_from = 0usize;
     for start in 0..=data.len() - PROLOGUE.len() {
-        if data[start..start + PROLOGUE.len()] != PROLOGUE {
+        if data[start] != PROLOGUE[0] || data[start..start + PROLOGUE.len()] != PROLOGUE {
             continue;
         }
         // Epilogue search never needs to restart behind the previous
@@ -294,6 +333,7 @@ mod tests {
     use mc_pe::builder::{PeBuilder, SectionSpec};
     use mc_pe::consts::TEXT_CHARACTERISTICS;
     use mc_pe::corpus::ModuleBlueprint;
+    use mc_pe::AddressWidth;
 
     /// Builds a file image and re-parses it as memory layout is not
     /// possible directly; instead parse the *file* layout and treat file
@@ -314,17 +354,18 @@ mod tests {
         assert!(cfg.instructions > 50, "traversal really ran");
         // Every reachable instruction sits on a linear-sweep boundary: the
         // clean corpus contains no anti-disassembly constructs.
-        for (&off, _) in &text.insns {
+        for insn in &text.insns {
             assert!(
-                text.sweep_boundaries.contains(&off),
-                "clean CFG offset {off:#x} disagrees with the sweep"
+                text.on_sweep_boundary(insn.offset),
+                "clean CFG offset {:#x} disagrees with the sweep",
+                insn.offset
             );
         }
         // No overlap either.
         let mut max_end = 0usize;
-        for (&off, &(len, _)) in &text.insns {
-            assert!(off >= max_end, "overlapping decode in clean code");
-            max_end = off + len;
+        for insn in &text.insns {
+            assert!(insn.offset >= max_end, "overlapping decode in clean code");
+            max_end = insn.end();
         }
     }
 
@@ -340,6 +381,7 @@ mod tests {
         assert_eq!(a.instructions, b.instructions);
         for (sa, sb) in a.sections.iter().zip(&b.sections) {
             assert_eq!(sa.insns, sb.insns);
+            assert_eq!(sa.sweep_boundaries, sb.sweep_boundaries);
             assert_eq!(sa.function_spans, sb.function_spans);
         }
     }
@@ -355,10 +397,10 @@ mod tests {
         let p = parsed_file(pe.bytes());
         let cfg = Cfg::build(&p, 0, pe.bytes(), Mode::Bits32);
         let s = &cfg.sections[0];
-        assert!(s.insns.contains_key(&0), "root instruction decoded");
-        assert!(s.insns.contains_key(&5), "jump target followed");
+        assert!(s.reaches(0), "root instruction decoded");
+        assert!(s.reaches(5), "jump target followed");
         assert!(
-            !s.insns.contains_key(&2),
+            !s.reaches(2),
             "junk after the unconditional jump is not fall-through"
         );
     }

@@ -61,7 +61,7 @@ pub enum Kind {
 }
 
 /// One decoded instruction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Instruction {
     /// Offset of the first byte (prefixes included) in the buffer.
     pub offset: usize,

@@ -34,17 +34,39 @@
 //! resolution (EXP-B1) remain cross-VM-only detections. (IAT data hooks,
 //! formerly in that list, are now caught by L6.)
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 
-use mc_pe::PeError;
+use mc_pe::{AddressWidth, PeError};
 use mc_vmi::{VmiError, VmiSession};
 
 pub mod cfg;
 pub mod decoder;
 mod lints;
 mod list;
+#[cfg(test)]
+mod reference;
 
 pub use list::{ListEntry, ListSurvey};
+
+/// Little-endian `u32` at `off`, or `None` past the end of `image`.
+pub(crate) fn read_u32_at(image: &[u8], off: usize) -> Option<u32> {
+    let bytes = image.get(off..off.checked_add(4)?)?;
+    Some(u32::from_le_bytes(bytes.try_into().ok()?))
+}
+
+/// One pointer-width little-endian slot (an IAT thunk or a relocated
+/// pointer) at `off`, or `None` past the end of `image`.
+pub(crate) fn read_thunk(image: &[u8], off: usize, width: AddressWidth) -> Option<u64> {
+    match width {
+        AddressWidth::W32 => read_u32_at(image, off).map(u64::from),
+        AddressWidth::W64 => {
+            let bytes = image.get(off..off.checked_add(8)?)?;
+            Some(u64::from_le_bytes(bytes.try_into().ok()?))
+        }
+    }
+}
 
 /// Walks one guest's `PsLoadedModuleList` and scans its pool neighborhood,
 /// returning the structured [`ListSurvey`]: linked entries, orphaned

@@ -19,9 +19,9 @@ use mc_pe::consts::{DIR_IMPORT, DOS_HEADER_SIZE, DOS_STUB_MESSAGE};
 use mc_pe::parser::{ParsedModule, SectionView};
 use mc_pe::AddressWidth;
 
-use crate::cfg::{Cfg, SectionCfg};
+use crate::cfg::{sweep_boundaries, Cfg, SectionCfg};
 use crate::decoder::{decode, Kind, Mode, Sweep};
-use crate::{AnalyzerConfig, Confidence, Diagnostic, Lint, Severity};
+use crate::{read_thunk, read_u32_at, AnalyzerConfig, Confidence, Diagnostic, Lint, Severity};
 
 /// The fixed function prologue the clean codegen emits (`PUSH EBP; MOV
 /// EBP, ESP`). Used to delimit inter-function caves.
@@ -55,13 +55,21 @@ pub(crate) fn run(
     // `AnalyzerConfig::sweep_64bit`). L1/L4/L5 and the raw-byte slack lint
     // are width-universal.
     let sweep = mode == Mode::Bits32 || cfg.sweep_64bit;
+    // Each section's sweep marks its instruction starts here, so the CFG
+    // below reuses them instead of decoding the section a second time.
+    let mut boundaries: Vec<Option<Vec<bool>>> = vec![None; p.sections.len()];
     lint_entry_redirects(p, base, image, mode, &mut out);
-    for sec in p.sections.iter().filter(|s| s.is_executable()) {
+    for (index, sec) in p.sections.iter().enumerate() {
+        if !sec.is_executable() {
+            continue;
+        }
         let Some(data) = image.get(sec.data_range.clone()) else {
             continue;
         };
         if sweep {
-            sweep_section(p, sec, data, base, mode, &mut out, &mut stats);
+            boundaries[index] = Some(sweep_section(
+                p, sec, data, base, mode, &mut out, &mut stats,
+            ));
         }
         lint_section_slack(p, sec, base, image, &mut out);
     }
@@ -71,7 +79,11 @@ pub(crate) fn run(
     // reachability, so both are sound on either width; L8/L9 compare the
     // CFG against the linear sweep and share its gating.
     if cfg.cfg_lints {
-        let graph = Cfg::build(p, base, image, mode);
+        let graph = Cfg::build_with(p, base, image, mode, |index, data| {
+            boundaries[index]
+                .take()
+                .unwrap_or_else(|| sweep_boundaries(data, mode))
+        });
         stats.instructions += graph.instructions;
         lint_import_integrity(p, base, image, &mut out);
         for scfg in &graph.sections {
@@ -94,7 +106,7 @@ pub(crate) fn run(
 
 /// L1 — does any entry point (AddressOfEntryPoint or exported function)
 /// begin with a control transfer instead of a function body?
-fn lint_entry_redirects(
+pub(crate) fn lint_entry_redirects(
     p: &ParsedModule,
     base: u64,
     image: &[u8],
@@ -174,7 +186,9 @@ fn lint_entry_redirects(
     }
 }
 
-/// L2 + L3 over one executable section in a single linear sweep.
+/// L2 + L3 over one executable section in a single linear sweep. Returns
+/// the sweep's instruction starts as a dense table over `data` (see
+/// [`SectionCfg::sweep_boundaries`]).
 fn sweep_section(
     p: &ParsedModule,
     sec: &SectionView,
@@ -183,13 +197,15 @@ fn sweep_section(
     mode: Mode,
     out: &mut Vec<Diagnostic>,
     stats: &mut ImageStats,
-) {
+) -> Vec<bool> {
     let sec_va = u64::from(sec.virtual_address);
     let mut ret_ends: Vec<usize> = Vec::new();
     let mut unknown = 0usize;
+    let mut boundaries = vec![false; data.len()];
 
     for insn in Sweep::new(data, mode) {
         stats.instructions += 1;
+        boundaries[insn.offset] = true;
         match insn.kind {
             Kind::RelBranch {
                 opcode,
@@ -259,6 +275,7 @@ fn sweep_section(
     }
 
     lint_caves(sec, data, base, &ret_ends, out);
+    boundaries
 }
 
 /// L3 — inter-function caves. In clean code every gap between a `RET` and
@@ -271,22 +288,20 @@ fn lint_caves(
     ret_ends: &[usize],
     out: &mut Vec<Diagnostic>,
 ) {
-    // All prologue positions, one pass.
+    // All prologue positions, one pass, ascending.
     let mut prologues: Vec<usize> = Vec::new();
     if data.len() >= PROLOGUE.len() {
         for i in 0..=data.len() - PROLOGUE.len() {
-            if data[i..i + PROLOGUE.len()] == PROLOGUE {
+            if data[i] == PROLOGUE[0] && data[i..i + PROLOGUE.len()] == PROLOGUE {
                 prologues.push(i);
             }
         }
     }
 
     for &gap_start in ret_ends {
-        let gap_end = prologues
-            .iter()
-            .find(|&&pp| pp >= gap_start)
-            .copied()
-            .unwrap_or(data.len());
+        // The gap runs to the first prologue at or after its start.
+        let next = prologues.partition_point(|&pp| pp < gap_start);
+        let gap_end = prologues.get(next).copied().unwrap_or(data.len());
         let gap = &data[gap_start.min(data.len())..gap_end];
         let nonzero = gap.iter().filter(|&&b| b != 0).count();
         if nonzero == 0 {
@@ -310,7 +325,7 @@ fn lint_caves(
 
 /// L3 (slack variant) — bytes between the end of an executable section's
 /// declared data and the next section must be the loader's zero fill.
-fn lint_section_slack(
+pub(crate) fn lint_section_slack(
     p: &ParsedModule,
     sec: &SectionView,
     base: u64,
@@ -346,7 +361,7 @@ fn lint_section_slack(
 }
 
 /// L4 — PE structural invariants.
-fn lint_pe_structure(
+pub(crate) fn lint_pe_structure(
     p: &ParsedModule,
     base: u64,
     image: &[u8],
@@ -433,7 +448,12 @@ fn lint_pe_structure(
 /// byte-identical to the import name table (`OriginalFirstThunk` array) in
 /// memory, so any divergent slot is a planted pointer — the address an
 /// indirect `CALL`/`JMP [disp32]` through that slot actually dispatches to.
-fn lint_import_integrity(p: &ParsedModule, base: u64, image: &[u8], out: &mut Vec<Diagnostic>) {
+pub(crate) fn lint_import_integrity(
+    p: &ParsedModule,
+    base: u64,
+    image: &[u8],
+    out: &mut Vec<Diagnostic>,
+) {
     const DESC_SIZE: usize = 20;
     const DESC_NAME: usize = 12;
     const DESC_FIRST_THUNK: usize = 16;
@@ -541,21 +561,6 @@ fn import_dll_name(p: &ParsedModule, image: &[u8], name_rva: u32) -> Option<Stri
     (!name.is_empty()).then(|| name.to_string())
 }
 
-fn read_u32_at(image: &[u8], off: usize) -> Option<u32> {
-    image
-        .get(off..off + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-}
-
-fn read_thunk(image: &[u8], off: usize, width: AddressWidth) -> Option<u64> {
-    match width {
-        AddressWidth::W32 => read_u32_at(image, off).map(u64::from),
-        AddressWidth::W64 => image
-            .get(off..off + 8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap())),
-    }
-}
-
 /// L7 — non-zero executable bytes that are outside every function span
 /// *and* unreachable from every CFG root. Subsumes L3's cave heuristic:
 /// the cave lint needs the sweep to find the `RET`s, whereas this works
@@ -571,7 +576,7 @@ fn lint_unreachable_code(
 
     // Covered intervals: function spans plus every reachable instruction.
     let mut intervals: Vec<(usize, usize)> = scfg.function_spans.clone();
-    intervals.extend(scfg.insns.iter().map(|(&off, &(len, _))| (off, off + len)));
+    intervals.extend(scfg.insns.iter().map(|i| (i.offset, i.end())));
     intervals.sort_unstable();
     let mut merged: Vec<(usize, usize)> = Vec::new();
     for (s, e) in intervals {
@@ -627,16 +632,17 @@ fn lint_hidden_transfers(
     out: &mut Vec<Diagnostic>,
 ) {
     let sec_va = u64::from(sec.virtual_address);
-    for (&off, (_, kind)) in &scfg.insns {
+    for insn in &scfg.insns {
         let Kind::RelBranch {
             opcode,
             target,
             rel32: true,
-        } = *kind
+        } = insn.kind
         else {
             continue;
         };
-        if scfg.sweep_boundaries.contains(&off) {
+        let off = insn.offset;
+        if scfg.on_sweep_boundary(off) {
             continue;
         }
         let target_rva = sec_va as i64 + target;
@@ -676,7 +682,8 @@ fn lint_overlapping_decodes(
     let mut max_end = 0usize;
     let mut owner = (0usize, 0usize); // (offset, len) of the instruction reaching max_end
     let mut reported = 0usize;
-    for (&off, &(len, _)) in &scfg.insns {
+    for insn in &scfg.insns {
+        let (off, len) = (insn.offset, insn.len);
         if off < max_end && reported < MAX_OVERLAPS {
             out.push(Diagnostic {
                 lint: Lint::OverlappingDecode,
@@ -701,7 +708,7 @@ fn lint_overlapping_decodes(
 }
 
 /// Mnemonic for a relative-branch opcode (one-byte map or `0F`-escaped).
-fn branch_mnemonic(opcode: u8) -> &'static str {
+pub(crate) fn branch_mnemonic(opcode: u8) -> &'static str {
     match opcode {
         0xE8 => "CALL",
         0xE9 | 0xEB => "JMP",

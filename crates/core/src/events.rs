@@ -132,9 +132,14 @@ impl EventPlane {
     }
 
     /// Arms every `(vm, module)` combination; returns the total frames
-    /// watched. VMs whose session cannot attach (lost, faulted out) are
-    /// skipped — they will scan cold through the normal path, which is the
-    /// correct degraded behavior.
+    /// watched. A pair that cannot be armed — its VM is lost or faulted
+    /// out, or its guest serves a module list entry the searcher rejects
+    /// (a missing module, a forged `SizeOfImage`) — stays unarmed and
+    /// arming goes on with the next pair: an unarmed pair is never
+    /// trusted, so it scans through the normal poll path, which is where
+    /// its failure becomes that VM's verdict. One hostile guest therefore
+    /// cannot switch push mode off for the rest of the fleet. Never
+    /// returns `Err` today.
     pub fn arm_modules(
         &mut self,
         hv: &mut Hypervisor,
@@ -146,8 +151,9 @@ impl EventPlane {
             for module in modules {
                 match self.arm_pair(hv, vm, module, true) {
                     Ok(n) => frames += n,
-                    Err(CheckError::Vmi(e)) if e.is_fatal_to_vm() => continue,
-                    Err(e) => return Err(e),
+                    // A re-arm that fails must not leave the pair trusted
+                    // on its old watches.
+                    Err(_) => self.disarm_pair(hv, vm, module)?,
                 }
             }
         }

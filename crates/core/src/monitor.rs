@@ -746,6 +746,41 @@ mod tests {
     }
 
     #[test]
+    fn a_forged_size_of_image_leaves_one_pair_unarmed_not_the_plane() {
+        let (mut hv, guests, ids) = cloud(3);
+        let offs = mc_guest::ldr::LdrOffsets::for_width(AddressWidth::W32);
+        let entry = guests[1].find_module("hal.dll").unwrap().ldr_entry_va;
+        hv.vm_mut(ids[1])
+            .unwrap()
+            .write_virt(entry + offs.size_of_image, &u32::MAX.to_le_bytes())
+            .unwrap();
+
+        // The plane arms the other five pairs and reports success.
+        let mut plane = crate::events::EventPlane::new();
+        let modules = vec!["hal.dll".to_string(), "ndis.sys".to_string()];
+        assert!(plane.arm_modules(&mut hv, &ids, &modules).unwrap() > 0);
+        assert_eq!(plane.armed_len(), 5);
+        let trusted = plane.trusted_for("hal.dll", &ids);
+        assert!(!trusted.contains(&ids[1]) && trusted.len() == 2);
+
+        // The monitor installs its plane, and a push round scans dom2's
+        // unarmed hal.dll through the poll path into a verdict.
+        let m = monitor();
+        assert!(m.arm_events(&mut hv, &ids).unwrap() > 0);
+        assert!(m.events_armed());
+        assert_eq!(m.event_stats().unwrap().pairs_armed, 5);
+        let round = m.run_round_events(&hv, &ids);
+        let (_, hal) = round.iter().find(|(name, _)| name == "hal.dll").unwrap();
+        let report = hal
+            .as_ref()
+            .expect("dom2's failure is a verdict, not an Err");
+        let dom2 = &report.verdicts[1];
+        assert_eq!(dom2.vm_name, "dom2");
+        let error = dom2.error.as_ref().expect("dom2 cannot be captured");
+        assert!(error.detail.contains(&u32::MAX.to_string()), "{error:?}");
+    }
+
+    #[test]
     fn clean_rounds_emit_clean_events() {
         let (hv, _guests, ids) = cloud(3);
         let (tx, rx) = unbounded();
