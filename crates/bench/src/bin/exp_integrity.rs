@@ -40,7 +40,7 @@ fn main() {
             .map(|v| v.suspect_parts.clone())
             .unwrap_or_default();
 
-        let parts: Vec<String> = flagged.iter().map(|p| p.to_string()).collect();
+        let parts: Vec<String> = flagged.iter().map(ToString::to_string).collect();
         println!(
             "{:<42} {:<16} {:<9} {}",
             technique.to_string(),

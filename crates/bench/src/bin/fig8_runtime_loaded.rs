@@ -60,11 +60,10 @@ fn arg_f64(key: &str, default: f64) -> f64 {
     args.iter()
         .position(|a| a == key)
         .and_then(|i| args.get(i + 1))
-        .map(|v| {
+        .map_or(default, |v| {
             v.parse()
                 .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
         })
-        .unwrap_or(default)
 }
 
 fn main() {

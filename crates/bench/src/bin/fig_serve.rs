@@ -141,7 +141,9 @@ fn main() {
             "rate={rate}: some query has no typed outcome"
         );
 
-        let ms = |d: Option<mc_hypervisor::SimDuration>| d.map_or(0.0, |d| d.as_millis_f64());
+        let ms = |d: Option<mc_hypervisor::SimDuration>| {
+            d.map_or(0.0, mc_hypervisor::SimDuration::as_millis_f64)
+        };
         rows.push(Row {
             fault_rate: rate,
             qps: report.answered_per_sec(),

@@ -915,7 +915,7 @@ fn cmd_monitor(args: &mut Args) -> Result<(), String> {
         monitor.run(&bed.hv, &bed.vm_ids, rounds, &tx);
     }
     drop(tx);
-    for event in rx.iter() {
+    for event in &rx {
         match event {
             MonitorEvent::Clean { round, module } => {
                 println!("round {round}: {module:<12} clean");

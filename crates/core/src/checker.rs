@@ -11,9 +11,11 @@
 //! them is done once per capture rather than once per pair or per round:
 //! its [`canonical_form`], and for each executable section the digest of
 //! its Algorithm 2 output, keyed by the log of slots that pass rewrote.
-//! Neither memo changes what a comparison returns or what it charges to a
-//! ledger.
+//! Across captures, one scan's canonical pass hashes each distinct
+//! normalized executable section once ([`SeenSections`]). None of this
+//! changes what a comparison returns or what it charges to a ledger.
 
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use mc_pe::AddressWidth;
@@ -391,7 +393,22 @@ pub fn canonical_form(
     m: &ExtractedModule,
     ledger: Option<&mut VmiSession<'_>>,
 ) -> Option<CanonicalForm> {
-    let memo = m.canonical.get_or_init(|| compute_canonical(m)).as_ref()?;
+    canonical_form_in(m, ledger, &mut SeenSections::default())
+}
+
+/// [`canonical_form`] within one scan: a normalized executable section
+/// byte-identical to one already in `seen` (same algorithm) takes its
+/// digest instead of being hashed again. The form and the ledger charge
+/// are exactly those of [`canonical_form`].
+pub(crate) fn canonical_form_in(
+    m: &ExtractedModule,
+    ledger: Option<&mut VmiSession<'_>>,
+    seen: &mut SeenSections,
+) -> Option<CanonicalForm> {
+    let memo = m
+        .canonical
+        .get_or_init(|| compute_canonical(m, seen))
+        .as_ref()?;
     if let Some(ledger) = ledger {
         let cost = *ledger.cost_model();
         let exec_len: usize = m.parts.exec_sections.iter().map(|s| s.range.len()).sum();
@@ -407,8 +424,59 @@ pub fn canonical_form(
     Some(memo.form.clone())
 }
 
-/// The uncached work behind [`canonical_form`].
-fn compute_canonical(m: &ExtractedModule) -> Option<CanonicalMemo> {
+/// Normalized executable sections already hashed in one scan, with their
+/// digests.
+///
+/// A pool's clean captures normalize to the same bytes, so a scan holding
+/// this table MD5s each distinct section once rather than once per VM. The
+/// table keeps the normalized images it points into (moved in, not copied)
+/// and is searched linearly. That needs no bound: distinct sections stand
+/// for canonical buckets, and the scan already runs a full pairwise
+/// comparison between every two bucket representatives, so one byte
+/// comparison per recorded section adds nothing asymptotically.
+#[derive(Debug, Default)]
+pub(crate) struct SeenSections {
+    /// Normalized images owning at least one recorded section.
+    images: Vec<Vec<u8>>,
+    /// `(image index, byte range, digest)` of each recorded section.
+    sections: Vec<(usize, Range<usize>, PartDigest)>,
+}
+
+impl SeenSections {
+    /// Takes a normalized image in and returns its index.
+    fn admit(&mut self, image: Vec<u8>) -> usize {
+        self.images.push(image);
+        self.images.len() - 1
+    }
+
+    /// The `algo` digest of `range` of image `image`: a recorded section's
+    /// when one is byte-identical under the same algorithm, otherwise
+    /// hashed and recorded.
+    fn digest(&mut self, image: usize, range: Range<usize>, algo: DigestAlgo) -> PartDigest {
+        let bytes = &self.images[image][range.clone()];
+        let hit = self
+            .sections
+            .iter()
+            .find(|(i, r, d)| d.algo() == algo && self.images[*i][r.clone()] == *bytes);
+        if let Some(&(_, _, d)) = hit {
+            return d;
+        }
+        let d = digest(algo, bytes);
+        self.sections.push((image, range, d));
+        d
+    }
+
+    /// Drops image `image` again when none of its sections was recorded
+    /// (it is the latest admitted, so no index moves).
+    fn release_unused(&mut self, image: usize) {
+        if self.sections.last().is_none_or(|(i, _, _)| *i != image) {
+            self.images.truncate(image);
+        }
+    }
+}
+
+/// The uncached work behind [`canonical_form_in`].
+fn compute_canonical(m: &ExtractedModule, seen: &mut SeenSections) -> Option<CanonicalMemo> {
     let parsed = mc_pe::parser::ParsedModule::parse_memory(&m.image.bytes).ok()?;
     let reloc_len = parsed
         .find_section(".reloc")
@@ -416,13 +484,15 @@ fn compute_canonical(m: &ExtractedModule) -> Option<CanonicalMemo> {
     let mut bytes = m.image.bytes.clone();
     let slots_normalized =
         crate::rva::normalize_with_reloc_table(&mut bytes, m.image.base, &parsed)?;
+    let image = seen.admit(bytes);
     let mut part_digests = m.header_hashes.clone();
     for s in &m.parts.exec_sections {
         part_digests.push((
             PartId::SectionData(s.name.clone()),
-            digest(m.algo, &bytes[s.range.clone()]),
+            seen.digest(image, s.range.clone(), m.algo),
         ));
     }
+    seen.release_unused(image);
     part_digests.sort_by(|x, y| x.0.cmp(&y.0));
     Some(CanonicalMemo {
         form: CanonicalForm {
@@ -784,5 +854,27 @@ mod tests {
             vec![PartId::SectionData(".text".into())]
         );
         assert!(compare_pair(&a, &b, None).unwrap().matches());
+    }
+
+    #[test]
+    fn one_scan_hashes_each_distinct_section_once() {
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let a = extract_from(&hv, guests[0].vm, "hal.dll");
+        let b = extract_from(&hv, guests[1].vm, "hal.dll");
+        let mut c = a.clone();
+        let at = c.parts.exec_sections[0].range.start + 3;
+        c.image.bytes[at] ^= 0xFF;
+        let sha = ExtractedModule::with_algo(a.image.clone(), DigestAlgo::Sha256).unwrap();
+        let exec = a.parts.exec_sections.len();
+
+        let mut seen = SeenSections::default();
+        for m in [&a, &b, &c, &sha] {
+            let alone = canonical_form(&m.clone(), None);
+            assert_eq!(canonical_form_in(m, None, &mut seen), alone);
+        }
+        // `a` and `b` normalize alike; `c` differs in one byte, and `sha`
+        // has `a`'s bytes under another algorithm.
+        assert_eq!(seen.sections.len(), 3 * exec);
+        assert_eq!(seen.images.len(), 3, "b's image was not kept");
     }
 }

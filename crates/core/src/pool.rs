@@ -29,7 +29,8 @@ use mc_hypervisor::{Hypervisor, SimDuration, VmId, PAGE_SIZE};
 use mc_vmi::{RetryPolicy, VmiError, VmiSession, VmiStats};
 
 use crate::checker::{
-    canonical_form, compare_pair_with, CanonicalForm, ExtractedModule, PairOutcome, PairScratch,
+    canonical_form_in, compare_pair_with, CanonicalForm, ExtractedModule, PairOutcome, PairScratch,
+    SeenSections,
 };
 use crate::digest::PartDigest;
 use crate::error::CheckError;
@@ -485,7 +486,9 @@ impl ModChecker {
                 // re-parsed (digests included) like a fresh one. It
                 // replaces the entry — a refresh is exactly as current as
                 // a fresh capture (the stamps were probed before the copy,
-                // same conservative race story as the miss path).
+                // same conservative race story as the miss path). A
+                // refresh that reads back the capture's own bytes keeps
+                // the capture instead (DESIGN.md §14).
                 cache.stats.partial_hits += 1;
                 let mut bytes = cache.arena.acquire(hit.module.image.bytes.len());
                 bytes.copy_from_slice(&hit.module.image.bytes);
@@ -501,17 +504,15 @@ impl ModChecker {
                 times.searcher = session.take_elapsed();
 
                 let page = |i: usize| i * PAGE_SIZE..(i * PAGE_SIZE + PAGE_SIZE).min(bytes.len());
+                let unchanged = dirty
+                    .iter()
+                    .all(|&i| bytes[page(i)] == hit.module.image.bytes[page(i)]);
                 // Tamper evidence: generations moved yet every refreshed
                 // page reads back byte-identical to the cached capture —
                 // the module was written and then restored. A polling scan
                 // would call this round clean; the write-generation trail
                 // says an adversary raced the scan window (DESIGN.md §16).
-                if self.config.tamper_evidence
-                    && !dirty.is_empty()
-                    && dirty
-                        .iter()
-                        .all(|&i| bytes[page(i)] == hit.module.image.bytes[page(i)])
-                {
+                if self.config.tamper_evidence && !dirty.is_empty() && unchanged {
                     cache.stats.silent_restores += 1;
                     cache.silent_restores.insert((vm, module.to_string()));
                 }
@@ -531,6 +532,22 @@ impl ModChecker {
                 cache.stats.pages_refreshed += dirty.len() as u64;
                 cache.stats.pages_reused += (bytes.len().div_ceil(PAGE_SIZE) - dirty.len()) as u64;
 
+                if unchanged {
+                    // Same bytes, same capture: the entry goes back with
+                    // the new stamps, keeping its decoded module (parse
+                    // and digests) and its serial, which names exactly
+                    // these bytes. The charges above stand, so simulated
+                    // time reads as if it had been re-parsed.
+                    cache.arena.release(bytes);
+                    times.checker = session.take_elapsed();
+                    let (module, serial) = (Arc::clone(&hit.module), hit.serial);
+                    let kept = CacheEntry {
+                        generations: gens,
+                        ..hit
+                    };
+                    cache.entries.insert(key, kept);
+                    return finish(Ok(module), times, &session).cached_as(Some(serial));
+                }
                 let image = crate::searcher::ModuleImage {
                     vm: hit.module.image.vm,
                     vm_name: hit.module.image.vm_name.clone(),
@@ -1112,9 +1129,10 @@ impl ModChecker {
             workers,
             times,
             |chunk, mut ledger| {
+                let mut seen = SeenSections::default();
                 chunk
                     .iter()
-                    .map(|(_, m)| canonical_form(m, ledger.as_deref_mut()))
+                    .map(|(_, m)| canonical_form_in(m, ledger.as_deref_mut(), &mut seen))
                     .collect()
             },
         )?;
@@ -2538,6 +2556,295 @@ mod tests {
         );
         let (_, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
         assert!(reused, "the loaded vote is memoized in turn");
+    }
+
+    /// The cached capture of `module` on `vm`, and its entry serial.
+    fn cached(cache: &CaptureCache, vm: VmId, module: &str) -> (Arc<ExtractedModule>, u64) {
+        let e = &cache.entries[&(vm, module.to_string())];
+        (Arc::clone(&e.module), e.serial)
+    }
+
+    /// Writes `len` bytes of `guest`'s hal.dll at `offset` back over
+    /// themselves: the page's write-generation moves, its bytes do not.
+    fn rewrite_in_place(
+        hv: &mut Hypervisor,
+        guest: &GuestOs,
+        cache: &CaptureCache,
+        offset: usize,
+        len: usize,
+    ) {
+        let (m, _) = cached(cache, guest.vm, "hal.dll");
+        let same = m.image.bytes[offset..offset + len].to_vec();
+        guest
+            .patch_module(hv, "hal.dll", offset as u64, &same)
+            .unwrap();
+    }
+
+    #[test]
+    fn an_identical_page_rewrite_keeps_the_cached_capture() {
+        let (mut hv, guests, ids) = cloud(4);
+        let checker = memo_checker();
+        let mut cache = CaptureCache::new();
+        scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        let (before, serial) = cached(&cache, ids[1], "hal.dll");
+        // A `.text` page, then page 0 (the headers).
+        for offset in [0x1003, 0x10] {
+            rewrite_in_place(&mut hv, &guests[1], &cache, offset, 2);
+            // The same pages written with different bytes, on a copy: the
+            // refresh it takes re-parses, and must charge the same.
+            let (mut hv_changed, mut cache_changed) = (hv.clone(), cache.clone());
+            guests[1]
+                .patch_module(&mut hv_changed, "hal.dll", offset as u64, &[0xCC, 0xCC])
+                .unwrap();
+            let changed = checker
+                .check_pool_with_cache(&hv_changed, &ids, "hal.dll", &mut cache_changed)
+                .unwrap();
+
+            let stats = cache.stats();
+            let (report, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+            assert_eq!(cache.stats().partial_hits, stats.partial_hits + 1);
+            assert_eq!(cache.stats().pages_refreshed, stats.pages_refreshed + 1);
+            let (after, kept_serial) = cached(&cache, ids[1], "hal.dll");
+            assert!(
+                Arc::ptr_eq(&before, &after),
+                "{offset:#x}: capture replaced"
+            );
+            assert_eq!(
+                kept_serial, serial,
+                "{offset:#x}: the serial names the capture"
+            );
+            assert!(reused, "{offset:#x}: unchanged captures reuse their vote");
+            assert!(report.all_clean());
+            assert_eq!(
+                format!("{:?}", report.per_vm[1]),
+                format!("{:?}", changed.per_vm[1]),
+                "{offset:#x}: the kept capture is charged like a re-parsed one"
+            );
+            assert_eq!(suspect_names(&changed), vec!["dom2"]);
+        }
+        let uncached = checker.check_pool(&hv, &ids, "hal.dll").unwrap();
+        assert!(uncached.all_clean());
+    }
+
+    #[test]
+    fn an_identical_rewrite_still_records_the_silent_restore() {
+        let (mut hv, guests, ids) = cloud(4);
+        let checker = ModChecker::with_config(CheckConfig {
+            tamper_evidence: true,
+            ..memo_checker().config
+        });
+        let mut cache = CaptureCache::new();
+        scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        let (before, _) = cached(&cache, ids[1], "hal.dll");
+        rewrite_in_place(&mut hv, &guests[1], &cache, 0x1003, 2);
+        let (report, _) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert!(report.all_clean());
+        assert!(Arc::ptr_eq(&before, &cached(&cache, ids[1], "hal.dll").0));
+        assert_eq!(cache.stats().silent_restores, 1);
+        assert_eq!(
+            cache.silent_restores(),
+            vec![(ids[1], "hal.dll".to_string())]
+        );
+    }
+
+    #[test]
+    fn one_changed_page_among_identical_ones_re_parses_and_flags() {
+        let (mut hv, guests, ids) = cloud(4);
+        let checker = memo_checker();
+        let mut cache = CaptureCache::new();
+        scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        let (before, serial) = cached(&cache, ids[1], "hal.dll");
+        // Page 0 rewritten with its own bytes, page 1 (`.text`) changed:
+        // the identical page comes first in the refresh.
+        rewrite_in_place(&mut hv, &guests[1], &cache, 0x10, 2);
+        guests[1]
+            .patch_module(&mut hv, "hal.dll", 0x1003, &[0xCC])
+            .unwrap();
+        let stats = cache.stats();
+        let (report, reused) = scan_against_oracle(&checker, &hv, &ids, &mut cache);
+        assert_eq!(cache.stats().partial_hits, stats.partial_hits + 1);
+        assert_eq!(cache.stats().pages_refreshed, stats.pages_refreshed + 2);
+        let (after, new_serial) = cached(&cache, ids[1], "hal.dll");
+        assert!(
+            !Arc::ptr_eq(&before, &after),
+            "a changed byte must re-parse"
+        );
+        assert_ne!(new_serial, serial);
+        assert!(!reused);
+        assert_eq!(suspect_names(&report), vec!["dom2"]);
+        let uncached = checker.check_pool(&hv, &ids, "hal.dll").unwrap();
+        for (a, b) in report.verdicts.iter().zip(&uncached.verdicts) {
+            assert_eq!(a.status, b.status, "{}", a.vm_name);
+            assert_eq!(a.suspect_parts, b.suspect_parts, "{}", a.vm_name);
+        }
+    }
+
+    /// Scans `module` through `cache` (every VM in `trusted` served from
+    /// its entry) and checks each cached capture's canonical form — filled
+    /// in by the scan, which hashes each distinct section once — against
+    /// that of a memo-free clone canonicalized alone. Returns the forms
+    /// of the cached captures, in `ids` order.
+    fn per_scan_forms_match(
+        checker: &ModChecker,
+        hv: &Hypervisor,
+        ids: &[VmId],
+        module: &str,
+        cache: &mut CaptureCache,
+        trusted: &HashSet<VmId>,
+    ) -> Vec<Option<CanonicalForm>> {
+        checker
+            .check_pool_with_cache_trusted(hv, ids, module, cache, trusted)
+            .unwrap();
+        let mut forms = Vec::new();
+        for &vm in ids {
+            let Some(e) = cache.entries.get(&(vm, module.to_string())) else {
+                continue;
+            };
+            let per_scan = crate::checker::canonical_form(&e.module, None);
+            let alone = crate::checker::canonical_form(&ExtractedModule::clone(&e.module), None);
+            assert_eq!(per_scan, alone, "{module} on {vm:?}");
+            forms.push(per_scan);
+        }
+        forms
+    }
+
+    #[test]
+    fn per_scan_section_dedup_matches_per_capture_forms() {
+        let sha = ModChecker::with_config(CheckConfig {
+            digest: crate::digest::DigestAlgo::Sha256,
+            ..canonical_checker().config
+        });
+        let none = HashSet::new();
+        for checker in [canonical_checker(), sha] {
+            let (mut hv, guests, ids) = cloud(6);
+            let distinct = |hv: &Hypervisor| {
+                let forms = per_scan_forms_match(
+                    &checker,
+                    hv,
+                    &ids,
+                    "hal.dll",
+                    &mut CaptureCache::new(),
+                    &none,
+                );
+                assert_eq!(forms.len(), ids.len());
+                let fingerprints: std::collections::BTreeSet<_> = forms
+                    .into_iter()
+                    .map(|f| f.expect("corpus modules carry .reloc").part_digests)
+                    .collect();
+                fingerprints.len()
+            };
+            assert_eq!(distinct(&hv), 1, "clean pool");
+            guests[2]
+                .patch_module(&mut hv, "hal.dll", 0x1003, &[0xCC])
+                .unwrap();
+            assert_eq!(distinct(&hv), 2, "single infection");
+            for g in &guests[3..] {
+                g.patch_module(&mut hv, "hal.dll", 0x1009, &[0xFE, 0xED])
+                    .unwrap();
+            }
+            assert_eq!(distinct(&hv), 3, "worm majority");
+        }
+    }
+
+    #[test]
+    fn duplicate_named_exec_sections_dedup_within_one_capture() {
+        let (hv, _guests, ids) = cloud(4);
+        let checker = canonical_checker();
+        let mut cache = CaptureCache::new();
+        checker
+            .check_pool_with_cache(&hv, &ids, "hal.dll", &mut cache)
+            .unwrap();
+        // Every capture, then one, carries a second `.text` byte-identical
+        // to its first; the scan serves them from the cache on trust.
+        let trusted: HashSet<VmId> = ids.iter().copied().collect();
+        for targets in [&ids[..], &ids[1..2]] {
+            let mut scan_cache = cache.clone();
+            for &vm in targets {
+                let e = scan_cache.entries.get_mut(&(vm, "hal.dll".into())).unwrap();
+                let mut m = ExtractedModule::clone(&e.module);
+                let dup = m.parts.exec_sections[0].clone();
+                m.parts.exec_sections.push(dup);
+                e.module = Arc::new(m);
+                // A serial no entry has had, so the vote is recomputed.
+                e.serial += 1000;
+            }
+            let forms =
+                per_scan_forms_match(&checker, &hv, &ids, "hal.dll", &mut scan_cache, &trusted);
+            let text = PartId::SectionData(".text".into());
+            for &vm in targets {
+                let pos = ids.iter().position(|&id| id == vm).unwrap();
+                let f = forms[pos].as_ref().unwrap();
+                let texts: Vec<_> = f
+                    .part_digests
+                    .iter()
+                    .filter(|(id, _)| *id == text)
+                    .collect();
+                assert_eq!(texts.len(), 2);
+                assert_eq!(texts[0].1, texts[1].1);
+            }
+        }
+    }
+
+    #[test]
+    fn per_scan_section_dedup_matches_on_mutant_units() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, RngExt, SeedableRng};
+        let checker = canonical_checker();
+        let none = HashSet::new();
+        let mut mutant_forms = 0;
+        for seed in 0..6u64 {
+            let (mut hv, guests, ids) = cloud(8);
+            // VMs 0 and 1 stay clean; VMs 2..8 take mutants in pairs, each
+            // pair the same corruption of its own bytes (truncation cannot
+            // be planted in guest memory, so `.text` flips stand in for it).
+            for (pair, vms) in guests[2..].chunks(2).enumerate() {
+                let mut rng = StdRng::seed_from_u64(seed * 16 + pair as u64);
+                let kind = rng.random_range(0..3u32);
+                let draws: Vec<(u64, u8)> = (0..8)
+                    .map(|_| (rng.next_u64(), rng.random_range(0..256u32) as u8))
+                    .collect();
+                for g in vms {
+                    let mut session = VmiSession::attach(&hv, g.vm).unwrap();
+                    let mut bytes = ModuleSearcher::find(&mut session, "http.sys")
+                        .unwrap()
+                        .bytes;
+                    drop(session);
+                    let parsed = mc_pe::parser::ParsedModule::parse_memory(&bytes).unwrap();
+                    let range = |name: &str| {
+                        let i = parsed.find_section(name).unwrap();
+                        parsed.sections[i].data_range.clone()
+                    };
+                    let region = match kind {
+                        0 => 0..0x600,
+                        1 => range(".reloc"),
+                        _ => range(".text"),
+                    };
+                    for &(at, value) in &draws {
+                        let off = region.start + (at % region.len() as u64) as usize;
+                        if kind == 1 {
+                            bytes[off] = value;
+                        } else {
+                            bytes[off] ^= 1 << (value % 8);
+                        }
+                    }
+                    g.patch_module(&mut hv, "http.sys", 0, &bytes).unwrap();
+                }
+            }
+            let forms = per_scan_forms_match(
+                &checker,
+                &hv,
+                &ids,
+                "http.sys",
+                &mut CaptureCache::new(),
+                &none,
+            );
+            let clean = forms[0].clone();
+            mutant_forms += forms.iter().filter(|f| f.is_some() && **f != clean).count();
+        }
+        assert!(
+            mutant_forms > 0,
+            "no mutant reached a canonical form of its own"
+        );
     }
 
     #[test]

@@ -1774,7 +1774,6 @@ mod tests {
             },
         ];
         s.read_va_vectored(&mut reqs).unwrap();
-        drop(reqs);
         assert_eq!(&a, b"intros");
         assert_eq!(&b, b"pect me");
         assert_eq!(s.stats().vectored_reads, 0, "legacy path takes no credit");
@@ -1801,7 +1800,6 @@ mod tests {
             s.read_va_vectored(&mut reqs),
             Err(VmiError::Hv(HvError::UnmappedVa(_)))
         ));
-        drop(reqs);
         assert_eq!(s.stats().pages_mapped, 0, "failed plan maps nothing");
     }
 
@@ -1833,7 +1831,6 @@ mod tests {
                 },
             ];
             s.read_va_vectored_stable(&mut reqs).unwrap();
-            drop(reqs);
             assert_eq!(&lo[..], &truth[..2048], "stable batch returned torn bytes");
             assert_eq!(&hi[..], &truth[2048..], "stable batch returned torn bytes");
             tears = s.stats().torn_detected;
