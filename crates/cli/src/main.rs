@@ -798,11 +798,10 @@ fn cmd_serve(args: &mut Args) -> Result<(), String> {
             .map_or(serve_defaults.freshness_window, |ms| {
                 SimDuration::from_millis(ms as u64)
             }),
-        events: args.flag("events"),
         ..serve_defaults
     };
     let server = modchecker::AttestServer::new(config);
-    if config.events {
+    if args.flag("events") {
         let frames = server
             .arm_events(&mut bed.hv, &fleet)
             .map_err(|e| e.to_string())?;
@@ -910,10 +909,8 @@ fn cmd_monitor(args: &mut Args) -> Result<(), String> {
             .arm_events(&mut bed.hv, &bed.vm_ids)
             .map_err(|e| e.to_string())?;
         eprintln!("events: armed write traps over {frames} guest frame(s)");
-        monitor.run_events(&bed.hv, &bed.vm_ids, rounds, &tx);
-    } else {
-        monitor.run(&bed.hv, &bed.vm_ids, rounds, &tx);
     }
+    monitor.run(&bed.hv, &bed.vm_ids, rounds, &tx);
     drop(tx);
     for event in &rx {
         match event {

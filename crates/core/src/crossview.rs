@@ -40,15 +40,16 @@ use mc_vmi::{RetryPolicy, VmiSession};
 
 use crate::error::CheckError;
 
+/// Pages swept beyond the span of the listed (and orphan-claimed) bases.
+/// The per-VM allocation skew shifts *every* module of a VM equally, so the
+/// margin only has to absorb inter-allocation guard gaps (≤ 65 pages each):
+/// 512 pages bracket an image hidden several allocations past either end of
+/// the claimed span.
+const MARGIN_PAGES: u64 = 512;
+
 /// Cross-view scan configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CrossViewConfig {
-    /// Pages swept beyond the span of the listed (and orphan-claimed)
-    /// bases. The per-VM allocation skew shifts *every* module of a VM
-    /// equally, so the margin only has to absorb inter-allocation guard
-    /// gaps (≤ 65 pages each): the default of 512 pages brackets an image
-    /// hidden several allocations past either end of the claimed span.
-    pub margin_pages: u64,
     /// Capture fast path for the survey and sweep sessions.
     pub fast_capture: bool,
     /// Retry policy for transient introspection faults.
@@ -58,7 +59,6 @@ pub struct CrossViewConfig {
 impl Default for CrossViewConfig {
     fn default() -> Self {
         CrossViewConfig {
-            margin_pages: 512,
             fast_capture: true,
             retry: RetryPolicy::default(),
         }
@@ -265,7 +265,7 @@ impl CrossView {
             // Physical sweep over the span the claims bracket.
             let anchors: Vec<u64> = claimed.iter().chain(&orphan_bases).copied().collect();
             if let (Some(&lo), Some(&hi)) = (anchors.iter().min(), anchors.iter().max()) {
-                let margin = self.config.margin_pages * PAGE_SIZE as u64;
+                let margin = MARGIN_PAGES * PAGE_SIZE as u64;
                 let top = survey
                     .linked
                     .iter()

@@ -195,18 +195,6 @@ impl EventPlane {
             .collect()
     }
 
-    /// True when `vm` has at least one armed pair and no dirty pair — its
-    /// module list provably did not change through the watched spans.
-    pub fn vm_quiet(&self, vm: VmId) -> bool {
-        let mut any = false;
-        for (v, _) in self.armed.keys() {
-            if *v == vm {
-                any = true;
-            }
-        }
-        any && !self.dirty.iter().any(|(v, _)| *v == vm)
-    }
-
     /// Dirty pairs awaiting rescan, in deterministic order.
     pub fn dirty_pairs(&self) -> impl Iterator<Item = &(VmId, String)> {
         self.dirty.iter()
@@ -263,7 +251,7 @@ mod tests {
         assert_eq!(plane.armed_len(), 6);
         assert!(plane.drain(&hv).is_empty(), "clean cloud: no events");
         assert_eq!(plane.trusted_for("hal.dll", &ids).len(), 3);
-        assert!(plane.vm_quiet(ids[1]));
+        assert_eq!(plane.trusted_for("ndis.sys", &ids).len(), 3);
 
         // Infect one VM's hal.dll → events coalesce to exactly that pair.
         guests[1]
@@ -280,8 +268,7 @@ mod tests {
         assert!(!trusted.contains(&ids[1]));
         assert_eq!(trusted.len(), 2);
         assert_eq!(plane.trusted_for("ndis.sys", &ids).len(), 3);
-        assert!(!plane.vm_quiet(ids[1]));
-        assert!(plane.vm_quiet(ids[0]));
+        assert!(trusted.contains(&ids[0]) && trusted.contains(&ids[2]));
 
         // After the rescan, the pair is clean again.
         plane.clear_dirty();

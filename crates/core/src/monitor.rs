@@ -353,7 +353,6 @@ impl ContinuousMonitor {
             config: CrossViewConfig {
                 fast_capture: self.config.check.fast_capture,
                 retry: self.config.check.retry,
-                ..CrossViewConfig::default()
             },
         };
         let report = scanner.scan(hv, vms)?;
@@ -385,7 +384,7 @@ impl ContinuousMonitor {
 
     /// Arms write traps over every configured module on every VM in `vms`,
     /// switching subsequent [`ContinuousMonitor::run_round_events`] /
-    /// [`ContinuousMonitor::run_events`] calls to push mode. Replaces any
+    /// [`ContinuousMonitor::run`] calls to push mode. Replaces any
     /// previous plane (old watches are released by the replacement plane's
     /// drop of its armed set only if re-armed — callers arm once per VM
     /// set). Returns the number of guest frames now watched.
@@ -543,41 +542,17 @@ impl ContinuousMonitor {
 
     /// Runs `rounds` rounds, emitting an event per module per round into
     /// `events`, plus circuit-breaker events as VMs drop out and return.
-    /// Blocks until done; call from a scoped thread for concurrent
-    /// consumption (see the `continuous_monitoring` example).
+    /// Each round goes through [`ContinuousMonitor::run_round_events`], so
+    /// after [`ContinuousMonitor::arm_events`] quiet armed pairs are served
+    /// from cache with verdicts identical to polling; without a plane every
+    /// round polls. Blocks until done; call from a scoped thread for
+    /// concurrent consumption (see the `continuous_monitoring` example).
     pub fn run(
         &mut self,
         hv: &Hypervisor,
         vms: &[VmId],
         rounds: usize,
         events: &Sender<MonitorEvent>,
-    ) {
-        self.run_inner(hv, vms, rounds, events, false);
-    }
-
-    /// [`ContinuousMonitor::run`], but each round goes through
-    /// [`ContinuousMonitor::run_round_events`]: quiet armed pairs are
-    /// served from cache, only event-dirtied pairs rescan. Emits the same
-    /// [`MonitorEvent`] stream (identical verdicts) as pull mode. Call
-    /// [`ContinuousMonitor::arm_events`] first; without a plane this is
-    /// plain polling.
-    pub fn run_events(
-        &mut self,
-        hv: &Hypervisor,
-        vms: &[VmId],
-        rounds: usize,
-        events: &Sender<MonitorEvent>,
-    ) {
-        self.run_inner(hv, vms, rounds, events, true);
-    }
-
-    fn run_inner(
-        &mut self,
-        hv: &Hypervisor,
-        vms: &[VmId],
-        rounds: usize,
-        events: &Sender<MonitorEvent>,
-        push: bool,
     ) {
         let policy = self.config.health;
         for round in 0..rounds {
@@ -606,12 +581,7 @@ impl ContinuousMonitor {
             }
 
             let mut unscannable_this_round: HashSet<String> = HashSet::new();
-            let round_results = if push {
-                self.run_round_events(hv, &active)
-            } else {
-                self.run_round(hv, &active)
-            };
-            for (module, result) in round_results {
+            for (module, result) in self.run_round_events(hv, &active) {
                 let event = match result {
                     Ok(report) => {
                         unscannable_this_round.extend(
@@ -1462,7 +1432,7 @@ mod tests {
     }
 
     #[test]
-    fn run_events_emits_the_same_stream_as_run() {
+    fn armed_run_emits_the_same_stream_as_polling() {
         let (mut hv, guests, ids) = cloud(4);
         guests[2]
             .patch_module(&mut hv, "hal.dll", 0x1002, &[0xCC])
@@ -1475,7 +1445,7 @@ mod tests {
         let mut m = monitor();
         m.arm_events(&mut hv, &ids).unwrap();
         let (tx_push, rx_push) = unbounded();
-        m.run_events(&hv, &ids, 3, &tx_push);
+        m.run(&hv, &ids, 3, &tx_push);
         drop(tx_push);
 
         let label = |e: &MonitorEvent| match e {

@@ -126,6 +126,18 @@ pub struct ModChecker {
 /// Bytes charged for hashing a capture's headers: they fit in one page.
 const HEADER_BYTES: u64 = 4096;
 
+/// The quorum rule: fewer than `min_quorum` scanned VMs lose the vote;
+/// every VM of the pool scanned is full; anything between is degraded.
+fn quorum(scanned: usize, pool_size: usize, min_quorum: usize) -> QuorumStatus {
+    if scanned < min_quorum {
+        QuorumStatus::Lost
+    } else if scanned == pool_size {
+        QuorumStatus::Full
+    } else {
+        QuorumStatus::Degraded
+    }
+}
+
 /// Workers an uncached scan fans out over: one per available core.
 fn host_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -710,13 +722,7 @@ impl ModChecker {
         let comparisons = outcomes.len() + suspect_errors;
         let scanned = 1 + outcomes.len();
         let pool_size = 1 + others.len();
-        let quorum = if scanned < self.config.min_quorum {
-            QuorumStatus::Lost
-        } else if scanned == pool_size {
-            QuorumStatus::Full
-        } else {
-            QuorumStatus::Degraded
-        };
+        let quorum = quorum(scanned, pool_size, self.config.min_quorum);
         Ok(ModuleCheckReport {
             module: module.to_string(),
             reference: ref_name,
@@ -859,13 +865,7 @@ impl ModChecker {
             }
         }
         let scanned = extracted.len();
-        let quorum = if scanned < self.config.min_quorum {
-            QuorumStatus::Lost
-        } else if scanned == vms.len() {
-            QuorumStatus::Full
-        } else {
-            QuorumStatus::Degraded
-        };
+        let quorum = quorum(scanned, vms.len(), self.config.min_quorum);
 
         let Vote {
             matrix,

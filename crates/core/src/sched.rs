@@ -185,13 +185,6 @@ pub struct FleetScheduler {
     config: FleetConfig,
     caches: Mutex<HashMap<String, Arc<Mutex<CaptureCache>>>>,
     history: Mutex<HashSet<(String, String)>>,
-    /// Last successful list scan per pool, reused by
-    /// [`FleetScheduler::sweep_with_trust`] when every member VM is armed
-    /// and event-quiet. Watches cover the armed module *images*, not the
-    /// LDR list nodes, so reuse trades list-walk cost for staleness of the
-    /// list itself; any dirty or unarmed VM forces a fresh list scan, and
-    /// plain [`FleetScheduler::sweep`] never consults this cache.
-    last_listings: Mutex<HashMap<String, ListDiffReport>>,
 }
 
 impl FleetScheduler {
@@ -202,7 +195,6 @@ impl FleetScheduler {
             config,
             caches: Mutex::new(HashMap::new()),
             history: Mutex::new(HashSet::new()),
-            last_listings: Mutex::new(HashMap::new()),
         }
     }
 
@@ -255,38 +247,25 @@ impl FleetScheduler {
         self.sweep_with_trust(hv, fleet, None)
     }
 
-    /// [`FleetScheduler::sweep`] with an optional event plane: pool VMs
-    /// that are armed and event-quiet are *trusted* — their units are
-    /// served from the pool capture cache with zero guest reads, and a
-    /// fully-quiet pool reuses its previous list scan instead of
-    /// re-walking every LDR list. Verdicts are identical to an untrusted
-    /// sweep (trust only short-circuits pairs whose cached capture is
-    /// still live; anything evicted — revert, quarantine — re-probes).
+    /// [`FleetScheduler::sweep`] with an optional event plane: a pool VM
+    /// whose `(vm, module)` pair is armed and event-quiet, and whose fresh
+    /// list scan still lists the module, is *trusted* — its unit is served
+    /// from the pool capture cache with zero guest reads. Every sweep walks
+    /// every pool's lists, because the watches cover module images, not
+    /// LDR list nodes. Verdicts are identical to an untrusted sweep (trust
+    /// only short-circuits pairs whose cached capture is still live;
+    /// anything evicted — revert, quarantine — re-probes).
     pub fn sweep_with_trust(
         &self,
         hv: &Hypervisor,
         fleet: &Fleet,
         trust: Option<&EventPlane>,
     ) -> FleetReport {
-        // Phase 1: list scans, one per pool. A pool whose every member is
-        // armed-and-quiet serves its cached listing.
+        // Phase 1: list scans, one per pool.
         let listings: Vec<Result<ListDiffReport, CheckError>> = fleet
             .pools
             .iter()
-            .map(|p| {
-                if let Some(plane) = trust {
-                    if p.vms.iter().all(|&vm| plane.vm_quiet(vm)) {
-                        if let Some(rep) = lock(&self.last_listings).get(&p.name) {
-                            return Ok(rep.clone());
-                        }
-                    }
-                }
-                let rep = ListDiff::scan_with(hv, &p.vms, self.config.check.fast_capture);
-                if let Ok(r) = &rep {
-                    lock(&self.last_listings).insert(p.name.clone(), r.clone());
-                }
-                rep
-            })
+            .map(|p| ListDiff::scan_with(hv, &p.vms, self.config.check.fast_capture))
             .collect();
 
         // Phase 2: expand consensus modules into prioritized units.
@@ -343,10 +322,14 @@ impl FleetScheduler {
                     .map(|&pi| {
                         let pool = &fleet.pools[pi];
                         let cache = self.cache_handle(&pool.name);
-                        let reports = pool_units[pi]
-                            .iter()
-                            .map(|u| self.run_unit(hv, pool, &cache, &u.module, trust))
-                            .collect();
+                        let reports = match &listings[pi] {
+                            Ok(lists) => pool_units[pi]
+                                .iter()
+                                .map(|u| self.run_unit(hv, pool, lists, &cache, &u.module, trust))
+                                .collect(),
+                            // A pool whose list scan failed expanded no units.
+                            Err(_) => Vec::new(),
+                        };
                         (pi, reports)
                     })
                     .collect()
@@ -417,16 +400,30 @@ impl FleetScheduler {
         }
     }
 
+    /// Checks one unit. Trust follows the sweep's fresh listing: a VM
+    /// whose list does not name `module` (unlinked, or an unreadable list)
+    /// is never trusted, so it takes the normal probe path.
     fn run_unit(
         &self,
         hv: &Hypervisor,
         pool: &PoolSpec,
+        lists: &ListDiffReport,
         cache: &Mutex<CaptureCache>,
         module: &str,
         trust: Option<&EventPlane>,
     ) -> Result<PoolCheckReport, CheckError> {
         let trusted = trust
-            .map(|plane| plane.trusted_for(module, &pool.vms))
+            .map(|plane| {
+                // `listings` follow `pool.vms` order, one per VM.
+                let listed: Vec<VmId> = pool
+                    .vms
+                    .iter()
+                    .zip(&lists.listings)
+                    .filter(|(_, l)| l.modules.iter().any(|m| m == module))
+                    .map(|(&vm, _)| vm)
+                    .collect();
+                plane.trusted_for(module, &listed)
+            })
             .unwrap_or_default();
         self.checker.check_pool_with_cache_trusted(
             hv,
@@ -892,7 +889,6 @@ mod tests {
             lock(&oracle.caches).insert(pool.clone(), Arc::new(Mutex::new(c)));
         }
         *lock(&oracle.history) = lock(&sched.history).clone();
-        *lock(&oracle.last_listings) = lock(&sched.last_listings).clone();
         let want = oracle.sweep_with_trust(hv, fleet, trust);
         let got = sched.sweep_with_trust(hv, fleet, trust);
         let json = |r: &FleetReport| serde_json::to_string_pretty(&r.to_json()).unwrap();
@@ -986,6 +982,49 @@ mod tests {
         );
         assert_eq!(vote_reuses(&poll), 3 * units - 1);
         assert_eq!(vote_reuses(&push), 3 * units - 1);
+    }
+
+    #[test]
+    fn push_sweep_catches_a_dkom_unlink_like_poll() {
+        let (mut hv, guests, fleet) = fleet_bed(2, 4, 2);
+        let mut plane = EventPlane::new();
+        for pool in &fleet.pools {
+            let listing = ListDiff::scan_with(&hv, &pool.vms, true).unwrap();
+            plane
+                .arm_modules(&mut hv, &pool.vms, &listing.consensus_modules)
+                .unwrap();
+        }
+        let (poll, push) = (
+            FleetScheduler::new(FleetConfig::default()),
+            FleetScheduler::new(FleetConfig::default()),
+        );
+        let sweep_both = |hv: &Hypervisor, plane: &mut EventPlane| {
+            plane.drain(hv);
+            let polled = poll.sweep(hv, &fleet);
+            let pushed = push.sweep_with_trust(hv, &fleet, Some(plane));
+            plane.clear_dirty();
+            (polled, pushed)
+        };
+        // Two warm sweeps: every pair is cached and event-quiet.
+        for _ in 0..2 {
+            let (polled, pushed) = sweep_both(&hv, &mut plane);
+            assert!(polled.all_clean() && pushed.all_clean());
+        }
+
+        // Unlinking writes list nodes, which no watch covers: the plane
+        // stays quiet, so only the fresh listing can revoke trust.
+        guests[1][0].dkom_hide(&mut hv, "p1m1.sys").unwrap();
+        let (polled, pushed) = sweep_both(&hv, &mut plane);
+        assert_eq!(verdict_json(&pushed), verdict_json(&polled));
+        let hidden = (
+            "pool1".to_string(),
+            "p1m1.sys".to_string(),
+            "p1dom0".to_string(),
+        );
+        for report in [&polled, &pushed] {
+            assert!(!report.pools[1].lists.as_ref().unwrap().consistent());
+            assert!(report.suspects().contains(&hidden), "{report}");
+        }
     }
 
     #[test]

@@ -67,27 +67,35 @@ pub struct ModuleSearcher;
 impl ModuleSearcher {
     /// Walks the loaded-module list and returns every entry.
     pub fn list_modules(session: &mut VmiSession<'_>) -> Result<Vec<ModuleRef>, CheckError> {
-        let offs = LdrOffsets::for_width(session.width());
-        let head = session.symbol(PS_LOADED_MODULE_LIST)?;
         let mut out = Vec::new();
-        let mut seen = VaSet::default();
-        let mut at = session.read_ptr(head + offs.flink)?;
-        while at != head {
-            if out.len() >= MAX_LIST_WALK || !seen.insert(at) {
-                return Err(CheckError::ListCorrupt {
-                    vm: session.vm_name().to_string(),
-                    walked: out.len(),
-                });
-            }
-            out.push(Self::read_entry(session, &offs, at)?);
-            at = session.read_ptr(at + offs.flink)?;
-        }
+        Self::walk(session, |entry| {
+            out.push(entry);
+            None
+        })?;
         Ok(out)
     }
 
     /// Finds a module by name (case-insensitive, as Windows treats
     /// `BaseDllName`) without copying its image.
     pub fn find_ref(session: &mut VmiSession<'_>, module: &str) -> Result<ModuleRef, CheckError> {
+        Self::walk(session, |entry| {
+            entry.name.eq_ignore_ascii_case(module).then_some(entry)
+        })?
+        .ok_or_else(|| CheckError::ModuleNotFound {
+            vm: session.vm_name().to_string(),
+            module: module.to_string(),
+        })
+    }
+
+    /// The one LDR walk: follows `FLINK` from `PsLoadedModuleList`, hands
+    /// each entry to `visit`, and stops at the first entry `visit` returns
+    /// (before reading that entry's `FLINK`). Bounded by
+    /// [`MAX_LIST_WALK`] entries and cycle-checked, either failure a
+    /// [`CheckError::ListCorrupt`] carrying the entries read so far.
+    fn walk(
+        session: &mut VmiSession<'_>,
+        mut visit: impl FnMut(ModuleRef) -> Option<ModuleRef>,
+    ) -> Result<Option<ModuleRef>, CheckError> {
         let offs = LdrOffsets::for_width(session.width());
         let head = session.symbol(PS_LOADED_MODULE_LIST)?;
         let mut seen = VaSet::default();
@@ -101,16 +109,12 @@ impl ModuleSearcher {
                 });
             }
             walked += 1;
-            let entry = Self::read_entry(session, &offs, at)?;
-            if entry.name.eq_ignore_ascii_case(module) {
-                return Ok(entry);
+            if let Some(found) = visit(Self::read_entry(session, &offs, at)?) {
+                return Ok(Some(found));
             }
             at = session.read_ptr(at + offs.flink)?;
         }
-        Err(CheckError::ModuleNotFound {
-            vm: session.vm_name().to_string(),
-            module: module.to_string(),
-        })
+        Ok(None)
     }
 
     /// Finds a module and copies its whole image out of the guest,

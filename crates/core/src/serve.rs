@@ -45,8 +45,8 @@
 //! * the **refresh plane**: background [`FleetScheduler`] sweeps starting
 //!   every [`ServeConfig::refresh_interval`], each completing (becoming
 //!   visible to queries) one *modeled* wall later —
-//!   [`crate::sched::simulated_fleet_wall`] at a fixed
-//!   [`ServeConfig::refresh_lanes`], never the execution shard count;
+//!   [`crate::sched::simulated_fleet_wall`] at a fixed lane count,
+//!   never the execution shard count;
 //! * the **service plane**: a single logical FIFO server draining the
 //!   admission queue, each query charged a flat
 //!   [`ServeConfig::service_time`] lookup plus any on-demand rescan it
@@ -101,6 +101,12 @@ impl Default for QuotaPolicy {
     }
 }
 
+/// Modeled parallelism of the refresh plane: a sweep's visible completion
+/// lags its start by [`crate::sched::simulated_fleet_wall`] at this lane
+/// count. A model constant — never the execution shard count, which must
+/// not affect the report.
+const REFRESH_LANES: usize = 2;
+
 /// Daemon configuration.
 ///
 /// Everything except `fleet.shards` is a *model* knob and therefore part
@@ -124,12 +130,6 @@ pub struct ServeConfig {
     /// Background sweep cadence. A sweep that outlives the interval
     /// delays the next one — the refresh plane never overlaps itself.
     pub refresh_interval: SimDuration,
-    /// Modeled parallelism of the refresh plane: the sweep's visible
-    /// completion lags its start by
-    /// [`crate::sched::simulated_fleet_wall`] at this lane count. A model
-    /// knob — never the execution shard count, which must not affect
-    /// the report.
-    pub refresh_lanes: usize,
     /// Maximum state age served as [`Confidence::Fresh`] without a
     /// rescan. Older state triggers an on-demand rescan when the deadline
     /// affords one, else degrades to [`Confidence::Stale`].
@@ -138,11 +138,6 @@ pub struct ServeConfig {
     /// (threshold of consecutive all-unscannable sweeps; cooldown counted
     /// in committed sweeps).
     pub health: HealthPolicy,
-    /// Push mode: refresh sweeps consult the write-trap event plane
-    /// (armed via [`AttestServer::arm_events`]) and serve quiet units from
-    /// cache instead of re-reading guests. A model knob — verdicts are
-    /// unchanged, only refresh cost and therefore timing shifts.
-    pub events: bool,
 }
 
 impl Default for ServeConfig {
@@ -153,10 +148,8 @@ impl Default for ServeConfig {
             quota: QuotaPolicy::default(),
             service_time: SimDuration::from_micros(20),
             refresh_interval: SimDuration::from_millis(25),
-            refresh_lanes: 2,
             freshness_window: SimDuration::from_millis(30),
             health: HealthPolicy::default(),
-            events: false,
         }
     }
 }
@@ -663,8 +656,8 @@ struct RunState {
 pub struct AttestServer {
     config: ServeConfig,
     sched: FleetScheduler,
-    /// Write-trap subscription state for push-mode refreshes; `Some` once
-    /// [`AttestServer::arm_events`] ran and [`ServeConfig::events`] is set.
+    /// Write-trap subscription state; `Some` once [`AttestServer::arm_events`]
+    /// ran, switching refresh sweeps to push mode.
     events: Mutex<Option<EventPlane>>,
 }
 
@@ -683,9 +676,8 @@ impl AttestServer {
         &self.config
     }
 
-    /// Arms write traps over every pool's consensus module set, enabling
-    /// push-mode refreshes (with [`ServeConfig::events`] set). Returns the
-    /// total guest frames watched.
+    /// Arms write traps over every pool's consensus module set, switching
+    /// refresh sweeps to push mode. Returns the total guest frames watched.
     pub fn arm_events(&self, hv: &mut Hypervisor, fleet: &Fleet) -> Result<usize, CheckError> {
         let mut plane = EventPlane::new();
         let mut frames = 0usize;
@@ -779,8 +771,7 @@ impl AttestServer {
         while st.refresh_cursor <= t {
             let started = st.refresh_cursor;
             let report = self.refresh_sweep(hv, fleet);
-            let wall = simulated_fleet_wall(&report, self.config.refresh_lanes.max(1))
-                .max(SimDuration::from_nanos(1));
+            let wall = simulated_fleet_wall(&report, REFRESH_LANES).max(SimDuration::from_nanos(1));
             let done = started + wall;
             st.report.sweeps_started += 1;
             st.report.refresh_busy += wall;
@@ -789,21 +780,19 @@ impl AttestServer {
         }
     }
 
-    /// One refresh sweep: push mode drains the event plane first and
-    /// sweeps with quiet units trusted (the first sweep is cold — nothing
-    /// cached — so push and pull start identically); pull mode is a plain
+    /// One refresh sweep: with a plane armed, drains it first and sweeps
+    /// with quiet units trusted (the first sweep is cold — nothing cached —
+    /// so push and pull start identically); without one, a plain
     /// [`FleetScheduler::sweep`].
     fn refresh_sweep(&self, hv: &Hypervisor, fleet: &Fleet) -> FleetReport {
-        if self.config.events {
-            let mut guard = lock(&self.events);
-            if let Some(plane) = guard.as_mut() {
-                plane.drain(hv);
-                let report = self.sched.sweep_with_trust(hv, fleet, Some(plane));
-                plane.clear_dirty();
-                return report;
-            }
-        }
-        self.sched.sweep(hv, fleet)
+        let mut guard = lock(&self.events);
+        let Some(plane) = guard.as_mut() else {
+            return self.sched.sweep(hv, fleet);
+        };
+        plane.drain(hv);
+        let report = self.sched.sweep_with_trust(hv, fleet, Some(plane));
+        plane.clear_dirty();
+        report
     }
 
     /// Folds every sweep completed at or before `t` into the served
@@ -1370,11 +1359,7 @@ mod tests {
         };
         let pull = AttestServer::new(pull_cfg).run(&hv, &fleet, &queries);
 
-        let push_cfg = ServeConfig {
-            events: true,
-            ..pull_cfg
-        };
-        let server = AttestServer::new(push_cfg);
+        let server = AttestServer::new(pull_cfg);
         let frames = server.arm_events(&mut hv, &fleet).unwrap();
         assert!(frames > 0);
         let push = server.run(&hv, &fleet, &queries);

@@ -35,7 +35,7 @@ pub use ldr::LdrOffsets;
 pub use loader::{load_module, LoadedModule};
 
 use mc_hypervisor::{AddressWidth, HvError, Hypervisor, VmId, PAGE_SIZE};
-use mc_pe::corpus::{standard_corpus, ModuleBlueprint};
+use mc_pe::corpus::ModuleBlueprint;
 use mc_pe::PeFile;
 
 /// The symbol name introspectors resolve to find the module list.
@@ -97,21 +97,6 @@ impl GuestOs {
             modules: Vec::new(),
             pool: BaseAllocator::new(pool_base, seed ^ 0x9E37_79B9_7F4A_7C15),
         })
-    }
-
-    /// Installs a kernel and loads the standard corpus at per-VM randomized
-    /// bases (`seed` varies per VM; module files are identical across VMs).
-    pub fn install_with_corpus(
-        hv: &mut Hypervisor,
-        vm_id: VmId,
-        seed: u64,
-    ) -> Result<Self, HvError> {
-        let width = hv.vm(vm_id)?.width();
-        let corpus: Vec<(String, PeFile)> = standard_corpus(width)
-            .iter()
-            .map(|bp| (bp.name.clone(), bp.build().expect("corpus builds")))
-            .collect();
-        Self::install_with_modules(hv, vm_id, &corpus, seed)
     }
 
     /// Installs a kernel and loads the given `(name, file)` pairs.
@@ -233,32 +218,6 @@ impl GuestOs {
         );
         hv.vm_mut(self.vm)?.write_virt(module.base + offset, bytes)
     }
-}
-
-/// Builds the standard evaluation cloud: `count` VMs, each with the standard
-/// corpus loaded at VM-specific bases. Returns the ground-truth guests in VM
-/// order.
-pub fn build_cloud(
-    hv: &mut Hypervisor,
-    count: usize,
-    width: AddressWidth,
-) -> Result<Vec<GuestOs>, HvError> {
-    // Build the corpus once; files are identical across VMs by construction.
-    let corpus: Vec<(String, PeFile)> = standard_corpus(width)
-        .iter()
-        .map(|bp| (bp.name.clone(), bp.build().expect("corpus builds")))
-        .collect();
-    let mut guests = Vec::with_capacity(count);
-    for i in 0..count {
-        let vm = hv.create_vm(&format!("dom{}", i + 1), width)?;
-        guests.push(GuestOs::install_with_modules(
-            hv,
-            vm,
-            &corpus,
-            i as u64 + 1,
-        )?);
-    }
-    Ok(guests)
 }
 
 /// Convenience: builds a cloud with a custom module list (used by tests that

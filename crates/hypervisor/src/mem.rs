@@ -215,13 +215,6 @@ impl GuestPhysMemory {
         Ok(())
     }
 
-    /// True when at least one watch is armed on the frame.
-    pub fn frame_watched(&self, frame: u64) -> bool {
-        self.watch_counts
-            .get(frame as usize)
-            .is_some_and(|&c| c > 0)
-    }
-
     /// Number of frames with at least one watch armed.
     pub fn watched_frames(&self) -> u64 {
         self.watch_counts.iter().filter(|&&c| c > 0).count() as u64

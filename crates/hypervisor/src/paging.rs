@@ -40,11 +40,6 @@ impl AddressSpace {
         AddressSpace { width, root }
     }
 
-    /// The table root (guest-physical), i.e. what CR3 would hold.
-    pub fn cr3(&self) -> u64 {
-        self.root
-    }
-
     /// Guest pointer width.
     pub fn width(&self) -> AddressWidth {
         self.width

@@ -265,11 +265,6 @@ impl Vm {
         let pa = self.aspace.translate(&self.mem, va)?;
         self.mem.page_generation(pa)
     }
-
-    /// Names of existing snapshots.
-    pub fn snapshot_names(&self) -> impl Iterator<Item = &str> {
-        self.snapshots.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]

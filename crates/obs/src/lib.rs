@@ -29,13 +29,6 @@ use std::fmt::Write as _;
 
 use serde_json::{json, Value};
 
-/// Converts simulated nanoseconds to milliseconds for human-facing exports.
-#[must_use]
-#[allow(clippy::cast_precision_loss)]
-pub fn ns_to_ms(ns: u64) -> f64 {
-    ns as f64 / 1_000_000.0
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------

@@ -169,22 +169,12 @@ impl PeBuilder {
         self.imports.push(import);
     }
 
-    /// Current import list.
-    pub fn import_list(&self) -> &[ImportSpec] {
-        &self.imports
-    }
-
     /// Disables emission of the `.reloc` section while keeping the loader's
     /// site list (ablation: ModChecker must work without relocation
     /// metadata, which is exactly what Algorithm 2 provides).
     pub fn strip_reloc_section(mut self) -> Self {
         self.emit_reloc_section = false;
         self
-    }
-
-    /// Number of user sections added so far.
-    pub fn section_count(&self) -> usize {
-        self.sections.len()
     }
 
     /// Read access to a section's pending data (attacks edit blueprints).

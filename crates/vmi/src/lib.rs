@@ -1166,11 +1166,6 @@ impl<'hv> VmiSession<'hv> {
         self.consumed
     }
 
-    /// The session's retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     fn check_deadline(&self) -> Result<(), VmiError> {
         match self.deadline {
             Some(deadline) if self.consumed > deadline => Err(VmiError::DeadlineExceeded {
