@@ -1,6 +1,7 @@
-//! Wall-clock cost of the canonical pass over one cold 8-VM `hal.dll`
-//! unit: a canonical-mode `check_pool_with_cache` on an empty capture
-//! cache, which captures, parses and canonicalizes every VM's copy.
+//! Wall-clock cost of the checker over one cold `hal.dll` unit. The
+//! canonical pass: a canonical-mode `check_pool_with_cache` of 8 VMs on an
+//! empty capture cache, which captures, parses and canonicalizes every
+//! VM's copy.
 //!
 //! * `checker/canonical_forms_unit` — a clean unit: every capture
 //!   normalizes to the same `.text`.
@@ -10,6 +11,10 @@
 //!   last byte and still hashes.
 //!
 //! Each iteration runs 4 cold scans.
+//!
+//! * `checker/pairwise_unit` — the paper's Algorithm 2 op: one uncached,
+//!   default-config `check_pool` of a clean 15-VM unit, every pair of
+//!   captures compared. Each iteration runs one scan.
 //!
 //! ```text
 //! cargo bench -p mc-bench --bench checker
@@ -56,6 +61,25 @@ fn bench_cold_unit(c: &mut Criterion, name: &str, bed: &Testbed) {
     });
 }
 
+fn bench_pairwise_unit(c: &mut Criterion) {
+    let width = AddressWidth::W32;
+    let bed = Testbed::cloud_with(
+        15,
+        width,
+        &[ModuleBlueprint::new(MODULE, width, 128 * 1024)],
+    );
+    let checker = ModChecker::new();
+    c.bench_function("checker/pairwise_unit", |b| {
+        b.iter(|| {
+            black_box(
+                checker
+                    .check_pool(&bed.hv, &bed.vm_ids, MODULE)
+                    .expect("uncached scan"),
+            );
+        });
+    });
+}
+
 fn bench_canonical_forms_unit(c: &mut Criterion) {
     bench_cold_unit(c, "checker/canonical_forms_unit", &unit());
 }
@@ -78,6 +102,7 @@ fn bench_canonical_forms_all_distinct(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_canonical_forms_unit,
-    bench_canonical_forms_all_distinct
+    bench_canonical_forms_all_distinct,
+    bench_pairwise_unit
 );
 criterion_main!(benches);

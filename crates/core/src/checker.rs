@@ -12,11 +12,18 @@
 //! its [`canonical_form`], and for each executable section the digest of
 //! its Algorithm 2 output, keyed by the log of slots that pass rewrote.
 //! Across captures, one scan's canonical pass hashes each distinct
-//! normalized executable section once ([`SeenSections`]). None of this
-//! changes what a comparison returns or what it charges to a ledger.
+//! normalized executable section once ([`SeenSections`]), and one scan's
+//! pairwise matrix groups executable sections that share normalized bytes
+//! and slot list ([`SectionGroups`]): a section pair within a group takes
+//! Algorithm 2's closed form and is neither copied, scanned nor hashed.
+//! Inside that matrix every other section pair is decided by its adjusted
+//! bytes without hashing, scanning only the segments where two groups over
+//! one slot list differ, and reading both sections in place otherwise.
+//! None of this changes what a comparison returns or what it charges to a
+//! ledger.
 
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mc_pe::AddressWidth;
 use mc_vmi::VmiSession;
@@ -242,8 +249,186 @@ fn counterpart(secs: &[ExecSection], i: usize, other: &[ExecSection]) -> Option<
 pub fn compare_pair_with(
     a: &ExtractedModule,
     b: &ExtractedModule,
+    ledger: Option<&mut VmiSession<'_>>,
+    scratch: &mut PairScratch,
+) -> Result<PairOutcome, CheckError> {
+    compare_pair_in(a, b, ledger, scratch, None)
+}
+
+/// One scan's executable sections grouped by width, in-section `.reloc`
+/// slot list and normalized bytes: for each capture, in scan order, and
+/// each of its executable sections, the group, or `None` for a section in
+/// no group.
+///
+/// Two sections in one group are each their group's normalized bytes with
+/// every slot rebased by their own base, so Algorithm 2 between them has a
+/// closed form ([`crate::rva::adjust_grouped`]). Two groups over the same
+/// width and slot list differ on some segments between slots only, and
+/// Algorithm 2 between their members scans just those
+/// ([`crate::rva::adjust_segmented`]); the segments are found once per
+/// pair of groups. The `.reloc` table is only a hint: it picks which bytes
+/// are normalized, and the group is decided by the bytes. A doctored or
+/// stripped table changes a capture's key, so it lands in a group of its
+/// own or in none, and its pairs run the full Algorithm 2 pass.
+#[derive(Debug)]
+pub(crate) struct SectionGroups<'a> {
+    /// Per capture, per executable section: its group.
+    of: Vec<Vec<Option<usize>>>,
+    keys: Vec<GroupKey<'a>>,
+    /// The differing segments of pairs of groups over one slot list,
+    /// filled on first use.
+    differing: Mutex<Vec<GroupPairSegments>>,
+}
+
+/// Two groups (lower index first) and the segments of their shared slot
+/// list on which their normalized bytes differ.
+type GroupPairSegments = ((usize, usize), Arc<[u32]>);
+
+/// A group's key: the width, the slot list and the first section's
+/// bytes and base, which normalize to the group's bytes.
+#[derive(Debug)]
+struct GroupKey<'a> {
+    width: AddressWidth,
+    slots: Vec<u32>,
+    section: &'a [u8],
+    base: u64,
+}
+
+/// How Algorithm 2 runs between two sections of one scan.
+enum Grouping<'g> {
+    /// One group: the closed form over this many slots.
+    Same(usize),
+    /// Two groups over one slot list: the pass over the segments where
+    /// their normalized bytes differ.
+    Segments(&'g [u32], Arc<[u32]>),
+}
+
+impl<'a> SectionGroups<'a> {
+    /// Groups the executable sections of `captures`. A section has no
+    /// group when its capture has no parseable `.reloc` table or when two
+    /// of its slots lie closer than one address width. Copies no section
+    /// bytes: each lookup normalizes both sides in place as it compares.
+    pub(crate) fn build(captures: impl IntoIterator<Item = &'a ExtractedModule>) -> Self {
+        let mut keys: Vec<GroupKey<'a>> = Vec::new();
+        let of = captures
+            .into_iter()
+            .map(|m| {
+                let rvas = reloc_slots(m);
+                m.parts
+                    .exec_sections
+                    .iter()
+                    .map(|s| {
+                        let rvas = rvas.as_deref()?;
+                        group_of(m, s.range.clone(), rvas, &mut keys)
+                    })
+                    .collect()
+            })
+            .collect();
+        SectionGroups {
+            of,
+            keys,
+            differing: Mutex::default(),
+        }
+    }
+
+    /// How section `ia` of capture `i` and section `ib` of capture `j`
+    /// compare, when both are in groups that allow a shortcut.
+    fn grouping(&self, i: usize, ia: usize, j: usize, ib: usize) -> Option<Grouping<'_>> {
+        let ga = self.of.get(i)?.get(ia).copied().flatten()?;
+        let gb = self.of.get(j)?.get(ib).copied().flatten()?;
+        let (ka, kb) = (&self.keys[ga], &self.keys[gb]);
+        if ga == gb {
+            return Some(Grouping::Same(ka.slots.len()));
+        }
+        if ka.width != kb.width || ka.slots != kb.slots || ka.section.len() != kb.section.len() {
+            return None;
+        }
+        let pair = (ga.min(gb), ga.max(gb));
+        let lock = || {
+            self.differing
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let found = lock()
+            .iter()
+            .find(|(p, _)| *p == pair)
+            .map(|(_, d)| d.clone());
+        let segments = found.unwrap_or_else(|| {
+            let segments: Arc<[u32]> = crate::rva::differing_segments(
+                ka.section, ka.base, kb.section, kb.base, &ka.slots, ka.width,
+            )
+            .collect();
+            lock().push((pair, segments.clone()));
+            segments
+        });
+        Some(Grouping::Segments(&ka.slots, segments))
+    }
+}
+
+/// `m`'s `.reloc` slot RVAs, sorted and deduplicated, parsed as
+/// [`compute_canonical`] parses them; `None` without a parseable table.
+fn reloc_slots(m: &ExtractedModule) -> Option<Vec<u32>> {
+    let parsed = mc_pe::parser::ParsedModule::parse_memory(&m.image.bytes).ok()?;
+    let mut rvas = crate::rva::reloc_rvas(&m.image.bytes, &parsed)?;
+    rvas.sort_unstable();
+    rvas.dedup();
+    Some(rvas)
+}
+
+/// The group of the executable section at `range` of `m`, whose image
+/// carries the sorted slot RVAs `rvas`: an existing group when one has the
+/// same key, else a new one keyed by this section.
+fn group_of<'a>(
+    m: &'a ExtractedModule,
+    range: Range<usize>,
+    rvas: &[u32],
+    keys: &mut Vec<GroupKey<'a>>,
+) -> Option<usize> {
+    let width = m.parts.width;
+    let w = width.bytes();
+    // The slots lying fully inside the section, as section offsets.
+    let first = rvas.partition_point(|&r| (r as usize) < range.start);
+    let slots: Vec<u32> = rvas[first..]
+        .iter()
+        .map(|&r| r as usize)
+        .take_while(|&r| r + w <= range.end)
+        .map(|r| (r - range.start) as u32)
+        .collect();
+    let section = m.image.bytes.get(range)?;
+    if !crate::rva::slots_are_disjoint(&slots, section.len(), width) {
+        return None;
+    }
+    let base = m.image.base;
+    let hit = keys.iter().position(|k| {
+        k.width == width
+            && k.slots == slots
+            && crate::rva::same_normalized(section, base, k.section, k.base, &slots, width)
+    });
+    Some(hit.unwrap_or_else(|| {
+        keys.push(GroupKey {
+            width,
+            slots,
+            section,
+            base,
+        });
+        keys.len() - 1
+    }))
+}
+
+/// [`compare_pair_with`] within one scan. `groups` is the scan's section
+/// grouping with the positions of `a` and `b` in it: a section pair in one
+/// group takes Algorithm 2's closed form and needs no copy, scan or hash,
+/// because equal adjusted bytes hash equal. Any other section pair is
+/// decided by whether its adjusted bytes differ, through
+/// [`crate::rva::adjust_segmented`] for two groups over one slot list and
+/// [`crate::rva::adjust_read_only`] otherwise. The outcome and the ledger
+/// charge are those of [`compare_pair_with`].
+pub(crate) fn compare_pair_in(
+    a: &ExtractedModule,
+    b: &ExtractedModule,
     mut ledger: Option<&mut VmiSession<'_>>,
     scratch: &mut PairScratch,
+    groups: Option<(&SectionGroups<'_>, usize, usize)>,
 ) -> Result<PairOutcome, CheckError> {
     if a.algo != b.algo {
         return Err(CheckError::AlgoMismatch {
@@ -298,34 +483,71 @@ pub fn compare_pair_with(
             continue;
         };
         let sb = &b.parts.exec_sections[ib];
-        scratch.buf_a.clear();
-        scratch
-            .buf_a
-            .extend_from_slice(&a.image.bytes[sa.range.clone()]);
-        scratch.buf_b.clear();
-        scratch
-            .buf_b
-            .extend_from_slice(&b.image.bytes[sb.range.clone()]);
-        let (bytes_a, bytes_b) = (&mut scratch.buf_a, &mut scratch.buf_b);
         if let Some(ledger) = ledger.as_deref_mut() {
             let cost = *ledger.cost_model();
+            let bytes = (sa.range.len() + sb.range.len()) as u64;
             // Scan both buffers once (diff), hash both.
-            ledger.charge_process(cost.diff_byte_ns, (bytes_a.len() + bytes_b.len()) as u64);
-            ledger.charge_process(
-                cost.hash_byte_ns * algo.cost_factor(),
-                (bytes_a.len() + bytes_b.len()) as u64,
-            );
+            ledger.charge_process(cost.diff_byte_ns, bytes);
+            ledger.charge_process(cost.hash_byte_ns * algo.cost_factor(), bytes);
         }
+        let (bytes_a, bytes_b) = (
+            &a.image.bytes[sa.range.clone()],
+            &b.image.bytes[sb.range.clone()],
+        );
+        let (base_a, base_b) = (a.image.base, b.image.base);
+        let shortcut = match groups.and_then(|(g, i, j)| g.grouping(i, ia, j, ib)) {
+            Some(Grouping::Same(slots)) => Some((
+                crate::rva::adjust_grouped(slots, bytes_a.len(), base_a, base_b, width),
+                false,
+            )),
+            Some(Grouping::Segments(slots, differing)) => crate::rva::adjust_segmented(
+                bytes_a,
+                bytes_b,
+                base_a,
+                base_b,
+                width,
+                (slots, &differing),
+                &mut scratch.slots,
+            ),
+            None => None,
+        };
+        if let Some((stats, differ)) = shortcut {
+            slots_adjusted += stats.slots_adjusted;
+            residual_diffs += stats.residual_diffs;
+            if differ {
+                mismatched.push(PartId::SectionData(sa.name.clone()));
+            }
+            continue;
+        }
+        if groups.is_some() {
+            // Within a scan the adjusted bytes decide, and the pass reads
+            // both sections in place: equal bytes hash equal, and unequal
+            // ones hash unequal unless their digests collide, which the
+            // bytes expose. No executable section is copied or hashed.
+            scratch.slots.clear();
+            let stats = crate::rva::adjust_read_only(
+                bytes_a,
+                bytes_b,
+                base_a,
+                base_b,
+                width,
+                &mut scratch.slots,
+            );
+            slots_adjusted += stats.slots_adjusted;
+            residual_diffs += stats.residual_diffs;
+            if crate::rva::adjusted_differ(bytes_a, bytes_b, &scratch.slots, width) {
+                mismatched.push(PartId::SectionData(sa.name.clone()));
+            }
+            continue;
+        }
+        scratch.buf_a.clear();
+        scratch.buf_a.extend_from_slice(bytes_a);
+        scratch.buf_b.clear();
+        scratch.buf_b.extend_from_slice(bytes_b);
+        let (bytes_a, bytes_b) = (&mut scratch.buf_a, &mut scratch.buf_b);
         let slots = &mut scratch.slots;
         slots.clear();
-        let stats = crate::rva::adjust_rvas_logged(
-            bytes_a,
-            bytes_b,
-            a.image.base,
-            b.image.base,
-            width,
-            slots,
-        );
+        let stats = crate::rva::adjust_rvas_logged(bytes_a, bytes_b, base_a, base_b, width, slots);
         slots_adjusted += stats.slots_adjusted;
         residual_diffs += stats.residual_diffs;
         if bytes_a.len() != bytes_b.len()

@@ -131,6 +131,17 @@ impl EventPlane {
         Ok(())
     }
 
+    /// Releases every armed pair's watches, leaving nothing armed. Call
+    /// before dropping or replacing a plane: watches it does not release
+    /// stay on the guests' frames.
+    pub fn disarm_all(&mut self, hv: &mut Hypervisor) -> Result<(), CheckError> {
+        let pairs: Vec<(VmId, String)> = self.armed.keys().cloned().collect();
+        for (vm, module) in pairs {
+            self.disarm_pair(hv, vm, &module)?;
+        }
+        Ok(())
+    }
+
     /// Arms every `(vm, module)` combination; returns the total frames
     /// watched. A pair that cannot be armed — its VM is lost or faulted
     /// out, or its guest serves a module list entry the searcher rejects

@@ -385,10 +385,12 @@ impl ContinuousMonitor {
     /// Arms write traps over every configured module on every VM in `vms`,
     /// switching subsequent [`ContinuousMonitor::run_round_events`] /
     /// [`ContinuousMonitor::run`] calls to push mode. Replaces any
-    /// previous plane (old watches are released by the replacement plane's
-    /// drop of its armed set only if re-armed — callers arm once per VM
-    /// set). Returns the number of guest frames now watched.
+    /// previous plane, releasing its watches first. Returns the number of
+    /// guest frames now watched.
     pub fn arm_events(&self, hv: &mut Hypervisor, vms: &[VmId]) -> Result<usize, CheckError> {
+        if let Some(mut old) = lock(&self.events).take() {
+            old.disarm_all(hv)?;
+        }
         let mut plane = EventPlane::new();
         let modules = self.config.modules.clone();
         let frames = plane.arm_modules(hv, vms, &modules)?;
@@ -748,6 +750,23 @@ mod tests {
         assert_eq!(dom2.vm_name, "dom2");
         let error = dom2.error.as_ref().expect("dom2 cannot be captured");
         assert!(error.detail.contains(&u32::MAX.to_string()), "{error:?}");
+    }
+
+    #[test]
+    fn rearming_releases_the_replaced_planes_watches() {
+        let (mut hv, _guests, ids) = cloud(3);
+        let m = monitor();
+        let frames = m.arm_events(&mut hv, &ids).unwrap();
+        assert!(frames > 0);
+        assert_eq!(m.arm_events(&mut hv, &ids).unwrap(), frames);
+        lock(&m.events)
+            .as_mut()
+            .expect("a plane is installed")
+            .disarm_all(&mut hv)
+            .unwrap();
+        for &vm in &ids {
+            assert_eq!(hv.vm(vm).unwrap().mem.watched_frames(), 0);
+        }
     }
 
     #[test]

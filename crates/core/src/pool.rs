@@ -29,8 +29,8 @@ use mc_hypervisor::{Hypervisor, SimDuration, VmId, PAGE_SIZE};
 use mc_vmi::{RetryPolicy, VmiError, VmiSession, VmiStats};
 
 use crate::checker::{
-    canonical_form_in, compare_pair_with, CanonicalForm, ExtractedModule, PairOutcome, PairScratch,
-    SeenSections,
+    canonical_form_in, compare_pair_in, compare_pair_with, CanonicalForm, ExtractedModule,
+    PairOutcome, PairScratch, SectionGroups, SeenSections,
 };
 use crate::digest::PartDigest;
 use crate::error::CheckError;
@@ -46,7 +46,15 @@ use crate::searcher::ModuleSearcher;
 pub enum CompareStrategy {
     /// The paper's Algorithm 2: every pair of captures is diff-reconciled
     /// and hashed — O(t²) pairs. Robust (trusts no in-guest metadata) but
-    /// quadratic in pool size.
+    /// quadratic in pool size. Every pair's outcome is exactly Algorithm
+    /// 2's; the scan only skips byte work whose result it can prove. Section
+    /// pairs whose `.reloc`-normalized bytes and slot lists are equal, with
+    /// slots at least one address width apart, take Algorithm 2's closed
+    /// form instead of a copy, scan and hash. Other section pairs are
+    /// decided by their adjusted bytes rather than their digests, which
+    /// differ only on a digest collision. The table only picks which bytes
+    /// to normalize; the bytes decide, so a doctored table costs the fast
+    /// path, not the verdict.
     #[default]
     Pairwise,
     /// Canonical-form comparison: each capture is normalized once against
@@ -1067,6 +1075,12 @@ impl ModChecker {
 
     /// The full O(t²) pairwise matrix over successful extractions (tuple
     /// indices are positions in the original `vms` slice).
+    ///
+    /// Before any pair runs, the scan's executable sections are grouped by
+    /// normalized bytes and slot list ([`SectionGroups`]); a section pair
+    /// within one group takes Algorithm 2's closed form, every other runs
+    /// the full pass. Outcomes and charges are those of comparing every
+    /// pair alone.
     fn pairwise_matrix(
         &self,
         hv: &Hypervisor,
@@ -1078,6 +1092,7 @@ impl ModChecker {
         let pairs: Vec<(usize, usize)> = (0..extracted.len())
             .flat_map(|i| ((i + 1)..extracted.len()).map(move |j| (i, j)))
             .collect();
+        let groups = SectionGroups::build(extracted.iter().map(|(_, m)| &**m));
         charged_chunks(
             hv,
             ledger_vm,
@@ -1094,11 +1109,12 @@ impl ModChecker {
                         (
                             extracted[i].0,
                             extracted[j].0,
-                            compare_pair_with(
+                            compare_pair_in(
                                 &extracted[i].1,
                                 &extracted[j].1,
                                 ledger.as_deref_mut(),
                                 &mut scratch,
+                                Some((&groups, i, j)),
                             )
                             .expect("one scan extracts every capture under one algorithm"),
                         )
@@ -1744,6 +1760,51 @@ mod tests {
             report.errors[0].1.kind,
             crate::report::VerdictErrorKind::ModuleNotFound
         );
+    }
+
+    #[test]
+    fn grouped_matrix_is_every_pair_alone_at_any_worker_count() {
+        let (mut hv, guests, mut ids) = cloud(6);
+        // A clone holds hal.dll at its source's base.
+        ids.push(hv.clone_vm(ids[0], "dom-clone").unwrap());
+        // A patched VM makes a second group; a VM whose `.reloc` table no
+        // longer parses is in none.
+        guests[2]
+            .patch_module(&mut hv, "hal.dll", 0x100F, &[0xE9])
+            .unwrap();
+        let capture = |hv: &Hypervisor, vm: VmId| {
+            let mut s = VmiSession::attach(hv, vm).unwrap();
+            ExtractedModule::new(ModuleSearcher::find(&mut s, "hal.dll").unwrap()).unwrap()
+        };
+        let parsed =
+            mc_pe::parser::ParsedModule::parse_memory(&capture(&hv, ids[4]).image.bytes).unwrap();
+        let reloc = &parsed.sections[parsed.find_section(".reloc").unwrap()];
+        guests[4]
+            .patch_module(
+                &mut hv,
+                "hal.dll",
+                reloc.data_range.start as u64 + 4,
+                &[3, 0, 0, 0],
+            )
+            .unwrap();
+
+        let captures: Vec<ExtractedModule> = ids.iter().map(|&vm| capture(&hv, vm)).collect();
+        let mut scratch = PairScratch::new();
+        let mut alone = Vec::new();
+        for i in 0..captures.len() {
+            for j in (i + 1)..captures.len() {
+                let o = compare_pair_with(&captures[i], &captures[j], None, &mut scratch).unwrap();
+                alone.push(format!("{o:?}"));
+            }
+        }
+        let checker = ModChecker::new();
+        for workers in [1, 2, 3, 8] {
+            let report = checker.scan_pool(&hv, &ids, "hal.dll", workers).unwrap();
+            let matrix: Vec<String> = report.matrix.iter().map(|o| format!("{o:?}")).collect();
+            assert_eq!(matrix, alone, "{workers} workers");
+            let suspects: Vec<&str> = report.suspects().map(|v| v.vm_name.as_str()).collect();
+            assert_eq!(suspects, vec!["dom3"], "{workers} workers");
+        }
     }
 
     #[test]

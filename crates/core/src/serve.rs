@@ -677,8 +677,12 @@ impl AttestServer {
     }
 
     /// Arms write traps over every pool's consensus module set, switching
-    /// refresh sweeps to push mode. Returns the total guest frames watched.
+    /// refresh sweeps to push mode. Replaces any previous plane, releasing
+    /// its watches first. Returns the total guest frames watched.
     pub fn arm_events(&self, hv: &mut Hypervisor, fleet: &Fleet) -> Result<usize, CheckError> {
+        if let Some(mut old) = lock(&self.events).take() {
+            old.disarm_all(hv)?;
+        }
         let mut plane = EventPlane::new();
         let mut frames = 0usize;
         for pool in &fleet.pools {
@@ -1076,6 +1080,23 @@ mod tests {
             pool: "pool0".to_string(),
             module: module.to_string(),
             deadline,
+        }
+    }
+
+    #[test]
+    fn rearming_releases_the_replaced_planes_watches() {
+        let (mut hv, fleet) = bed(3);
+        let server = AttestServer::new(ServeConfig::default());
+        let frames = server.arm_events(&mut hv, &fleet).unwrap();
+        assert!(frames > 0);
+        assert_eq!(server.arm_events(&mut hv, &fleet).unwrap(), frames);
+        lock(&server.events)
+            .as_mut()
+            .expect("a plane is installed")
+            .disarm_all(&mut hv)
+            .unwrap();
+        for &vm in &fleet.pools[0].vms {
+            assert_eq!(hv.vm(vm).unwrap().mem.watched_frames(), 0);
         }
     }
 

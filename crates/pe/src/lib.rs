@@ -27,6 +27,7 @@
 //! depends on — PE header structure and address-bearing executable bytes.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod builder;
 pub mod codegen;

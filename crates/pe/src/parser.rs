@@ -194,12 +194,17 @@ impl ParsedModule {
                 .unwrap_or(SECTION_NAME_LEN);
             let name = String::from_utf8_lossy(&raw_name[..name_len]).into_owned();
 
-            // Unwraps are safe: header_end bounds were checked above.
-            let virtual_size = read_u32(image, sh + SH_VIRTUAL_SIZE).unwrap();
-            let virtual_address = read_u32(image, sh + SH_VIRTUAL_ADDRESS).unwrap();
-            let size_of_raw_data = read_u32(image, sh + SH_SIZE_OF_RAW_DATA).unwrap();
-            let pointer_to_raw_data = read_u32(image, sh + SH_POINTER_TO_RAW_DATA).unwrap();
-            let characteristics = read_u32(image, sh + SH_CHARACTERISTICS).unwrap();
+            let field = |at: usize| {
+                read_u32(image, sh + at).ok_or(PeError::Truncated {
+                    what: "IMAGE_SECTION_HEADER",
+                    offset: sh,
+                })
+            };
+            let virtual_size = field(SH_VIRTUAL_SIZE)?;
+            let virtual_address = field(SH_VIRTUAL_ADDRESS)?;
+            let size_of_raw_data = field(SH_SIZE_OF_RAW_DATA)?;
+            let pointer_to_raw_data = field(SH_POINTER_TO_RAW_DATA)?;
+            let characteristics = field(SH_CHARACTERISTICS)?;
 
             let (start, len) = match layout {
                 Layout::Memory => (virtual_address as u64, virtual_size as u64),

@@ -3,18 +3,26 @@
 //! over the whole attack corpus, fall back to pairwise when a module
 //! carries no usable `.reloc` table, and agree on the bucket edge cases
 //! (all-distinct captures, 2-2 ties). The pairwise matrix must also be
-//! unchanged by the per-capture memo of adjusted-section digests.
+//! unchanged by the per-capture memo of adjusted-section digests, and by
+//! the scan's grouping of sections that share normalized bytes: every
+//! matrix entry, charge and verdict equals comparing each pair alone.
+
+use std::ops::Range;
 
 use mc_attacks::Technique;
-use mc_hypervisor::AddressWidth;
+use mc_hypervisor::{AddressWidth, VmId};
 use mc_pe::corpus::ModuleBlueprint;
+use mc_pe::parser::ParsedModule;
+use mc_pe::reloc::{build_reloc_section, parse_reloc_section};
 use mc_vmi::VmiSession;
 use modchecker::{
-    compare_pair, compare_pair_with, CheckConfig, CompareStrategy, ExtractedModule, ModChecker,
-    ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, VerdictStatus,
+    compare_pair, compare_pair_with, CaptureCache, CheckConfig, CompareStrategy, ExtractedModule,
+    ModChecker, ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, VerdictStatus,
 };
 use modchecker_repro::testbed::Testbed;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// .text occupies the image's second page onward (same layout as the
 /// `properties` suite's 8 KiB blueprint).
@@ -72,11 +80,8 @@ fn both_modes(bed: &Testbed, module: &str) -> (PoolCheckReport, PoolCheckReport)
     (pairwise, canonical)
 }
 
-/// Overwrites the first reloc block's `BlockSize` with 3 (odd, < 8) on one
-/// guest, making `parse_reloc_section` reject the table. Applied to every
-/// VM it leaves the pool content-consistent — the corruption is identical
-/// everywhere — but denies the canonical path its normalization table.
-fn break_reloc_table(bed: &mut Testbed, guest: usize, module: &str) {
+/// Guest `guest`'s loaded image of `module`, read straight from memory.
+fn loaded_image(bed: &Testbed, guest: usize, module: &str) -> Vec<u8> {
     let m = bed.guests[guest]
         .find_module(module)
         .expect("module loaded")
@@ -87,7 +92,16 @@ fn break_reloc_table(bed: &mut Testbed, guest: usize, module: &str) {
         .unwrap()
         .read_virt(m.base, &mut image)
         .unwrap();
-    let parsed = mc_pe::parser::ParsedModule::parse_memory(&image).expect("parse");
+    image
+}
+
+/// Overwrites the first reloc block's `BlockSize` with 3 (odd, < 8) on one
+/// guest, making `parse_reloc_section` reject the table. Applied to every
+/// VM it leaves the pool content-consistent — the corruption is identical
+/// everywhere — but denies the canonical path its normalization table.
+fn break_reloc_table(bed: &mut Testbed, guest: usize, module: &str) {
+    let image = loaded_image(bed, guest, module);
+    let parsed = ParsedModule::parse_memory(&image).expect("parse");
     let reloc = parsed.find_section(".reloc").expect("corpus has .reloc");
     let offset = parsed.sections[reloc].data_range.start as u64 + 4;
     bed.guests[guest]
@@ -343,5 +357,327 @@ proptest! {
         prop_assert_eq!(verdict_keys(&pairwise), verdict_keys(&canonical));
         prop_assert!(pairwise.all_clean() && canonical.all_clean());
         prop_assert!(canonical.times.checker <= pairwise.times.checker);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Grouped Algorithm 2: the scan groups sections that share normalized
+// bytes and slot list and takes the closed form within a group. Every
+// matrix entry, the checker charge and every verdict must equal comparing
+// each pair alone through the public, ungrouped `compare_pair_with`.
+
+const GROUPED: &str = "hal.dll";
+
+/// `n` VMs whose module also carries an executable `INIT` section.
+fn grouping_bed(n: usize, width: AddressWidth) -> Testbed {
+    Testbed::cloud_with(
+        n,
+        width,
+        &[ModuleBlueprint::new(GROUPED, width, 8 * 1024).with_init_section(4 * 1024)],
+    )
+}
+
+/// The capture of `module` on `vm`, or `None` when it does not parse.
+fn capture(bed: &Testbed, vm: VmId, module: &str) -> Option<ExtractedModule> {
+    let mut session = VmiSession::attach(&bed.hv, vm).expect("attach");
+    let image = ModuleSearcher::find(&mut session, module).ok()?;
+    ExtractedModule::new(image).ok()
+}
+
+/// Asserts that the pool scan's matrix, checker charge and verdicts are
+/// those of every pair compared alone, for the uncached scan and for the
+/// cached scan (one worker).
+fn assert_matrix_is_every_pair_alone(bed: &Testbed, module: &str, label: &str) {
+    let report = ModChecker::new()
+        .check_pool(&bed.hv, &bed.vm_ids, module)
+        .expect("pool check");
+    let captures: Vec<(usize, ExtractedModule)> = bed
+        .vm_ids
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, &vm)| Some((idx, capture(bed, vm, module)?)))
+        .collect();
+    assert_eq!(report.scanned, captures.len(), "{label}");
+    let mut ledger = VmiSession::attach(&bed.hv, bed.vm_ids[0]).expect("attach");
+    ledger.take_elapsed();
+    let mut scratch = PairScratch::new();
+    let mut pairs = Vec::new();
+    let mut alone = Vec::new();
+    for (k, (i, a)) in captures.iter().enumerate() {
+        for (j, b) in &captures[k + 1..] {
+            pairs.push((*i, *j));
+            alone.push(compare_pair_with(a, b, Some(&mut ledger), &mut scratch).unwrap());
+        }
+    }
+    assert_eq!(pair_keys(&report.matrix), pair_keys(&alone), "{label}");
+    let mut checker = ledger.take_elapsed();
+    for v in &report.per_vm {
+        checker += v.times.checker;
+    }
+    assert_eq!(report.times.checker, checker, "{label}: checker charge");
+    for (idx, v) in report.verdicts.iter().enumerate() {
+        if v.error.is_some() {
+            assert!(captures.iter().all(|(i, _)| *i != idx), "{label}");
+            continue;
+        }
+        let mut successes = 0;
+        let mut parts = Vec::new();
+        for (&(i, j), o) in pairs.iter().zip(&alone) {
+            if i == idx || j == idx {
+                if o.matches() {
+                    successes += 1;
+                } else {
+                    parts.extend(o.mismatched.iter().cloned());
+                }
+            }
+        }
+        parts.sort();
+        parts.dedup();
+        let comparisons = captures.len() - 1;
+        let status = if successes * 2 > comparisons {
+            VerdictStatus::Clean
+        } else {
+            VerdictStatus::Suspect
+        };
+        assert_eq!(
+            (v.status, v.successes, v.comparisons, &v.suspect_parts),
+            (status, successes, comparisons, &parts),
+            "{label}: verdict of {}",
+            v.vm_name
+        );
+    }
+    let cached = ModChecker::new()
+        .check_pool_with_cache(&bed.hv, &bed.vm_ids, module, &mut CaptureCache::new())
+        .expect("cached pool check");
+    assert_eq!(
+        pair_keys(&cached.matrix),
+        pair_keys(&alone),
+        "{label}: cached"
+    );
+}
+
+/// The sorted `.reloc` slot RVAs and the section ranges of `module` on
+/// guest `guest`.
+fn reloc_layout(bed: &Testbed, guest: usize, module: &str) -> (Vec<u32>, ParsedModule) {
+    let image = loaded_image(bed, guest, module);
+    let parsed = ParsedModule::parse_memory(&image).expect("parse");
+    let reloc = parsed.sections[parsed.find_section(".reloc").expect(".reloc")]
+        .data_range
+        .clone();
+    let mut rvas = parse_reloc_section(&image[reloc]).expect("clean table");
+    rvas.sort_unstable();
+    (rvas, parsed)
+}
+
+/// Rewrites the in-memory `.reloc` table of `module` on each of `guests`
+/// to the first of `candidates` that fits the section; padding entries
+/// appended to the last block take up any slack. Panics when none fits.
+fn doctor_reloc(bed: &mut Testbed, guests: &[usize], module: &str, candidates: Vec<Vec<u32>>) {
+    let (_, parsed) = reloc_layout(bed, guests[0], module);
+    let range = parsed.sections[parsed.find_section(".reloc").unwrap()]
+        .data_range
+        .clone();
+    let table = candidates
+        .iter()
+        .find_map(|rvas| {
+            let mut table = build_reloc_section(parsed.width, rvas);
+            let slack = range.len().checked_sub(table.len())?;
+            let (mut at, mut last) = (0, 0);
+            while at < table.len() {
+                last = at;
+                at += u32::from_le_bytes(table[at + 4..at + 8].try_into().unwrap()) as usize;
+            }
+            let size = (at - last + slack) as u32;
+            table[last + 4..last + 8].copy_from_slice(&size.to_le_bytes());
+            table.resize(range.len(), 0);
+            Some(table)
+        })
+        .unwrap_or_else(|| {
+            panic!(
+                "no doctored table fits the section: {} bytes, {} candidates, first {:?}",
+                range.len(),
+                candidates.len(),
+                candidates
+                    .first()
+                    .map(|c| build_reloc_section(parsed.width, c).len())
+            )
+        });
+    for &g in guests {
+        bed.guests[g]
+            .patch_module(&mut bed.hv, module, range.start as u64, &table)
+            .unwrap();
+    }
+}
+
+/// `rvas` with `extra` added, then with `extra` replacing, in turn, each
+/// entry of its page that lies at least 8 bytes away (the same entry
+/// count keeps the table's size, and any entry `extra` overlaps stays).
+fn with_extra(rvas: &[u32], extra: u32) -> Vec<Vec<u32>> {
+    let mut out = vec![[rvas, &[extra]].concat()];
+    for k in 0..rvas.len() {
+        if rvas[k] & !0xFFF == extra & !0xFFF && rvas[k].abs_diff(extra) >= 8 {
+            let mut v = rvas.to_vec();
+            v[k] = extra;
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// The doctored-table edits, each as candidate slot lists: an entry
+/// removed, added, shifted by one, overlapping its neighbour, and
+/// straddling the `.text` end.
+fn reloc_edits(
+    rvas: &[u32],
+    text: &Range<usize>,
+    width: AddressWidth,
+) -> Vec<(&'static str, Vec<Vec<u32>>)> {
+    let w = width.bytes() as u32;
+    let end = text.end as u32;
+    let removed = (0..rvas.len())
+        .map(|k| [&rvas[..k], &rvas[k + 1..]].concat())
+        .collect();
+    let added = (1..64)
+        .map(|d| text.start as u32 + 3 * d)
+        .filter(|x| !rvas.contains(x))
+        .flat_map(|x| with_extra(rvas, x))
+        .collect();
+    let shifted = (0..rvas.len())
+        .filter(|&k| !rvas.contains(&(rvas[k] + 1)))
+        .map(|k| {
+            let mut v = rvas.to_vec();
+            v[k] += 1;
+            v
+        })
+        .collect();
+    let overlapping = rvas
+        .iter()
+        .filter(|&&r| !rvas.contains(&(r + 2)))
+        .flat_map(|&r| with_extra(rvas, r + 2))
+        .collect();
+    // No entry shares the page past `.text`, so the straddler opens a new
+    // block; dropping the table's last entries makes room for it.
+    let straddling = (1..w)
+        .flat_map(|d| (0..8).map(move |m| [&rvas[..rvas.len() - m], &[end - d]].concat()))
+        .collect();
+    vec![
+        ("removed", removed),
+        ("added", added),
+        ("shifted", shifted),
+        ("overlapping", overlapping),
+        ("straddling", straddling),
+    ]
+}
+
+/// One seeded `pe_fuzz`-style mutant planted in `guest`: header-region
+/// bit flips, garbage over the `.reloc` payload, or a flipped `.text`
+/// byte.
+fn plant_mutant(bed: &mut Testbed, guest: usize, module: &str, rng: &mut StdRng) -> &'static str {
+    let image = loaded_image(bed, guest, module);
+    let parsed = ParsedModule::parse_memory(&image).expect("parse");
+    let (kind, range) = match rng.random_range(0..3u32) {
+        0 => ("header", 0..image.len().min(0x400)),
+        1 => (
+            ".reloc",
+            parsed.sections[parsed.find_section(".reloc").unwrap()]
+                .data_range
+                .clone(),
+        ),
+        _ => (
+            ".text",
+            parsed.sections[parsed.find_section(".text").unwrap()]
+                .data_range
+                .clone(),
+        ),
+    };
+    for _ in 0..rng.random_range(1..=4usize) {
+        let at = range.start + rng.random_range(0..range.len());
+        let flip = rng.random_range(1..=u64::from(u8::MAX)) as u8;
+        bed.guests[guest]
+            .patch_module(&mut bed.hv, module, at as u64, &[image[at] ^ flip])
+            .unwrap();
+    }
+    kind
+}
+
+#[test]
+fn grouped_pairwise_matrix_equals_every_pair_compared_alone() {
+    for width in [AddressWidth::W32, AddressWidth::W64] {
+        // A clean pool: one group per section.
+        let mut bed = grouping_bed(5, width);
+        assert_matrix_is_every_pair_alone(&bed, GROUPED, &format!("{width:?} clean"));
+
+        // Identical bases: a cloned VM holds the module at its source's base.
+        let clone = bed.hv.clone_vm(bed.vm_ids[0], "dom-clone").unwrap();
+        bed.vm_ids.push(clone);
+        assert_matrix_is_every_pair_alone(&bed, GROUPED, &format!("{width:?} cloned base"));
+
+        // A runtime patch makes a second group.
+        bed.guests[1]
+            .patch_module(&mut bed.hv, GROUPED, 0x1000 + 9, &[0xCC])
+            .unwrap();
+        assert_matrix_is_every_pair_alone(&bed, GROUPED, &format!("{width:?} patched"));
+
+        // Doctored `.reloc`, on one VM and on every VM alike.
+        let (rvas, parsed) = reloc_layout(&bed, 0, GROUPED);
+        let text = parsed.sections[parsed.find_section(".text").unwrap()]
+            .data_range
+            .clone();
+        for (edit, candidates) in reloc_edits(&rvas, &text, width) {
+            for guests in [vec![2], (0..5).collect::<Vec<_>>()] {
+                let mut bed = grouping_bed(5, width);
+                doctor_reloc(&mut bed, &guests, GROUPED, candidates.clone());
+                let label = format!("{width:?} reloc {edit} on {guests:?}");
+                assert_matrix_is_every_pair_alone(&bed, GROUPED, &label);
+            }
+        }
+
+        // Unequal section lengths: one VM's `.text` header claims 16
+        // bytes less.
+        let mut bed = grouping_bed(5, width);
+        let header = parsed.sections[parsed.find_section(".text").unwrap()]
+            .header_range
+            .clone();
+        let size = parsed.sections[parsed.find_section(".text").unwrap()].virtual_size - 16;
+        bed.guests[3]
+            .patch_module(
+                &mut bed.hv,
+                GROUPED,
+                header.start as u64 + 8,
+                &size.to_le_bytes(),
+            )
+            .unwrap();
+        assert_matrix_is_every_pair_alone(&bed, GROUPED, &format!("{width:?} short .text"));
+
+        // A duplicate-named executable section: `INIT` renamed `.text`,
+        // on one VM and then on all but one.
+        let init = parsed.sections[parsed.find_section("INIT").unwrap()]
+            .header_range
+            .clone();
+        let mut bed = grouping_bed(5, width);
+        for g in 0..4 {
+            bed.guests[g]
+                .patch_module(&mut bed.hv, GROUPED, init.start as u64, b".text\0\0\0")
+                .unwrap();
+            let label = format!("{width:?} duplicate .text on {} VMs", g + 1);
+            assert_matrix_is_every_pair_alone(&bed, GROUPED, &label);
+        }
+    }
+
+    // `pe_fuzz`-style mutants, one per pool.
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x6A0B);
+        let mut bed = grouping_bed(4, AddressWidth::W32);
+        let victim = rng.random_range(0..4usize);
+        let kind = plant_mutant(&mut bed, victim, GROUPED, &mut rng);
+        let label = format!("seed {seed}: {kind} mutant on guest {victim}");
+        assert_matrix_is_every_pair_alone(&bed, GROUPED, &label);
+    }
+
+    // Every file-level technique on the standard corpus.
+    for technique in Technique::COMPLETE {
+        let (bed, _) = Testbed::infected_cloud(6, technique, &[2]).unwrap();
+        let target = technique.infection().target_module().to_string();
+        assert_matrix_is_every_pair_alone(&bed, &target, &format!("{technique}"));
     }
 }
