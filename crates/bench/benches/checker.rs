@@ -15,6 +15,10 @@
 //! * `checker/pairwise_unit` — the paper's Algorithm 2 op: one uncached,
 //!   default-config `check_pool` of a clean 15-VM unit, every pair of
 //!   captures compared. Each iteration runs one scan.
+//! * `checker/compare_pair/{clean,inline_hook}` — the public, ungrouped
+//!   `compare_pair_with` on one 128 KiB `hal.dll` pair: two clean captures
+//!   at distinct bases, and a clean capture against an inline-hooked one.
+//!   Each iteration compares the pair 32 times through one scratch arena.
 //!
 //! ```text
 //! cargo bench -p mc-bench --bench checker
@@ -23,11 +27,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mc_hypervisor::AddressWidth;
+use mc_attacks::Technique;
+use mc_hypervisor::{AddressWidth, VmId};
 use mc_pe::corpus::ModuleBlueprint;
 use mc_vmi::VmiSession;
 use modchecker::{
-    CaptureCache, CheckConfig, CompareStrategy, ExtractedModule, ModChecker, ModuleSearcher,
+    compare_pair_with, CaptureCache, CheckConfig, CompareStrategy, ExtractedModule, ModChecker,
+    ModuleSearcher, PairScratch,
 };
 use modchecker_repro::testbed::Testbed;
 
@@ -80,6 +86,38 @@ fn bench_pairwise_unit(c: &mut Criterion) {
     });
 }
 
+fn bench_compare_pair(c: &mut Criterion) {
+    let width = AddressWidth::W32;
+    let blueprint = ModuleBlueprint::new(MODULE, width, 128 * 1024);
+    let (bed, _) =
+        Testbed::infected_cloud_with(3, width, &[blueprint], Technique::InlineHook, &[2])
+            .expect("inline hook applies");
+    let capture = |vm: VmId| {
+        let mut session = VmiSession::attach(&bed.hv, vm).expect("attach");
+        ExtractedModule::new(ModuleSearcher::find(&mut session, MODULE).expect("capture"))
+            .expect("parses")
+    };
+    let (a, clean, hooked) = (
+        capture(bed.vm_ids[0]),
+        capture(bed.vm_ids[1]),
+        capture(bed.vm_ids[2]),
+    );
+    let mut group = c.benchmark_group("checker/compare_pair");
+    for (name, b, matches) in [("clean", &clean, true), ("inline_hook", &hooked, false)] {
+        let mut scratch = PairScratch::new();
+        group.bench_function(name, |bch| {
+            bch.iter(|| {
+                for _ in 0..32 {
+                    let o = compare_pair_with(&a, b, None, &mut scratch).expect("one algorithm");
+                    assert_eq!(o.matches(), matches);
+                    black_box(o);
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_canonical_forms_unit(c: &mut Criterion) {
     bench_cold_unit(c, "checker/canonical_forms_unit", &unit());
 }
@@ -103,6 +141,7 @@ criterion_group!(
     benches,
     bench_canonical_forms_unit,
     bench_canonical_forms_all_distinct,
-    bench_pairwise_unit
+    bench_pairwise_unit,
+    bench_compare_pair
 );
 criterion_main!(benches);

@@ -181,7 +181,6 @@ mod tests {
                 header_hashes: Vec::new(),
                 algo: DigestAlgo::Md5,
                 canonical: Default::default(),
-                adjusted: Default::default(),
             })
         };
 

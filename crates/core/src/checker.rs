@@ -2,25 +2,24 @@
 //!
 //! For a pair of VMs, every header part is hashed directly; executable
 //! section data is first run through Algorithm 2 ([`crate::rva`]) to undo
-//! relocation, then hashed. The set of parts whose hashes disagree is the
-//! comparison outcome — e.g. the paper's §V.B.4 experiment reports
-//! mismatches in `IMAGE_NT_HEADER`, `IMAGE_OPTIONAL_HEADER`, all
+//! relocation, and the paper then hashes it. The set of parts that
+//! disagree is the comparison outcome — e.g. the paper's §V.B.4 experiment
+//! reports mismatches in `IMAGE_NT_HEADER`, `IMAGE_OPTIONAL_HEADER`, all
 //! `SECTION_HEADER`s and `.text`.
 //!
-//! Each capture keeps two memos of derived digests, so the work behind
-//! them is done once per capture rather than once per pair or per round:
-//! its [`canonical_form`], and for each executable section the digest of
-//! its Algorithm 2 output, keyed by the log of slots that pass rewrote.
-//! Across captures, one scan's canonical pass hashes each distinct
-//! normalized executable section once ([`SeenSections`]), and one scan's
-//! pairwise matrix groups executable sections that share normalized bytes
-//! and slot list ([`SectionGroups`]): a section pair within a group takes
-//! Algorithm 2's closed form and is neither copied, scanned nor hashed.
-//! Inside that matrix every other section pair is decided by its adjusted
-//! bytes without hashing, scanning only the segments where two groups over
-//! one slot list differ, and reading both sections in place otherwise.
-//! None of this changes what a comparison returns or what it charges to a
-//! ledger.
+//! Each capture memoizes its [`canonical_form`], so the work behind it is
+//! done once per capture rather than once per pair or per round. Across
+//! captures, one scan's canonical pass hashes each distinct normalized
+//! executable section once ([`SeenSections`]), and one scan's pairwise
+//! matrix groups executable sections that share normalized bytes and slot
+//! list ([`SectionGroups`]): a section pair within a group takes Algorithm
+//! 2's closed form and is neither scanned nor hashed, and two groups over
+//! one slot list scan only the segments where they differ. Every other
+//! executable-section pair, inside a scan or not, is decided by its
+//! adjusted bytes: Algorithm 2 reads both sections in place, and the pair
+//! matches when nothing is left but the slots it rewrote. No executable
+//! section is copied or hashed for a pair. None of this changes what a
+//! comparison returns or what it charges to a ledger.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -39,13 +38,9 @@ use crate::searcher::ModuleImage;
 ///
 /// The capture also memoizes its [`canonical_form`] on first use, so a
 /// capture served again from a cache (the same `Arc`) is normalized and
-/// hashed only once. A second memo holds, per executable section, the
-/// digest of its bytes after the last pairwise Algorithm 2 pass together
-/// with that pass's slot log: a pairwise sweep produces the same log for
-/// most peers, so each section is hashed about once per sweep instead of
-/// once per pair. Both memos are derived from the fields as they stood
-/// when they were filled: [`Clone`] starts the copy with empty memos, so
-/// the way to derive a modified capture is to clone it and edit the clone.
+/// hashed only once. The memo is derived from the fields as they stood
+/// when it was filled: [`Clone`] starts the copy with an empty memo, so the
+/// way to derive a modified capture is to clone it and edit the clone.
 #[derive(Debug)]
 pub struct ExtractedModule {
     /// The captured image.
@@ -59,24 +54,6 @@ pub struct ExtractedModule {
     pub algo: DigestAlgo,
     /// Memoized [`canonical_form`] outcome; see the type docs.
     pub(crate) canonical: OnceLock<Option<CanonicalMemo>>,
-    /// Per executable section (indexed as `parts.exec_sections`), the
-    /// latest adjusted digest; see the type docs. Locked because parallel
-    /// scans compare one capture in several pairs at once.
-    pub(crate) adjusted: Mutex<Vec<Option<AdjustedDigest>>>,
-}
-
-/// The digest of one executable section after Algorithm 2, with the
-/// width and slot log that produced the adjusted bytes.
-///
-/// Algorithm 2 rewrites each logged slot of a side to the value read from
-/// that side's own buffer minus that side's own base, so the adjusted
-/// bytes — and their digest — are a function of the capture, the width
-/// and the log alone, whichever peer produced the log.
-#[derive(Debug)]
-pub(crate) struct AdjustedDigest {
-    width: AddressWidth,
-    slots: Vec<u32>,
-    digest: PartDigest,
 }
 
 /// A computed canonical form plus the `.reloc` length its ledger charge
@@ -95,7 +72,6 @@ impl Clone for ExtractedModule {
             header_hashes: self.header_hashes.clone(),
             algo: self.algo,
             canonical: OnceLock::new(),
-            adjusted: Mutex::default(),
         }
     }
 }
@@ -123,7 +99,6 @@ impl ExtractedModule {
             header_hashes,
             algo,
             canonical: OnceLock::new(),
-            adjusted: Mutex::default(),
         })
     }
 
@@ -135,41 +110,6 @@ impl ExtractedModule {
     /// True when the image is empty (never the case for parsed modules).
     pub fn is_empty(&self) -> bool {
         self.image.bytes.is_empty()
-    }
-
-    /// The digest of exec section `section` once Algorithm 2 has rewritten
-    /// `slots` under `width`; `adjusted` holds those adjusted bytes. Served
-    /// from the memo when the entry's width and log match; otherwise hashed
-    /// outside the lock and stored in place of the old entry.
-    fn adjusted_digest(
-        &self,
-        section: usize,
-        width: AddressWidth,
-        slots: &[u32],
-        adjusted: &[u8],
-    ) -> PartDigest {
-        // Every update replaces a whole entry, so a poisoned memo still
-        // holds only complete, correct entries.
-        let lock = || self.adjusted.lock().unwrap_or_else(PoisonError::into_inner);
-        let hit = lock()
-            .get(section)
-            .and_then(Option::as_ref)
-            .filter(|e| e.width == width && e.slots == slots)
-            .map(|e| e.digest);
-        if let Some(d) = hit {
-            return d;
-        }
-        let d = digest(self.algo, adjusted);
-        let mut memo = lock();
-        if memo.len() <= section {
-            memo.resize_with(section + 1, || None);
-        }
-        memo[section] = Some(AdjustedDigest {
-            width,
-            slots: slots.to_vec(),
-            digest: d,
-        });
-        d
     }
 }
 
@@ -193,20 +133,18 @@ impl PairOutcome {
     }
 }
 
-/// Reusable scratch buffers for the pairwise path. Algorithm 2 mutates both
-/// section copies in place, so each comparison needs writable working
-/// memory; keeping it in a scratch arena lets a sequential matrix sweep run
-/// allocation-free after the first pair instead of allocating two fresh
-/// buffers per pair.
+/// Reusable scratch for the pairwise path: the log of slots Algorithm 2
+/// rewrote in one section pair. Both sections are read in place, so the
+/// log is the only working memory a comparison needs; keeping it in a
+/// scratch arena lets a matrix sweep run allocation-free after the first
+/// pair.
 #[derive(Clone, Debug, Default)]
 pub struct PairScratch {
-    buf_a: Vec<u8>,
-    buf_b: Vec<u8>,
     slots: Vec<u32>,
 }
 
 impl PairScratch {
-    /// Creates an empty arena (buffers grow to the largest section seen).
+    /// Creates an empty arena (the log grows to the longest one seen).
     pub fn new() -> Self {
         Self::default()
     }
@@ -240,12 +178,14 @@ fn counterpart(secs: &[ExecSection], i: usize, other: &[ExecSection]) -> Option<
         .map(|(k, _)| k)
 }
 
-/// [`compare_pair`] with caller-provided scratch buffers, for matrix sweeps
-/// that reuse one arena across many pairs.
+/// [`compare_pair`] with caller-provided scratch, for matrix sweeps that
+/// reuse one arena across many pairs.
 ///
-/// Each side's adjusted-section digest comes from that capture's memo when
-/// the pass rewrote the same slots as the pass that filled it; the ledger
-/// is charged for diffing and hashing both sections either way.
+/// Each executable-section pair is decided by its adjusted bytes: the pair
+/// matches when the sections have one length and differ only inside slots
+/// Algorithm 2 rewrote. That is exactly when their adjusted copies would
+/// hash equal, barring a digest collision. The ledger is charged for
+/// diffing and hashing both sections, as the paper's pass does.
 pub fn compare_pair_with(
     a: &ExtractedModule,
     b: &ExtractedModule,
@@ -415,14 +355,13 @@ fn group_of<'a>(
     }))
 }
 
-/// [`compare_pair_with`] within one scan. `groups` is the scan's section
-/// grouping with the positions of `a` and `b` in it: a section pair in one
-/// group takes Algorithm 2's closed form and needs no copy, scan or hash,
-/// because equal adjusted bytes hash equal. Any other section pair is
-/// decided by whether its adjusted bytes differ, through
-/// [`crate::rva::adjust_segmented`] for two groups over one slot list and
-/// [`crate::rva::adjust_read_only`] otherwise. The outcome and the ledger
-/// charge are those of [`compare_pair_with`].
+/// [`compare_pair_with`], within one scan when `groups` holds the scan's
+/// section grouping with the positions of `a` and `b` in it. A section pair
+/// in one group takes Algorithm 2's closed form, and a pair of two groups
+/// over one slot list runs [`crate::rva::adjust_segmented`]. Every other
+/// section pair runs [`crate::rva::adjust_read_only`], and
+/// [`crate::rva::adjusted_differ`] decides it. The outcome and the ledger
+/// charge do not depend on `groups`.
 pub(crate) fn compare_pair_in(
     a: &ExtractedModule,
     b: &ExtractedModule,
@@ -474,8 +413,8 @@ pub(crate) fn compare_pair_in(
         mismatched.push(id.clone());
     }
 
-    // Executable sections: adjust RVAs pairwise, then hash. Sections pair
-    // by name and occurrence; one without a counterpart is a mismatch.
+    // Executable sections: adjust RVAs pairwise, then compare. Sections
+    // pair by name and occurrence; one without a counterpart is a mismatch.
     let width = a.parts.width;
     for (ia, sa) in a.parts.exec_sections.iter().enumerate() {
         let Some(ib) = counterpart(&a.parts.exec_sections, ia, &b.parts.exec_sections) else {
@@ -511,19 +450,10 @@ pub(crate) fn compare_pair_in(
             ),
             None => None,
         };
-        if let Some((stats, differ)) = shortcut {
-            slots_adjusted += stats.slots_adjusted;
-            residual_diffs += stats.residual_diffs;
-            if differ {
-                mismatched.push(PartId::SectionData(sa.name.clone()));
-            }
-            continue;
-        }
-        if groups.is_some() {
-            // Within a scan the adjusted bytes decide, and the pass reads
-            // both sections in place: equal bytes hash equal, and unequal
-            // ones hash unequal unless their digests collide, which the
-            // bytes expose. No executable section is copied or hashed.
+        // Without a shortcut the adjusted bytes decide, and the pass reads
+        // both sections in place: equal bytes hash equal, and unequal ones
+        // hash unequal unless their digests collide, which the bytes expose.
+        let (stats, differ) = shortcut.unwrap_or_else(|| {
             scratch.slots.clear();
             let stats = crate::rva::adjust_read_only(
                 bytes_a,
@@ -533,27 +463,12 @@ pub(crate) fn compare_pair_in(
                 width,
                 &mut scratch.slots,
             );
-            slots_adjusted += stats.slots_adjusted;
-            residual_diffs += stats.residual_diffs;
-            if crate::rva::adjusted_differ(bytes_a, bytes_b, &scratch.slots, width) {
-                mismatched.push(PartId::SectionData(sa.name.clone()));
-            }
-            continue;
-        }
-        scratch.buf_a.clear();
-        scratch.buf_a.extend_from_slice(bytes_a);
-        scratch.buf_b.clear();
-        scratch.buf_b.extend_from_slice(bytes_b);
-        let (bytes_a, bytes_b) = (&mut scratch.buf_a, &mut scratch.buf_b);
-        let slots = &mut scratch.slots;
-        slots.clear();
-        let stats = crate::rva::adjust_rvas_logged(bytes_a, bytes_b, base_a, base_b, width, slots);
+            let differ = crate::rva::adjusted_differ(bytes_a, bytes_b, &scratch.slots, width);
+            (stats, differ)
+        });
         slots_adjusted += stats.slots_adjusted;
         residual_diffs += stats.residual_diffs;
-        if bytes_a.len() != bytes_b.len()
-            || a.adjusted_digest(ia, width, slots, bytes_a)
-                != b.adjusted_digest(ib, width, slots, bytes_b)
-        {
+        if differ {
             mismatched.push(PartId::SectionData(sa.name.clone()));
         }
     }
@@ -1004,78 +919,6 @@ mod tests {
         let patched = canonical_form(&b, None).unwrap();
         assert_ne!(original.fingerprint(), patched.fingerprint());
         assert_eq!(canonical_form(&a, None), Some(original));
-    }
-
-    /// True once `m` holds a memoized adjusted digest.
-    fn has_adjusted_memo(m: &ExtractedModule) -> bool {
-        m.adjusted.lock().unwrap().iter().any(Option::is_some)
-    }
-
-    #[test]
-    fn a_memo_hit_charges_the_ledger_like_a_miss() {
-        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
-        let a = extract_from(&hv, guests[0].vm, "hal.dll");
-        let b = extract_from(&hv, guests[1].vm, "hal.dll");
-        let mut ledger = VmiSession::attach(&hv, guests[0].vm).unwrap();
-        ledger.take_elapsed();
-        assert!(!has_adjusted_memo(&a) && !has_adjusted_memo(&b));
-        let miss = compare_pair(&a, &b, Some(&mut ledger)).unwrap();
-        let miss_cost = ledger.take_elapsed();
-        assert!(has_adjusted_memo(&a) && has_adjusted_memo(&b));
-        let hit = compare_pair(&a, &b, Some(&mut ledger)).unwrap();
-        let hit_cost = ledger.take_elapsed();
-        assert!(miss_cost.as_nanos() > 0);
-        assert_eq!(miss_cost.as_nanos(), hit_cost.as_nanos());
-        assert_eq!(miss.mismatched, hit.mismatched);
-        assert_eq!(miss.slots_adjusted, hit.slots_adjusted);
-        assert_eq!(miss.residual_diffs, hit.residual_diffs);
-    }
-
-    #[test]
-    fn alternating_slot_logs_overwrite_the_memo_and_stay_exact() {
-        // `a` meets a distinct-base clean peer (full slot log), a same-base
-        // tampered peer and a same-base clean peer (empty slot logs) in
-        // turn. Each meeting replaces `a`'s memo entry, and every outcome
-        // must equal the comparison of fresh, unmemoized clones.
-        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
-        let a = extract_from(&hv, guests[0].vm, "hal.dll");
-        let distinct = extract_from(&hv, guests[1].vm, "hal.dll");
-        let mut tampered = a.clone();
-        let at = tampered.parts.exec_sections[0].range.start + 3;
-        tampered.image.bytes[at] ^= 0xFF;
-        let same = a.clone();
-        let text = vec![PartId::SectionData(".text".into())];
-        for round in 0..3 {
-            for (peer, expected) in [
-                (&distinct, vec![]),
-                (&tampered, text.clone()),
-                (&same, vec![]),
-            ] {
-                let memoized = compare_pair(&a, peer, None).unwrap();
-                let fresh = compare_pair(&a.clone(), &peer.clone(), None).unwrap();
-                assert_eq!(memoized.mismatched, expected, "round {round}");
-                assert_eq!(memoized.mismatched, fresh.mismatched);
-                assert_eq!(memoized.slots_adjusted, fresh.slots_adjusted);
-                assert_eq!(memoized.residual_diffs, fresh.residual_diffs);
-            }
-        }
-    }
-
-    #[test]
-    fn a_patched_clone_does_not_inherit_the_digest_memo() {
-        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
-        let a = extract_from(&hv, guests[0].vm, "hal.dll");
-        let b = extract_from(&hv, guests[1].vm, "hal.dll");
-        assert!(compare_pair(&a, &b, None).unwrap().matches());
-        let mut c = a.clone();
-        assert!(!has_adjusted_memo(&c), "a clone starts unmemoized");
-        let at = c.parts.exec_sections[0].range.start + 3;
-        c.image.bytes[at] ^= 0xFF;
-        assert_eq!(
-            compare_pair(&c, &b, None).unwrap().mismatched,
-            vec![PartId::SectionData(".text".into())]
-        );
-        assert!(compare_pair(&a, &b, None).unwrap().matches());
     }
 
     #[test]

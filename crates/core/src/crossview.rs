@@ -352,11 +352,7 @@ impl CrossView {
                 });
             }
         }
-        findings.sort_by(|a, b| {
-            (a.kind, &a.module, a.size)
-                .partial_cmp(&(b.kind, &b.module, b.size))
-                .expect("total order")
-        });
+        findings.sort_by(|a, b| (a.kind, &a.module, a.size).cmp(&(b.kind, &b.module, b.size)));
 
         Ok(CrossViewReport {
             vms_scanned: total,

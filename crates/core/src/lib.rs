@@ -63,6 +63,7 @@
 //! truth (module bases, reloc site lists) — those are for attacks and tests.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
 pub mod checker;

@@ -704,10 +704,12 @@ impl ModChecker {
                     if self.config.static_prepass {
                         static_findings.extend(Self::static_scan(&other));
                     }
-                    outcomes.push(
-                        compare_pair_with(&reference_mod, &other, Some(&mut ledger), &mut scratch)
-                            .expect("one scan extracts every capture under one algorithm"),
-                    );
+                    outcomes.push(compare_pair_with(
+                        &reference_mod,
+                        &other,
+                        Some(&mut ledger),
+                        &mut scratch,
+                    )?);
                 }
                 Err(e) => errors.push((vm_name, VerdictError::classify(&e))),
             }
@@ -1079,8 +1081,8 @@ impl ModChecker {
     /// Before any pair runs, the scan's executable sections are grouped by
     /// normalized bytes and slot list ([`SectionGroups`]); a section pair
     /// within one group takes Algorithm 2's closed form, every other runs
-    /// the full pass. Outcomes and charges are those of comparing every
-    /// pair alone.
+    /// the full pass in place. Outcomes and charges are those of comparing
+    /// every pair alone.
     fn pairwise_matrix(
         &self,
         hv: &Hypervisor,
@@ -1101,27 +1103,25 @@ impl ModChecker {
             times,
             |chunk, mut ledger| {
                 // One scratch arena per chunk: zero per-pair allocations after
-                // the buffers reach section size.
+                // the slot log reaches its longest.
                 let mut scratch = PairScratch::new();
                 chunk
                     .iter()
                     .map(|&(i, j)| {
-                        (
-                            extracted[i].0,
-                            extracted[j].0,
-                            compare_pair_in(
-                                &extracted[i].1,
-                                &extracted[j].1,
-                                ledger.as_deref_mut(),
-                                &mut scratch,
-                                Some((&groups, i, j)),
-                            )
-                            .expect("one scan extracts every capture under one algorithm"),
-                        )
+                        let o = compare_pair_in(
+                            &extracted[i].1,
+                            &extracted[j].1,
+                            ledger.as_deref_mut(),
+                            &mut scratch,
+                            Some((&groups, i, j)),
+                        )?;
+                        Ok((extracted[i].0, extracted[j].0, o))
                     })
                     .collect()
             },
-        )
+        )?
+        .into_iter()
+        .collect()
     }
 
     /// The canonical-form path: normalize+hash once per capture, bucket by
@@ -1183,8 +1183,7 @@ impl ModChecker {
                     &extracted[pj].1,
                     ledger.as_mut(),
                     &mut scratch,
-                )
-                .expect("one scan extracts every capture under one algorithm");
+                )?;
                 if !o.matches() {
                     rep_mismatch[gi].extend(o.mismatched.iter().cloned());
                     rep_mismatch[gj].extend(o.mismatched.iter().cloned());

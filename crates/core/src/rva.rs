@@ -107,6 +107,12 @@ fn word(chunk: &[u8]) -> u64 {
 /// adjustment statistics; after this call, equal-content sections hash
 /// equal, and any tampering shows up as `residual_diffs > 0` plus a hash
 /// mismatch.
+///
+/// The pass is [`adjust_read_only`] followed by a replay of its slot log
+/// onto each side. Each rewrite reads one side's own (possibly already
+/// rewritten) buffer and subtracts that side's own base, and writes the
+/// same value to both sides, so the adjusted sections differ exactly where
+/// [`adjusted_differ`] says.
 pub fn adjust_rvas(
     a: &mut [u8],
     b: &mut [u8],
@@ -114,32 +120,11 @@ pub fn adjust_rvas(
     base_b: u64,
     width: AddressWidth,
 ) -> AdjustStats {
-    adjust_rvas_logged(a, b, base_a, base_b, width, &mut Vec::new())
-}
-
-/// [`adjust_rvas`] that also appends each reconciled slot's offset to
-/// `slots`, in rewrite order.
-///
-/// Each rewrite reads one side's own (possibly already rewritten) buffer
-/// and subtracts that side's own base, so either side's adjusted bytes are
-/// a function of its original bytes, its base, `width` and this log alone,
-/// whatever the other side held. The checker keys its per-capture digest
-/// memo on that, and this pass is [`adjust_read_only`] followed by that
-/// replay on each side. Offsets fit in `u32`: captures are capped at
-/// [`crate::error::MAX_MODULE_SIZE`].
-pub(crate) fn adjust_rvas_logged(
-    a: &mut [u8],
-    b: &mut [u8],
-    base_a: u64,
-    base_b: u64,
-    width: AddressWidth,
-    slots: &mut Vec<u32>,
-) -> AdjustStats {
-    let first = slots.len();
-    let stats = adjust_read_only(a, b, base_a, base_b, width, slots);
+    let mut slots = Vec::new();
+    let stats = adjust_read_only(a, b, base_a, base_b, width, &mut slots);
     let (w, mask) = (width.bytes(), width_mask(width));
     for (buf, base) in [(a, base_a), (b, base_b)] {
-        for &s in &slots[first..] {
+        for &s in &slots {
             let s = s as usize;
             let rva = read_le(buf, s, w).wrapping_sub(base) & mask;
             write_le(buf, s, rva, w);
@@ -148,8 +133,10 @@ pub(crate) fn adjust_rvas_logged(
     stats
 }
 
-/// [`adjust_rvas_logged`] without writing to either section: the same
-/// statistics and slot log.
+/// [`adjust_rvas`] without writing to either section: the same statistics,
+/// and each reconciled slot's offset appended to `slots` in rewrite order.
+/// Offsets fit in `u32`: captures are capped at
+/// [`crate::error::MAX_MODULE_SIZE`].
 pub(crate) fn adjust_read_only(
     a: &[u8],
     b: &[u8],
@@ -436,7 +423,7 @@ pub(crate) fn differing_segments<'s>(
 /// Algorithm 2 over sections `a` and `b` of equal length that normalize
 /// over the same [`slots_are_disjoint`] slot list `slots`, given the
 /// segments `differing` on which their normalized bytes differ
-/// ([`differing_segments`]). Returns the statistics [`adjust_rvas_logged`]
+/// ([`differing_segments`]). Returns the statistics [`adjust_rvas`]
 /// would, and whether the adjusted sections differ; `None` when the bases
 /// agree in their low `w` bytes. `log` is scratch for the slots one
 /// stretch rewrites.
@@ -493,7 +480,7 @@ pub(crate) fn adjust_segmented(
     Some((stats, differ))
 }
 
-/// [`adjust_rvas_logged`]'s statistics in closed form, for two sections
+/// [`adjust_rvas`]'s statistics in closed form, for two sections
 /// of `len` bytes that normalize to the same bytes over the same
 /// [`slots_are_disjoint`] slot list of `slots` entries.
 ///
@@ -600,7 +587,7 @@ mod tests {
     }
 
     /// Algorithm 2 with a byte-at-a-time scan, kept as the reference the
-    /// word-at-a-time [`adjust_rvas_logged`] must reproduce exactly.
+    /// word-at-a-time [`adjust_rvas`] must reproduce exactly.
     fn adjust_rvas_bytewise(
         a: &mut [u8],
         b: &mut [u8],
@@ -1051,25 +1038,22 @@ mod tests {
                 a.truncate(a.len().saturating_sub(cut_a.saturating_sub(24)));
                 b.truncate(b.len().saturating_sub(cut_b.saturating_sub(24)));
                 let (mut ra, mut rb) = (a.clone(), b.clone());
-                let mut log = Vec::new();
                 let mut reference_log = Vec::new();
                 let (oa, ob) = (a.clone(), b.clone());
-                let stats = adjust_rvas_logged(&mut a, &mut b, base_a, base_b, width, &mut log);
+                let stats = adjust_rvas(&mut a, &mut b, base_a, base_b, width);
                 let reference = adjust_rvas_bytewise(
                     &mut ra, &mut rb, base_a, base_b, width, &mut reference_log,
                 );
                 prop_assert_eq!(stats, reference);
-                prop_assert_eq!(log.len(), stats.slots_adjusted);
-                prop_assert_eq!(&log, &reference_log);
                 prop_assert_eq!(&a, &ra);
                 prop_assert_eq!(&b, &rb);
-                // The read-only pass and the adjusted-bytes verdict.
-                let mut read_only_log = Vec::new();
-                let read_only =
-                    adjust_read_only(&oa, &ob, base_a, base_b, width, &mut read_only_log);
+                // The read-only pass, its log and the adjusted-bytes verdict.
+                let mut log = Vec::new();
+                let read_only = adjust_read_only(&oa, &ob, base_a, base_b, width, &mut log);
                 prop_assert_eq!(read_only, reference);
-                prop_assert_eq!(&read_only_log, &reference_log);
-                prop_assert_eq!(adjusted_differ(&oa, &ob, &read_only_log, width), ra != rb);
+                prop_assert_eq!(log.len(), stats.slots_adjusted);
+                prop_assert_eq!(&log, &reference_log);
+                prop_assert_eq!(adjusted_differ(&oa, &ob, &log, width), ra != rb);
             }
 
             /// The segmented pass reproduces the byte-at-a-time reference's
@@ -1187,22 +1171,19 @@ mod tests {
                 let (mut a, mut b) = if shift_b { (a, splice(&b)) } else { (splice(&a), b) };
                 let (mut ra, mut rb) = (a.clone(), b.clone());
                 let (oa, ob) = (a.clone(), b.clone());
-                let mut log = Vec::new();
                 let mut reference_log = Vec::new();
-                let stats = adjust_rvas_logged(&mut a, &mut b, base_a, base_b, width, &mut log);
+                let stats = adjust_rvas(&mut a, &mut b, base_a, base_b, width);
                 let reference = adjust_rvas_bytewise(
                     &mut ra, &mut rb, base_a, base_b, width, &mut reference_log,
                 );
                 prop_assert_eq!(stats, reference);
-                prop_assert_eq!(&log, &reference_log);
                 prop_assert_eq!(&a, &ra);
                 prop_assert_eq!(&b, &rb);
-                let mut read_only_log = Vec::new();
-                let read_only =
-                    adjust_read_only(&oa, &ob, base_a, base_b, width, &mut read_only_log);
+                let mut log = Vec::new();
+                let read_only = adjust_read_only(&oa, &ob, base_a, base_b, width, &mut log);
                 prop_assert_eq!(read_only, reference);
-                prop_assert_eq!(&read_only_log, &reference_log);
-                prop_assert_eq!(adjusted_differ(&oa, &ob, &read_only_log, width), ra != rb);
+                prop_assert_eq!(&log, &reference_log);
+                prop_assert_eq!(adjusted_differ(&oa, &ob, &log, width), ra != rb);
             }
         }
     }

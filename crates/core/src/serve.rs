@@ -803,12 +803,7 @@ impl AttestServer {
     /// state: health first (so verdicts are stamped against the *new*
     /// quarantine set), then per-unit verdicts and the module catalog.
     fn commit_sweeps(&self, t: SimDuration, st: &mut RunState) {
-        while st
-            .pending_sweeps
-            .front()
-            .is_some_and(|(done, _)| *done <= t)
-        {
-            let (done, sweep) = st.pending_sweeps.pop_front().expect("checked non-empty");
+        while let Some((done, sweep)) = st.pending_sweeps.pop_front_if(|(done, _)| *done <= t) {
             st.report.sweeps_committed += 1;
             st.report.horizon = st.report.horizon.max(done);
             self.update_health(&sweep, st);

@@ -3,9 +3,10 @@
 //! over the whole attack corpus, fall back to pairwise when a module
 //! carries no usable `.reloc` table, and agree on the bucket edge cases
 //! (all-distinct captures, 2-2 ties). The pairwise matrix must also be
-//! unchanged by the per-capture memo of adjusted-section digests, and by
-//! the scan's grouping of sections that share normalized bytes: every
-//! matrix entry, charge and verdict equals comparing each pair alone.
+//! unchanged by the scan's grouping of sections that share normalized
+//! bytes: every matrix entry, charge and verdict equals comparing each pair
+//! alone, and each pair alone equals the paper's own pass, which copies
+//! both sections, rewrites them and compares their digests.
 
 use std::ops::Range;
 
@@ -15,8 +16,10 @@ use mc_pe::corpus::ModuleBlueprint;
 use mc_pe::parser::ParsedModule;
 use mc_pe::reloc::{build_reloc_section, parse_reloc_section};
 use mc_vmi::VmiSession;
+use modchecker::digest::digest;
+use modchecker::parts::ExecSection;
 use modchecker::{
-    compare_pair, compare_pair_with, CaptureCache, CheckConfig, CompareStrategy, ExtractedModule,
+    adjust_rvas, compare_pair_with, CaptureCache, CheckConfig, CompareStrategy, ExtractedModule,
     ModChecker, ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, VerdictStatus,
 };
 use modchecker_repro::testbed::Testbed;
@@ -251,24 +254,82 @@ fn pair_keys(outcomes: &[PairOutcome]) -> Vec<PairKey> {
         .collect()
 }
 
+/// The section of `other` paired with `secs[i]`: the same name and the
+/// same occurrence among sections of that name.
+fn paired_section<'s>(
+    secs: &[ExecSection],
+    i: usize,
+    other: &'s [ExecSection],
+) -> Option<&'s ExecSection> {
+    let name = &secs[i].name;
+    let occurrence = secs[..i].iter().filter(|s| s.name == *name).count();
+    other.iter().filter(|s| s.name == *name).nth(occurrence)
+}
+
+/// The paper's Integrity-Checker on one pair, built from public items
+/// only: header digests merged by part id, executable sections paired by
+/// name and occurrence, copied, rewritten by Algorithm 2 (`adjust_rvas`)
+/// and compared by digest. The independent reference every
+/// `compare_pair_with` outcome must equal.
+fn paper_pair(a: &ExtractedModule, b: &ExtractedModule) -> PairOutcome {
+    let mut mismatched = Vec::new();
+    for (x, y) in [(a, b), (b, a)] {
+        for (id, d) in &x.header_hashes {
+            if y.header_hashes
+                .iter()
+                .all(|(other, e)| other != id || e != d)
+            {
+                mismatched.push(id.clone());
+            }
+        }
+    }
+    let (sa, sb) = (&a.parts.exec_sections, &b.parts.exec_sections);
+    for i in 0..sb.len() {
+        if paired_section(sb, i, sa).is_none() {
+            mismatched.push(PartId::SectionData(sb[i].name.clone()));
+        }
+    }
+    let (mut slots_adjusted, mut residual_diffs) = (0, 0);
+    for i in 0..sa.len() {
+        let Some(s) = paired_section(sa, i, sb) else {
+            mismatched.push(PartId::SectionData(sa[i].name.clone()));
+            continue;
+        };
+        let mut x = a.image.bytes[sa[i].range.clone()].to_vec();
+        let mut y = b.image.bytes[s.range.clone()].to_vec();
+        let stats = adjust_rvas(&mut x, &mut y, a.image.base, b.image.base, a.parts.width);
+        slots_adjusted += stats.slots_adjusted;
+        residual_diffs += stats.residual_diffs;
+        if digest(a.algo, &x) != digest(b.algo, &y) {
+            mismatched.push(PartId::SectionData(sa[i].name.clone()));
+        }
+    }
+    mismatched.sort();
+    mismatched.dedup();
+    PairOutcome {
+        vms: (a.image.vm_name.clone(), b.image.vm_name.clone()),
+        mismatched,
+        slots_adjusted,
+        residual_diffs,
+    }
+}
+
 #[test]
-fn adjusted_digest_memos_leave_the_pairwise_matrix_unchanged() {
+fn compare_pair_with_equals_the_papers_copy_and_hash_pass() {
     const VMS: usize = 15;
     for (k, technique) in Technique::ALL.into_iter().enumerate() {
         let victim = (4 * k + 1) % VMS;
         let (bed, _) = Testbed::infected_cloud(VMS, technique, &[victim]).unwrap();
         let target = technique.infection().target_module().to_string();
 
-        // The pool scan shares captures, and their memos, across pairs.
         let scan = ModChecker::new()
             .check_pool(&bed.hv, &bed.vm_ids, &target)
             .expect("pool check");
         let suspects: Vec<String> = scan.suspects().map(|v| v.vm_name.clone()).collect();
         assert_eq!(suspects, vec![format!("dom{}", victim + 1)], "{technique}");
 
-        // The same matrix from captures that carry memos across the sweep
-        // (twice: the second pass meets memos a full sweep left behind) and
-        // from fresh, unmemoized clones for every pair.
+        // Every pair through one reused scratch arena, against the paper's
+        // pass on the same captures.
         let captures: Vec<ExtractedModule> = bed
             .vm_ids
             .iter()
@@ -282,24 +343,19 @@ fn adjusted_digest_memos_leave_the_pairwise_matrix_unchanged() {
         let pairs: Vec<(usize, usize)> = (0..VMS)
             .flat_map(|i| ((i + 1)..VMS).map(move |j| (i, j)))
             .collect();
-        let fresh: Vec<PairOutcome> = pairs
+        let paper: Vec<PairOutcome> = pairs
             .iter()
-            .map(|&(i, j)| compare_pair(&captures[i].clone(), &captures[j].clone(), None).unwrap())
+            .map(|&(i, j)| paper_pair(&captures[i], &captures[j]))
             .collect();
-        for pass in 0..2 {
-            let memoized: Vec<PairOutcome> = pairs
-                .iter()
-                .map(|&(i, j)| {
-                    compare_pair_with(&captures[i], &captures[j], None, &mut scratch).unwrap()
-                })
-                .collect();
-            assert_eq!(
-                pair_keys(&memoized),
-                pair_keys(&fresh),
-                "{technique}, pass {pass}"
-            );
-        }
-        assert_eq!(pair_keys(&scan.matrix), pair_keys(&fresh), "{technique}");
+        let alone: Vec<PairOutcome> = pairs
+            .iter()
+            .map(|&(i, j)| {
+                compare_pair_with(&captures[i], &captures[j], None, &mut scratch).unwrap()
+            })
+            .collect();
+        assert_eq!(pair_keys(&alone), pair_keys(&paper), "{technique}");
+        assert!(paper.iter().any(|o| !o.matches()), "{technique}");
+        assert_eq!(pair_keys(&scan.matrix), pair_keys(&paper), "{technique}");
     }
 }
 
@@ -384,9 +440,10 @@ fn capture(bed: &Testbed, vm: VmId, module: &str) -> Option<ExtractedModule> {
     ExtractedModule::new(image).ok()
 }
 
-/// Asserts that the pool scan's matrix, checker charge and verdicts are
-/// those of every pair compared alone, for the uncached scan and for the
-/// cached scan (one worker).
+/// Asserts that every pair compared alone equals [`paper_pair`], and that
+/// the pool scan's matrix, checker charge and verdicts are those of every
+/// pair compared alone, for the uncached scan and for the cached scan (one
+/// worker).
 fn assert_matrix_is_every_pair_alone(bed: &Testbed, module: &str, label: &str) {
     let report = ModChecker::new()
         .check_pool(&bed.hv, &bed.vm_ids, module)
@@ -403,12 +460,15 @@ fn assert_matrix_is_every_pair_alone(bed: &Testbed, module: &str, label: &str) {
     let mut scratch = PairScratch::new();
     let mut pairs = Vec::new();
     let mut alone = Vec::new();
+    let mut paper = Vec::new();
     for (k, (i, a)) in captures.iter().enumerate() {
         for (j, b) in &captures[k + 1..] {
             pairs.push((*i, *j));
             alone.push(compare_pair_with(a, b, Some(&mut ledger), &mut scratch).unwrap());
+            paper.push(paper_pair(a, b));
         }
     }
+    assert_eq!(pair_keys(&alone), pair_keys(&paper), "{label}: paper pass");
     assert_eq!(pair_keys(&report.matrix), pair_keys(&alone), "{label}");
     let mut checker = ledger.take_elapsed();
     for v in &report.per_vm {
