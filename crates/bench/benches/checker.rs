@@ -15,6 +15,12 @@
 //! * `checker/pairwise_unit` — the paper's Algorithm 2 op: one uncached,
 //!   default-config `check_pool` of a clean 15-VM unit, every pair of
 //!   captures compared. Each iteration runs one scan.
+//! * `checker/pool_cycle` — one checker cycles uncached `check_pool` scans
+//!   through the 11-module standard corpus over a clean 15-VM cloud, as
+//!   `check_all_modules` does after its list scan. Each iteration runs one
+//!   cycle, after one warm-up cycle; the bench also prints the process's
+//!   minor page faults per scan (field 10 of `/proc/self/stat`, Linux
+//!   only), the kernel's share of a scan that allocates its captures.
 //! * `checker/compare_pair/{clean,inline_hook}` — the public, ungrouped
 //!   `compare_pair_with` on one 128 KiB `hal.dll` pair: two clean captures
 //!   at distinct bases, and a clean capture against an inline-hooked one.
@@ -29,7 +35,7 @@ use std::hint::black_box;
 
 use mc_attacks::Technique;
 use mc_hypervisor::{AddressWidth, VmId};
-use mc_pe::corpus::ModuleBlueprint;
+use mc_pe::corpus::{standard_corpus, ModuleBlueprint};
 use mc_vmi::VmiSession;
 use modchecker::{
     compare_pair_with, CaptureCache, CheckConfig, CompareStrategy, ExtractedModule, ModChecker,
@@ -84,6 +90,46 @@ fn bench_pairwise_unit(c: &mut Criterion) {
             );
         });
     });
+}
+
+/// The process's minor page faults so far: field 10 of `/proc/self/stat`,
+/// counted after the parenthesized command name (which may hold spaces).
+/// `None` where the file does not exist.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let (_, fields) = stat.rsplit_once(')')?;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
+fn bench_pool_cycle(c: &mut Criterion) {
+    let bed = Testbed::cloud(15);
+    let modules: Vec<String> = standard_corpus(bed.width)
+        .into_iter()
+        .map(|b| b.name)
+        .collect();
+    let checker = ModChecker::new();
+    let cycle = || {
+        for module in &modules {
+            black_box(
+                checker
+                    .check_pool(&bed.hv, &bed.vm_ids, module)
+                    .expect("uncached scan"),
+            );
+        }
+    };
+    cycle();
+    let scans = std::cell::Cell::new(0usize);
+    let before = minor_faults();
+    c.bench_function("checker/pool_cycle", |b| {
+        b.iter(|| {
+            cycle();
+            scans.set(scans.get() + modules.len());
+        });
+    });
+    if let (Some(before), Some(after)) = (before, minor_faults()) {
+        let per_scan = (after - before) as f64 / scans.get().max(1) as f64;
+        println!("      checker/pool_cycle minor faults per scan: {per_scan:.1}");
+    }
 }
 
 fn bench_compare_pair(c: &mut Criterion) {
@@ -142,6 +188,7 @@ criterion_group!(
     bench_canonical_forms_unit,
     bench_canonical_forms_all_distinct,
     bench_pairwise_unit,
+    bench_pool_cycle,
     bench_compare_pair
 );
 criterion_main!(benches);

@@ -19,8 +19,18 @@
 //!   caller held the last reference, else the buffer stays alive with its
 //!   remaining holders and nothing is recycled (never a copy, never a
 //!   dangling slice).
-//! * The free list is bounded ([`CaptureArena::MAX_RETAINED`]) so one
-//!   burst of oversized modules cannot pin memory forever.
+//! * The bound depends on how long captures hold their buffers. A
+//!   capture cache keeps its captures for many rounds, so its arena
+//!   ([`CaptureArena::new`]) fits tightly: when no free buffer fits, it
+//!   allocates one beside them, and the free list is capped at
+//!   [`CaptureArena::MAX_RETAINED`]. An uncached scan returns every
+//!   capture when its report is built, so its arena
+//!   ([`CaptureArena::per_scan`]) is bounded by its busiest scan: when no
+//!   free buffer fits, [`CaptureArena::acquire`] grows the largest free
+//!   buffer instead. A fresh allocation then happens only when the free
+//!   list is empty, so the buffers in circulation never outnumber the
+//!   captures held at once. Growth would not suit a cache: it hands
+//!   large buffers to small captures the cache then keeps.
 
 use std::sync::Arc;
 
@@ -37,25 +47,40 @@ pub struct ArenaStats {
     pub recycled_bytes: u64,
 }
 
-/// A bounded free list of capture buffers (see module docs).
+/// A free list of capture buffers (see module docs).
 #[derive(Clone, Debug, Default)]
 pub struct CaptureArena {
     free: Vec<Vec<u8>>,
     stats: ArenaStats,
+    /// Grow the largest free buffer when none fits, and keep every
+    /// released buffer ([`Self::per_scan`]).
+    grows: bool,
 }
 
 impl CaptureArena {
-    /// Free-list bound: retiring a buffer past this many drops it.
+    /// Free-list bound of a tight-fitting arena: retiring a buffer past
+    /// this many drops it.
     pub const MAX_RETAINED: usize = 64;
 
-    /// An empty arena.
+    /// An empty tight-fitting arena, for captures held across rounds.
     pub fn new() -> Self {
         CaptureArena::default()
     }
 
+    /// An empty arena for captures that all come back after each scan,
+    /// bounded by the most captures one scan held at once.
+    pub(crate) fn per_scan() -> Self {
+        CaptureArena {
+            grows: true,
+            ..CaptureArena::default()
+        }
+    }
+
     /// Hands out a zeroed buffer of exactly `len` bytes, reusing the
     /// best-fitting retired buffer (smallest capacity that holds `len`)
-    /// when one exists.
+    /// when one exists. When none fits, a [`Self::per_scan`] arena grows
+    /// its largest retired buffer to `len` (counted as an allocation);
+    /// otherwise a new buffer is allocated.
     pub fn acquire(&mut self, len: usize) -> Vec<u8> {
         let best = self
             .free
@@ -63,25 +88,35 @@ impl CaptureArena {
             .enumerate()
             .filter(|(_, b)| b.capacity() >= len)
             .min_by_key(|(_, b)| b.capacity())
+            .or_else(|| {
+                let largest = self
+                    .free
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, b)| b.capacity());
+                largest.filter(|_| self.grows)
+            })
             .map(|(i, _)| i);
-        match best {
-            Some(i) => {
-                let mut buf = self.free.swap_remove(i);
-                buf.clear();
-                buf.resize(len, 0);
-                self.stats.reuses += 1;
-                buf
-            }
-            None => {
-                self.stats.allocs += 1;
-                vec![0u8; len]
-            }
+        let Some(i) = best else {
+            self.stats.allocs += 1;
+            return vec![0u8; len];
+        };
+        let mut buf = self.free.swap_remove(i);
+        if buf.capacity() >= len {
+            self.stats.reuses += 1;
+        } else {
+            self.stats.allocs += 1;
         }
+        buf.clear();
+        buf.reserve_exact(len);
+        buf.resize(len, 0);
+        buf
     }
 
-    /// Returns a buffer to the free list (dropped if the list is full).
+    /// Returns a buffer to the free list (dropped if a tight-fitting
+    /// arena's list is full).
     pub fn release(&mut self, buf: Vec<u8>) {
-        if buf.capacity() == 0 || self.free.len() >= Self::MAX_RETAINED {
+        if buf.capacity() == 0 || (!self.grows && self.free.len() >= Self::MAX_RETAINED) {
             return;
         }
         self.stats.recycled_bytes += buf.capacity() as u64;
@@ -154,6 +189,36 @@ mod tests {
             a.release(vec![0u8; 64]);
         }
         assert_eq!(a.retained(), CaptureArena::MAX_RETAINED);
+    }
+
+    #[test]
+    fn a_per_scan_arena_grows_a_too_small_buffer_instead_of_keeping_it() {
+        let mut a = CaptureArena::per_scan();
+        a.release(vec![1u8; 1024]);
+        let b = a.acquire(8 * 1024);
+        assert_eq!(a.stats().allocs, 1, "growing counts as an allocation");
+        assert_eq!(a.stats().reuses, 0);
+        assert_eq!(b.len(), 8 * 1024);
+        assert!(b.iter().all(|&x| x == 0), "grown buffers come back zeroed");
+        assert_eq!(a.retained(), 0, "the small buffer became the large one");
+    }
+
+    #[test]
+    fn a_per_scan_arena_retains_at_most_one_rounds_buffers() {
+        const N: usize = 5;
+        let mut a = CaptureArena::per_scan();
+        let mut len = 1024;
+        for _ in 0..40 {
+            let mut held = Vec::with_capacity(N);
+            for _ in 0..N {
+                held.push(a.acquire(len));
+                len += 512;
+            }
+            for buf in held {
+                a.release(buf);
+            }
+            assert!(a.retained() <= N, "{} buffers retained", a.retained());
+        }
     }
 
     #[test]

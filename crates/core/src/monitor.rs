@@ -263,7 +263,7 @@ impl Clone for ContinuousMonitor {
         // instead of silently cloning an *empty* cache/registry (which
         // would discard every capture and metric accumulated so far).
         ContinuousMonitor {
-            checker: self.checker,
+            checker: self.checker.clone(),
             config: self.config.clone(),
             health: self.health.clone(),
             cache: Mutex::new(lock(&self.cache).clone()),

@@ -21,13 +21,15 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rayon::prelude::*;
 
 use mc_hypervisor::{Hypervisor, SimDuration, VmId, PAGE_SIZE};
 use mc_vmi::{RetryPolicy, VmiError, VmiSession, VmiStats};
 
+use crate::arena::CaptureArena;
 use crate::checker::{
     canonical_form_in, compare_pair_in, compare_pair_with, CanonicalForm, ExtractedModule,
     PairOutcome, PairScratch, SectionGroups, SeenSections,
@@ -125,10 +127,33 @@ impl Default for CheckConfig {
 }
 
 /// The ModChecker driver.
-#[derive(Clone, Copy, Debug, Default)]
+///
+/// Uncached scans ([`Self::check_pool`], [`Self::check_one`],
+/// [`Self::check_all_modules`]) draw their capture buffers from an arena
+/// the checker owns and its clones share, and return them to it once the
+/// report is built (DESIGN.md §14), so steady scans reuse the previous
+/// scan's memory instead of faulting fresh pages in.
+#[derive(Clone)]
 pub struct ModChecker {
     /// Configuration.
     pub config: CheckConfig,
+    arena: Arc<Mutex<CaptureArena>>,
+}
+
+impl Default for ModChecker {
+    fn default() -> Self {
+        Self::with_config(CheckConfig::default())
+    }
+}
+
+/// Prints the configuration and the arena's counters, never its buffers.
+impl fmt::Debug for ModChecker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ModChecker")
+            .field("config", &self.config)
+            .field("arena", &self.arena().stats())
+            .finish()
+    }
 }
 
 /// Bytes charged for hashing a capture's headers: they fit in one page.
@@ -270,7 +295,43 @@ impl ModChecker {
 
     /// Scanner with full configuration.
     pub fn with_config(config: CheckConfig) -> Self {
-        ModChecker { config }
+        ModChecker {
+            config,
+            arena: Arc::new(Mutex::new(CaptureArena::per_scan())),
+        }
+    }
+
+    /// The shared capture arena. Held only to acquire or release a
+    /// buffer, never across a guest read; a panic elsewhere cannot leave
+    /// the free list half-updated, so a poisoned lock is recovered.
+    fn arena(&self) -> MutexGuard<'_, CaptureArena> {
+        self.arena.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Returns the image buffers of a finished scan's captures to the
+    /// arena. The report holds no capture, so each `Arc` is the last.
+    fn reclaim(&self, modules: impl IntoIterator<Item = Arc<ExtractedModule>>) {
+        let mut arena = self.arena();
+        for m in modules {
+            arena.reclaim(m);
+        }
+    }
+
+    /// Module-Searcher's find over the checker's arena: the list walk and
+    /// size check, then the copy into an arena buffer, which a failed read
+    /// returns.
+    fn find(
+        &self,
+        session: &mut VmiSession<'_>,
+        module: &str,
+    ) -> Result<crate::searcher::ModuleImage, CheckError> {
+        let entry = ModuleSearcher::find_ref(session, module)?;
+        ModuleSearcher::check_size(session, &entry)?;
+        let bytes = self.arena().acquire(entry.size as usize);
+        ModuleSearcher::capture_into(session, &entry, bytes).map_err(|(e, bytes)| {
+            self.arena().release(bytes);
+            e
+        })
     }
 
     /// Single-VM static lint pass over one extracted image; `Some` only
@@ -336,7 +397,7 @@ impl ModChecker {
             Err(e) => return Extraction::before_session(e, name),
         };
         let mut times = ComponentTimes::default();
-        let found = ModuleSearcher::find(&mut session, module);
+        let found = self.find(&mut session, module);
         times.searcher = session.take_elapsed();
         let result = found.and_then(|image| self.parse_capture(&mut session, image, &mut times));
         Extraction::from_session(result, times, name, &session)
@@ -692,9 +753,9 @@ impl ModChecker {
         let mut ledger = VmiSession::attach(hv, reference)?;
         ledger.take_elapsed(); // drop the attach charge; counted already
 
-        let compare_inputs: Vec<Extraction> = extractions;
         let mut scratch = PairScratch::new();
-        for ex in compare_inputs {
+        let mut captures = Vec::with_capacity(extractions.len());
+        for ex in extractions {
             per_vm_times.push((ex.vm_name.clone(), ex.times));
             vmi.accumulate(&ex.vmi);
             fault_injections += ex.fault_injections;
@@ -710,10 +771,13 @@ impl ModChecker {
                         Some(&mut ledger),
                         &mut scratch,
                     )?);
+                    captures.push(other);
                 }
                 Err(e) => errors.push((vm_name, VerdictError::classify(&e))),
             }
         }
+        captures.push(reference_mod);
+        self.reclaim(captures);
         // Attribute pairwise checker time to the reference VM's slot.
         per_vm_times[0].1.checker += ledger.take_elapsed();
 
@@ -885,7 +949,11 @@ impl ModChecker {
             Some(cache) => {
                 self.memoized_vote(hv, vms, module, &extracted, entries, cache, &mut times)?
             }
-            None => self.vote(hv, &extracted, None, workers, &mut times)?,
+            None => {
+                let vote = self.vote(hv, &extracted, None, workers, &mut times)?;
+                self.reclaim(extracted.into_iter().map(|(_, m)| m));
+                vote
+            }
         };
 
         // Per-VM verdicts: the vote runs among the scanned VMs only.
@@ -2904,6 +2972,176 @@ mod tests {
         assert!(
             mutant_forms > 0,
             "no mutant reached a canonical form of its own"
+        );
+    }
+
+    /// An infected 15-VM pool holding the corpus's largest and smallest
+    /// modules, `ntoskrnl.exe` and `helloworld.sys` (dom3 inline-patched
+    /// in both).
+    fn arena_pool() -> (Hypervisor, Vec<GuestOs>, Vec<VmId>) {
+        let mut hv = Hypervisor::new();
+        let width = AddressWidth::W32;
+        let bps: Vec<ModuleBlueprint> = mc_pe::corpus::standard_corpus(width)
+            .into_iter()
+            .filter(|b| ["ntoskrnl.exe", "helloworld.sys"].contains(&b.name.as_str()))
+            .collect();
+        let guests = build_cloud_with_modules(&mut hv, 15, width, &bps).unwrap();
+        for module in ["ntoskrnl.exe", "helloworld.sys"] {
+            guests[2]
+                .patch_module(&mut hv, module, 0x1003, &[0xCC])
+                .unwrap();
+        }
+        let ids = guests.iter().map(|g| g.vm).collect();
+        (hv, guests, ids)
+    }
+
+    /// Step `step` of the arena sequence — `ntoskrnl.exe`, then
+    /// `helloworld.sys`, then a `check_one` of `ntoskrnl.exe`, then
+    /// `ntoskrnl.exe` again, pool scans at `workers` — as `Debug` text.
+    fn arena_step(
+        checker: &ModChecker,
+        hv: &Hypervisor,
+        ids: &[VmId],
+        workers: usize,
+        step: usize,
+    ) -> String {
+        match step {
+            1 => format!(
+                "{:?}",
+                checker.scan_pool(hv, ids, "helloworld.sys", workers)
+            ),
+            2 => format!(
+                "{:?}",
+                checker.check_one(hv, ids[0], &ids[1..], "ntoskrnl.exe")
+            ),
+            _ => format!("{:?}", checker.scan_pool(hv, ids, "ntoskrnl.exe", workers)),
+        }
+    }
+
+    /// One checker runs the arena sequence at 1, 2, 3 and 8 workers; each
+    /// report must equal a fresh checker's for the same step. Returns the
+    /// reused checker's arena counters.
+    fn assert_reuse_is_invisible(
+        config: CheckConfig,
+        hv: &Hypervisor,
+        ids: &[VmId],
+    ) -> crate::arena::ArenaStats {
+        let reused = ModChecker::with_config(config);
+        for workers in [1, 2, 3, 8] {
+            for step in 0..4 {
+                let fresh = ModChecker::with_config(config);
+                assert_eq!(
+                    arena_step(&reused, hv, ids, workers, step),
+                    arena_step(&fresh, hv, ids, workers, step),
+                    "{workers} workers, step {step}"
+                );
+            }
+        }
+        // The first scan is the largest, so no buffer was ever grown: every
+        // allocation is a buffer, and each must be back.
+        let stats = reused.arena().stats();
+        assert_eq!(reused.arena().retained() as u64, stats.allocs, "{stats:?}");
+        stats
+    }
+
+    #[test]
+    fn arena_reuse_never_changes_a_report() {
+        let (hv, _guests, ids) = arena_pool();
+        let stats = assert_reuse_is_invisible(CheckConfig::default(), &hv, &ids);
+        assert!(stats.reuses > stats.allocs, "{stats:?}");
+    }
+
+    #[test]
+    fn arena_reuse_never_changes_a_faulted_report() {
+        let (mut hv, _guests, ids) = arena_pool();
+        let mut plan = FaultPlan::none(0xA7E4);
+        plan.torn_rate = 0.1;
+        plan.paged_out_rate = 0.1;
+        hv.inject_fault_plan(plan);
+        // Lost at the image read, after its buffer is drawn.
+        hv.set_fault_plan(ids[6], Some(plan.lose_after(3))).unwrap();
+        let config = CheckConfig {
+            retry: RetryPolicy::with_max_retries(6),
+            ..CheckConfig::default()
+        };
+        let checker = ModChecker::with_config(config);
+        let report = checker.check_pool(&hv, &ids, "ntoskrnl.exe").unwrap();
+        assert!(report.fault_injections > 0, "the fault plan never fired");
+        assert!(report.verdicts[6].error.is_some(), "dom7 was not lost");
+        let allocs = checker.arena().stats().allocs;
+        assert_eq!(
+            checker.arena().retained() as u64,
+            allocs,
+            "dom7's buffer came back"
+        );
+        let stats = assert_reuse_is_invisible(config, &hv, &ids);
+        assert!(stats.reuses > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn arena_reuse_never_changes_a_report_with_a_forged_size_of_image() {
+        let (mut hv, guests, ids) = arena_pool();
+        // Plausible but past the mapped image: the size check passes, an
+        // arena buffer is drawn, and the read fails into it.
+        let offs = mc_guest::ldr::LdrOffsets::for_width(AddressWidth::W32);
+        let nt = guests[4].find_module("ntoskrnl.exe").unwrap();
+        let forged = nt.size + 64 * PAGE_SIZE as u32;
+        hv.vm_mut(ids[4])
+            .unwrap()
+            .write_virt(nt.ldr_entry_va + offs.size_of_image, &forged.to_le_bytes())
+            .unwrap();
+        let checker = ModChecker::new();
+        let report = checker.check_pool(&hv, &ids, "ntoskrnl.exe").unwrap();
+        assert_eq!(
+            report.verdicts[4].error.as_ref().map(|e| e.kind),
+            Some(VerdictErrorKind::CaptureFailed),
+            "{:?}",
+            report.verdicts[4]
+        );
+        let allocs = checker.arena().stats().allocs;
+        assert_eq!(
+            checker.arena().retained() as u64,
+            allocs,
+            "dom5's buffer came back"
+        );
+        let stats = assert_reuse_is_invisible(CheckConfig::default(), &hv, &ids);
+        assert!(stats.reuses > stats.allocs, "{stats:?}");
+    }
+
+    #[test]
+    fn checker_debug_prints_arena_counters_not_buffers() {
+        let (hv, _guests, ids) = cloud(4);
+        let checker = ModChecker::new();
+        let before = format!("{checker:?}").len();
+        checker.check_pool(&hv, &ids, "http.sys").unwrap();
+        let stats = checker.arena().stats();
+        assert!(stats.recycled_bytes >= 4 * 20 * 1024, "{stats:?}");
+        let after = format!("{checker:?}");
+        // Only the three counters' digits may grow.
+        assert!(
+            after.len() <= before + 3 * u64::MAX.to_string().len(),
+            "{after}"
+        );
+        assert!(after.contains(&format!("{stats:?}")), "{after}");
+    }
+
+    #[test]
+    fn a_poisoned_arena_lock_is_recovered() {
+        let (hv, _guests, ids) = cloud(4);
+        let checker = ModChecker::new();
+        let holder = checker.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _guard = holder.arena.lock();
+            panic!("poison the arena lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(checker.arena.is_poisoned());
+        let got = checker.check_pool(&hv, &ids, "hal.dll").unwrap();
+        let want = ModChecker::new().check_pool(&hv, &ids, "hal.dll").unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert!(
+            checker.arena().retained() > 0,
+            "the scan's buffers came back"
         );
     }
 

@@ -149,23 +149,41 @@ impl ModuleSearcher {
         arena: Option<&mut CaptureArena>,
     ) -> Result<ModuleImage, CheckError> {
         Self::check_size(session, entry)?;
-        let mut bytes = match arena {
+        let bytes = match arena {
             Some(arena) => arena.acquire(entry.size as usize),
             None => vec![0u8; entry.size as usize],
         };
-        if session.fast_capture() {
+        Self::capture_into(session, entry, bytes).map_err(|(e, _)| e)
+    }
+
+    /// The capture step of [`Self::capture_with`]: fills `bytes` (already
+    /// `entry.size` long, the size checked) with the image `entry`
+    /// references. A failed read hands the buffer back with its error, so
+    /// the caller can return it to the arena it came from.
+    pub(crate) fn capture_into(
+        session: &mut VmiSession<'_>,
+        entry: &ModuleRef,
+        mut bytes: Vec<u8>,
+    ) -> Result<ModuleImage, (CheckError, Vec<u8>)> {
+        let read = if session.fast_capture() {
             let mut reqs = [VectoredRead {
                 va: entry.base,
                 buf: bytes.as_mut_slice(),
             }];
             // Stable (double-checked): a torn page must surface as a typed
             // error, never as a phantom integrity mismatch.
-            session.read_va_vectored_stable(&mut reqs)?;
+            session.read_va_vectored_stable(&mut reqs)
         } else {
-            for (page_idx, chunk) in bytes.chunks_mut(PAGE_SIZE).enumerate() {
-                let va = entry.base + (page_idx * PAGE_SIZE) as u64;
-                session.read_va_stable(va, chunk)?;
-            }
+            bytes
+                .chunks_mut(PAGE_SIZE)
+                .enumerate()
+                .try_for_each(|(page_idx, chunk)| {
+                    let va = entry.base + (page_idx * PAGE_SIZE) as u64;
+                    session.read_va_stable(va, chunk)
+                })
+        };
+        if let Err(e) = read {
+            return Err((e.into(), bytes));
         }
         Ok(ModuleImage {
             vm: session.vm_id(),

@@ -123,7 +123,7 @@ impl Hypervisor {
     pub fn drain_write_events(&self, cursor: &mut EventCursor) -> Vec<WriteEvent> {
         let mut out = Vec::new();
         for id in self.vm_ids().collect::<Vec<_>>() {
-            let vm = self.vm(id).expect("vm_ids yields live ids");
+            let Ok(vm) = self.vm(id) else { continue };
             let log = vm.mem.trap_log();
             let from = cursor.position(vm.id);
             for t in &log[from.min(log.len())..] {

@@ -32,6 +32,7 @@
 //! a parallel pool scan is data-race free by construction.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
 pub mod events;
