@@ -21,7 +21,7 @@
 //!   dangling slice).
 //! * The bound depends on how long captures hold their buffers. A
 //!   capture cache keeps its captures for many rounds, so its arena
-//!   ([`CaptureArena::new`]) fits tightly: when no free buffer fits, it
+//!   (the default) fits tightly: when no free buffer fits, it
 //!   allocates one beside them, and the free list is capped at
 //!   [`CaptureArena::MAX_RETAINED`]. An uncached scan returns every
 //!   capture when its report is built, so its arena
@@ -47,9 +47,10 @@ pub struct ArenaStats {
     pub recycled_bytes: u64,
 }
 
-/// A free list of capture buffers (see module docs).
+/// A free list of capture buffers (see module docs). The default arena
+/// fits tightly, for captures held across rounds.
 #[derive(Clone, Debug, Default)]
-pub struct CaptureArena {
+pub(crate) struct CaptureArena {
     free: Vec<Vec<u8>>,
     stats: ArenaStats,
     /// Grow the largest free buffer when none fits, and keep every
@@ -61,11 +62,6 @@ impl CaptureArena {
     /// Free-list bound of a tight-fitting arena: retiring a buffer past
     /// this many drops it.
     pub const MAX_RETAINED: usize = 64;
-
-    /// An empty tight-fitting arena, for captures held across rounds.
-    pub fn new() -> Self {
-        CaptureArena::default()
-    }
 
     /// An empty arena for captures that all come back after each scan,
     /// bounded by the most captures one scan held at once.
@@ -133,7 +129,8 @@ impl CaptureArena {
     }
 
     /// Buffers currently parked on the free list.
-    pub fn retained(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
         self.free.len()
     }
 
@@ -149,7 +146,7 @@ mod tests {
 
     #[test]
     fn acquire_allocates_then_reuses() {
-        let mut a = CaptureArena::new();
+        let mut a = CaptureArena::default();
         let b1 = a.acquire(4096);
         assert_eq!(a.stats().allocs, 1);
         a.release(b1);
@@ -164,7 +161,7 @@ mod tests {
 
     #[test]
     fn best_fit_prefers_the_tightest_buffer() {
-        let mut a = CaptureArena::new();
+        let mut a = CaptureArena::default();
         a.release(vec![1u8; 16 * 1024]);
         a.release(vec![1u8; 4 * 1024]);
         let b = a.acquire(3 * 1024);
@@ -174,7 +171,7 @@ mod tests {
 
     #[test]
     fn too_small_buffers_are_not_reused() {
-        let mut a = CaptureArena::new();
+        let mut a = CaptureArena::default();
         a.release(vec![1u8; 1024]);
         let b = a.acquire(8 * 1024);
         assert_eq!(a.stats().allocs, 1);
@@ -184,7 +181,7 @@ mod tests {
 
     #[test]
     fn free_list_is_bounded() {
-        let mut a = CaptureArena::new();
+        let mut a = CaptureArena::default();
         for _ in 0..(CaptureArena::MAX_RETAINED + 10) {
             a.release(vec![0u8; 64]);
         }
@@ -249,7 +246,7 @@ mod tests {
             })
         };
 
-        let mut a = CaptureArena::new();
+        let mut a = CaptureArena::default();
         // Sole owner: buffer comes back.
         a.reclaim(module(vec![0u8; 2048]));
         assert_eq!(a.retained(), 1);

@@ -84,7 +84,6 @@ impl EventPlane {
                 session = session.with_fast_capture();
             }
             let entry = ModuleSearcher::find_ref(&mut session, module)?;
-            ModuleSearcher::check_size(&session, &entry)?;
             session.arm_watches(entry.base, entry.size)?
         };
         self.disarm_pair(hv, vm, module)?;

@@ -66,6 +66,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
+mod cache;
 pub mod checker;
 pub mod crossview;
 pub mod digest;
@@ -82,7 +83,8 @@ pub mod sched;
 pub mod searcher;
 pub mod serve;
 
-pub use arena::{ArenaStats, CaptureArena};
+pub use arena::ArenaStats;
+pub use cache::{AnalysisCacheStats, CacheStats, CaptureCache};
 pub use checker::{
     canonical_form, compare_pair, compare_pair_with, CanonicalForm, ExtractedModule, PairOutcome,
     PairScratch,
@@ -101,10 +103,7 @@ pub use obs::{
     record_module_report, record_pool_report, record_serve_report, serve_span, ScanObservation,
 };
 pub use parts::{ModuleParts, PartId};
-pub use pool::{
-    AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, CompareStrategy, ModChecker,
-    ModuleResults,
-};
+pub use pool::{CheckConfig, CompareStrategy, ModChecker, ModuleResults};
 pub use report::{
     ComponentTimes, FleetPoolReport, FleetReport, FleetUnitReport, ModuleCheckReport,
     PoolCheckReport, QuorumStatus, VerdictError, VerdictErrorKind, VerdictStatus, VmScanStats,

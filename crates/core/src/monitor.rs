@@ -28,8 +28,8 @@ use crate::error::CheckError;
 use crate::events::{EventPlane, EventPlaneStats};
 use crate::lock;
 use crate::obs::record_pool_report;
-use crate::pool::{CacheStats, CaptureCache, CheckConfig, ModChecker};
 use crate::report::{PoolCheckReport, QuorumStatus, VerdictStatus};
+use crate::{CacheStats, CaptureCache, CheckConfig, ModChecker};
 
 /// Circuit-breaker policy for persistently unscannable VMs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -18,11 +18,11 @@
 //! [`ModChecker::check_pool`] extends the vote to every VM (full pairwise
 //! matrix) so each VM gets a verdict in one pass — what a monitoring daemon
 //! wants.
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rayon::prelude::*;
 
@@ -30,18 +30,19 @@ use mc_hypervisor::{Hypervisor, SimDuration, VmId, PAGE_SIZE};
 use mc_vmi::{RetryPolicy, VmiError, VmiSession, VmiStats};
 
 use crate::arena::CaptureArena;
+use crate::cache::{AnalysisCache, CaptureCache, CaptureOutcome, Fingerprint, Refresh};
 use crate::checker::{
     canonical_form_in, compare_pair_in, compare_pair_with, CanonicalForm, ExtractedModule,
     PairOutcome, PairScratch, SectionGroups, SeenSections,
 };
-use crate::digest::PartDigest;
+use crate::digest::{DigestAlgo, PartDigest};
 use crate::error::CheckError;
 use crate::parts::PartId;
 use crate::report::{
     ComponentTimes, ModuleCheckReport, PoolCheckReport, QuorumStatus, VerdictError, VerdictStatus,
     VmScanStats, VmVerdict,
 };
-use crate::searcher::ModuleSearcher;
+use crate::searcher::{ModuleImage, ModuleRef, ModuleSearcher};
 
 /// How cross-VM agreement is established.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,7 +75,7 @@ pub struct CheckConfig {
     /// Cross-VM comparison strategy (paper: pairwise; tentpole: canonical).
     pub compare: CompareStrategy,
     /// Part fingerprint algorithm (paper: MD5; ablation ABL-6).
-    pub digest: crate::digest::DigestAlgo,
+    pub digest: DigestAlgo,
     /// Run the single-VM static lint pass (`mc-analysis`) over every
     /// captured image and attach non-clean reports. This is the "deeper
     /// analysis" the paper's §III defers to when voting is ambiguous: it
@@ -104,7 +105,7 @@ pub struct CheckConfig {
     /// same bytes back — the scrub-race signature (infect after the scan,
     /// restore clean just before the next one). The scan records the
     /// `(vm, module)` pair on the cache ([`CaptureCache::silent_restores`])
-    /// and bumps [`CacheStats::silent_restores`]; verdict bytes are
+    /// and bumps [`crate::CacheStats::silent_restores`]; verdict bytes are
     /// untouched. Off by default — a legitimate guest rewriting identical
     /// bytes (e.g. an idempotent patcher) would trip it.
     pub tamper_evidence: bool,
@@ -114,7 +115,7 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             compare: CompareStrategy::default(),
-            digest: crate::digest::DigestAlgo::default(),
+            digest: DigestAlgo::default(),
             static_prepass: false,
             retry: RetryPolicy::default(),
             deadline: None,
@@ -236,53 +237,47 @@ fn charged_chunks<T: Sync, R: Send>(
 struct Extraction {
     /// The decoded capture, or why this VM produced none.
     result: Result<Arc<ExtractedModule>, CheckError>,
-    /// Simulated time split per component.
-    times: ComponentTimes,
-    /// VM name (empty when the VM id itself was unknown).
-    vm_name: String,
-    /// Introspection counters harvested from the per-VM session.
-    vmi: VmiStats,
-    /// Anomalies the fault layer injected into the session.
-    fault_injections: u64,
+    /// The VM's name (empty when the id was unknown), times and counters.
+    stats: VmScanStats,
     /// Serial of the capture-cache entry holding `result`'s capture, when
     /// it came from (or went into) the cache.
     entry: Option<u64>,
 }
 
-impl Extraction {
-    /// An extraction that ran in `session`, with its counters harvested.
-    fn from_session(
-        result: Result<Arc<ExtractedModule>, CheckError>,
-        times: ComponentTimes,
-        vm_name: String,
-        session: &VmiSession<'_>,
-    ) -> Self {
-        Extraction {
-            result,
-            times,
-            vm_name,
-            vmi: session.stats(),
-            fault_injections: session.fault_injections(),
-            entry: None,
+/// Where a scan's captures come from (DESIGN.md §14).
+enum ScanState<'s> {
+    /// Uncached: the checker's growing per-scan arena.
+    Arena(&'s Mutex<CaptureArena>),
+    /// Cached: the pool's cache (its own tight-fit arena) and the VMs the
+    /// event plane vouches for.
+    Cache {
+        cache: &'s mut CaptureCache,
+        trusted: &'s HashSet<VmId>,
+    },
+}
+
+impl ScanState<'_> {
+    /// The scan's capture cache; `None` when uncached.
+    fn cache(&mut self) -> Option<&mut CaptureCache> {
+        match self {
+            ScanState::Cache { cache, .. } => Some(cache),
+            ScanState::Arena(_) => None,
         }
     }
 
-    /// The same extraction, tagged with the cache entry its capture is.
-    fn cached_as(mut self, serial: Option<u64>) -> Self {
-        self.entry = serial;
-        self
+    /// A zeroed buffer of `len` bytes from the scan's arena.
+    fn acquire(&mut self, len: usize) -> Vec<u8> {
+        match self {
+            ScanState::Arena(arena) => crate::lock(arena).acquire(len),
+            ScanState::Cache { cache, .. } => cache.acquire(len),
+        }
     }
 
-    /// An extraction that failed before a session existed (attach error):
-    /// no time charged, no counters.
-    fn before_session(e: VmiError, vm_name: String) -> Self {
-        Extraction {
-            result: Err(e.into()),
-            times: ComponentTimes::default(),
-            vm_name,
-            vmi: VmiStats::default(),
-            fault_injections: 0,
-            entry: None,
+    /// Returns a buffer to the scan's arena.
+    fn release(&mut self, buf: Vec<u8>) {
+        match self {
+            ScanState::Arena(arena) => crate::lock(arena).release(buf),
+            ScanState::Cache { cache, .. } => cache.release(buf),
         }
     }
 }
@@ -305,7 +300,7 @@ impl ModChecker {
     /// buffer, never across a guest read; a panic elsewhere cannot leave
     /// the free list half-updated, so a poisoned lock is recovered.
     fn arena(&self) -> MutexGuard<'_, CaptureArena> {
-        self.arena.lock().unwrap_or_else(PoisonError::into_inner)
+        crate::lock(&self.arena)
     }
 
     /// Returns the image buffers of a finished scan's captures to the
@@ -315,23 +310,6 @@ impl ModChecker {
         for m in modules {
             arena.reclaim(m);
         }
-    }
-
-    /// Module-Searcher's find over the checker's arena: the list walk and
-    /// size check, then the copy into an arena buffer, which a failed read
-    /// returns.
-    fn find(
-        &self,
-        session: &mut VmiSession<'_>,
-        module: &str,
-    ) -> Result<crate::searcher::ModuleImage, CheckError> {
-        let entry = ModuleSearcher::find_ref(session, module)?;
-        ModuleSearcher::check_size(session, &entry)?;
-        let bytes = self.arena().acquire(entry.size as usize);
-        ModuleSearcher::capture_into(session, &entry, bytes).map_err(|(e, bytes)| {
-            self.arena().release(bytes);
-            e
-        })
     }
 
     /// Single-VM static lint pass over one extracted image; `Some` only
@@ -367,15 +345,120 @@ impl ModChecker {
         Ok(session)
     }
 
-    /// Module-Parser plus the first half of the Integrity-Checker over a
-    /// freshly captured image: charges the parse and the header hashes
-    /// (content hashing happens pairwise) and decodes the capture.
-    fn parse_capture(
+    /// The one capture body of every pool scan and [`Self::check_one`]
+    /// (DESIGN.md §14): attach (fault plans fire, VM loss surfaces); take
+    /// a trusted pair's cached capture; else find the module and, cached
+    /// only, probe its page stamps — no guest read, no fault draw, but a
+    /// warmer translate cache — for the cache to decide the
+    /// [`CaptureOutcome`]; run its arm; let the cache settle it.
+    fn extract(
+        &self,
+        hv: &Hypervisor,
+        vm: VmId,
+        module: &str,
+        state: &mut ScanState<'_>,
+    ) -> Extraction {
+        let (algo, tamper_evidence) = (self.config.digest, self.config.tamper_evidence);
+        let mut stats = VmScanStats {
+            vm_name: hv.vm(vm).map(|v| v.name.clone()).unwrap_or_default(),
+            ..VmScanStats::default()
+        };
+        let mut session = match self.open_session(hv, vm) {
+            Ok(s) => s,
+            Err(e) => {
+                // A dead VM's cached captures describe a guest that no
+                // longer exists: settling the failure evicts them.
+                let result = Err(e.into());
+                if let Some(cache) = state.cache() {
+                    cache.settle(vm, module, None, &result, tamper_evidence);
+                }
+                return Extraction {
+                    result,
+                    stats,
+                    entry: None,
+                };
+            }
+        };
+        let trusted = match state {
+            ScanState::Cache { cache, trusted } if trusted.contains(&vm) => {
+                cache.trusted(vm, module, algo)
+            }
+            _ => None,
+        };
+        let decided = trusted.map_or_else(
+            || {
+                let entry = ModuleSearcher::find_ref(&mut session, module)?;
+                Ok(match state.cache() {
+                    Some(cache) => {
+                        let gens = session.range_generations(entry.base, entry.size).ok();
+                        cache.decide(vm, module, entry, algo, gens)
+                    }
+                    None => CaptureOutcome::Fresh(entry, None),
+                })
+            },
+            Ok,
+        );
+        let (result, outcome) = match decided {
+            Ok(outcome) => {
+                let (result, outcome) =
+                    self.capture(&mut session, state, outcome, &mut stats.times);
+                (result, Some(outcome))
+            }
+            Err(e) => {
+                stats.times.searcher = session.take_elapsed();
+                (Err(e), None)
+            }
+        };
+        let entry = state
+            .cache()
+            .and_then(|cache| cache.settle(vm, module, outcome, &result, tamper_evidence));
+        (stats.vmi, stats.fault_injections) = (session.stats(), session.fault_injections());
+        Extraction {
+            result,
+            stats,
+            entry,
+        }
+    }
+
+    /// Runs `outcome`'s arm; `Trusted` and `Hit` serve the cached capture.
+    fn capture(
         &self,
         session: &mut VmiSession<'_>,
-        image: crate::searcher::ModuleImage,
+        state: &mut ScanState<'_>,
+        outcome: CaptureOutcome,
+        times: &mut ComponentTimes,
+    ) -> (Result<Arc<ExtractedModule>, CheckError>, CaptureOutcome) {
+        match outcome {
+            CaptureOutcome::Trusted(ref m, _) | CaptureOutcome::Hit(ref m, _) => {
+                times.searcher = session.take_elapsed();
+                (Ok(Arc::clone(m)), outcome)
+            }
+            CaptureOutcome::Partial(r) | CaptureOutcome::IdenticalRefresh(r) => {
+                self.refresh(session, state, r, times)
+            }
+            CaptureOutcome::Fresh(ref entry, _) => {
+                (self.fresh(session, state, entry, times), outcome)
+            }
+        }
+    }
+
+    /// The fresh arm: copy the image into a buffer from the scan's arena
+    /// (a failed read returns it), then charge and run the parse and the
+    /// header hashes (content hashing happens pairwise).
+    fn fresh(
+        &self,
+        session: &mut VmiSession<'_>,
+        state: &mut ScanState<'_>,
+        entry: &ModuleRef,
         times: &mut ComponentTimes,
     ) -> Result<Arc<ExtractedModule>, CheckError> {
+        let bytes = state.acquire(entry.size as usize);
+        let image = ModuleSearcher::capture_into(session, entry, bytes);
+        times.searcher = session.take_elapsed();
+        let image = image.map_err(|(e, bytes)| {
+            state.release(bytes);
+            e
+        })?;
         let cost = *session.cost_model();
         session.charge_process(cost.parse_byte_ns, image.bytes.len() as u64);
         times.parser = session.take_elapsed();
@@ -388,327 +471,85 @@ impl ModChecker {
         extracted
     }
 
-    /// Captures and decomposes `module` from one VM, splitting simulated
-    /// time per component.
-    fn extract_one(&self, hv: &Hypervisor, vm: VmId, module: &str) -> Extraction {
-        let name = hv.vm(vm).map(|v| v.name.clone()).unwrap_or_default();
-        let mut session = match self.open_session(hv, vm) {
-            Ok(s) => s,
-            Err(e) => return Extraction::before_session(e, name),
-        };
-        let mut times = ComponentTimes::default();
-        let found = self.find(&mut session, module);
-        times.searcher = session.take_elapsed();
-        let result = found.and_then(|image| self.parse_capture(&mut session, image, &mut times));
-        Extraction::from_session(result, times, name, &session)
-    }
-
-    /// [`Self::extract_one`] with a generation-guarded capture cache.
-    ///
-    /// The loaded-module list is re-walked every round (the entry itself can
-    /// move or vanish), but before re-copying the image the session probes
-    /// the module's page write-generations: stamps unchanged ⟹ content
-    /// unchanged ⟹ the cached capture (parse + digests included) is still
-    /// current. A steady-state clean round then costs the list walk plus one
-    /// cheap metadata probe per page instead of mapping and copying the
-    /// whole module.
-    ///
-    /// `trusted` means a write-event subscriber vouches that no guest write
-    /// has touched this module's watched frames since the cache entry was
-    /// stored (see [`crate::monitor::EventPlane`]). The session still
-    /// attaches — so fault plans fire, VM loss surfaces, and the breaker /
-    /// eviction semantics are identical to the poll path — but a cached
-    /// entry is then served as a full hit with *zero* guest reads and zero
-    /// page walks: no list re-walk, no per-page generation probes. With no
-    /// cache entry (cold, post-eviction, post-revert) the trust bit is
-    /// ignored and the normal probe/capture path runs, which is what makes
-    /// trust safe against event-free mutations like snapshot revert: revert
-    /// goes through cache eviction, and an evicted pair is rescanned no
-    /// matter what the event plane believes.
-    fn extract_one_cached_trusted(
+    /// The partial arm: re-read the dirty pages into a copy of the cached
+    /// capture and re-parse it, charging the dirty bytes' parse (and the
+    /// header hashes if page 0 moved). A copy equal to the cached bytes is
+    /// an `IdenticalRefresh`: the capture stays, charged as if re-parsed.
+    fn refresh(
         &self,
-        hv: &Hypervisor,
-        vm: VmId,
-        module: &str,
-        cache: &mut CaptureCache,
-        trusted: bool,
-    ) -> Extraction {
-        let name = hv.vm(vm).map(|v| v.name.clone()).unwrap_or_default();
-        let mut session = match self.open_session(hv, vm) {
-            Ok(s) => s,
-            Err(e) => {
-                // A dead VM's cached captures describe a guest that no
-                // longer exists; drop every module's entry, not just this
-                // one's.
-                if e.is_fatal_to_vm() {
-                    cache.evict_vm(vm);
-                }
-                return Extraction::before_session(e, name);
-            }
-        };
-        let mut times = ComponentTimes::default();
-        let finish = |result, times, session: &VmiSession| {
-            Extraction::from_session(result, times, name.clone(), session)
-        };
-
-        let key = (vm, module.to_string());
-
-        // Event-plane short circuit: the subscriber proved the watched
-        // frames quiet, so the cached capture *is* the current content —
-        // serve it without touching the guest. The attach above already
-        // consulted the fault plan, so a lost VM never reaches this point.
-        if trusted {
-            if let Some(hit) = cache.entries.get(&key) {
-                if hit.algo == self.config.digest {
-                    cache.stats.hits += 1;
-                    cache.stats.trusted_hits += 1;
-                    times.searcher = session.take_elapsed();
-                    let (module, serial) = (Arc::clone(&hit.module), hit.serial);
-                    return finish(Ok(module), times, &session).cached_as(Some(serial));
-                }
-            }
-        }
-
-        // The size check runs before the generation probe: a forged
-        // `SizeOfImage` must not size the probe.
-        let found = ModuleSearcher::find_ref(&mut session, module)
-            .and_then(|e| ModuleSearcher::check_size(&session, &e).map(|()| e));
-        let entry = match found {
-            Ok(e) => e,
-            Err(e) => {
-                times.searcher = session.take_elapsed();
-                Self::drop_stale(cache, vm, &key, &e);
-                return finish(Err(e), times, &session);
-            }
-        };
-        let generations = session.range_generations(entry.base, entry.size).ok();
-
-        // Probe outcome, decided against the entry in place: `Full` —
-        // every stamp (and base/algo) unchanged, reuse as-is; `Partial` —
-        // same module shape (base, algo, page count, byte length) but some
-        // stamps moved: the entry comes out of the cache to have exactly
-        // those pages refreshed; anything else is a miss and a full
-        // recapture, stale entries discarded (their buffers back to the
-        // arena) before the copy.
-        enum Probe {
-            Full(Arc<ExtractedModule>, u64),
-            Partial {
-                key: (VmId, String),
-                hit: CacheEntry,
-                gens: Vec<mc_hypervisor::PageGeneration>,
-                dirty: Vec<usize>,
-            },
-            Miss {
-                key: (VmId, String),
-                gens: Option<Vec<mc_hypervisor::PageGeneration>>,
-            },
-        }
-        let probe = match (generations, cache.entries.entry(key)) {
-            (Some(gens), Entry::Occupied(slot))
-                if slot.get().base == entry.base && slot.get().algo == self.config.digest =>
-            {
-                let hit = slot.get();
-                if hit.generations == gens {
-                    Probe::Full(Arc::clone(&hit.module), hit.serial)
-                } else if hit.generations.len() == gens.len()
-                    && hit.module.image.bytes.len() == entry.size as usize
-                {
-                    let dirty = gens
-                        .iter()
-                        .zip(&hit.generations)
-                        .enumerate()
-                        .filter(|(_, (now, then))| now != then)
-                        .map(|(i, _)| i)
-                        .collect();
-                    let (key, hit) = slot.remove_entry();
-                    Probe::Partial {
-                        key,
-                        hit,
-                        gens,
-                        dirty,
-                    }
-                } else {
-                    cache.stats.invalidations += 1;
-                    let (key, stale) = slot.remove_entry();
-                    cache.arena.reclaim(stale.module);
-                    Probe::Miss {
-                        key,
-                        gens: Some(gens),
-                    }
-                }
-            }
-            (gens, Entry::Occupied(slot)) => {
-                cache.stats.invalidations += 1;
-                let (key, stale) = slot.remove_entry();
-                cache.arena.reclaim(stale.module);
-                Probe::Miss { key, gens }
-            }
-            (gens, Entry::Vacant(slot)) => Probe::Miss {
-                key: slot.into_key(),
-                gens,
-            },
-        };
-
-        let (key, generations) = match probe {
-            Probe::Full(module, serial) => {
-                cache.stats.hits += 1;
-                times.searcher = session.take_elapsed();
-                return finish(Ok(module), times, &session).cached_as(Some(serial));
-            }
-            Probe::Partial {
-                key,
-                hit,
-                gens,
-                dirty,
-            } => {
-                // Page-granular refresh: re-read and re-stamp only the
-                // pages whose write-generation moved; every other page's
-                // bytes are reused verbatim, and the refreshed capture is
-                // re-parsed (digests included) like a fresh one. It
-                // replaces the entry — a refresh is exactly as current as
-                // a fresh capture (the stamps were probed before the copy,
-                // same conservative race story as the miss path). A
-                // refresh that reads back the capture's own bytes keeps
-                // the capture instead (DESIGN.md §14).
-                cache.stats.partial_hits += 1;
-                let mut bytes = cache.arena.acquire(hit.module.image.bytes.len());
-                bytes.copy_from_slice(&hit.module.image.bytes);
-                if let Err(e) =
-                    ModuleSearcher::refresh_pages(&mut session, entry.base, &mut bytes, &dirty)
-                {
-                    cache.arena.release(bytes);
-                    cache.arena.reclaim(hit.module);
-                    times.searcher = session.take_elapsed();
-                    Self::drop_stale(cache, vm, &key, &e);
-                    return finish(Err(e), times, &session);
-                }
-                times.searcher = session.take_elapsed();
-
-                let page = |i: usize| i * PAGE_SIZE..(i * PAGE_SIZE + PAGE_SIZE).min(bytes.len());
-                let unchanged = dirty
-                    .iter()
-                    .all(|&i| bytes[page(i)] == hit.module.image.bytes[page(i)]);
-                // Tamper evidence: generations moved yet every refreshed
-                // page reads back byte-identical to the cached capture —
-                // the module was written and then restored. A polling scan
-                // would call this round clean; the write-generation trail
-                // says an adversary raced the scan window (DESIGN.md §16).
-                if self.config.tamper_evidence && !dirty.is_empty() && unchanged {
-                    cache.stats.silent_restores += 1;
-                    cache.silent_restores.insert((vm, module.to_string()));
-                }
-
-                let dirty_bytes: u64 = dirty.iter().map(|&i| page(i).len() as u64).sum();
-                let cost = *session.cost_model();
-                session.charge_process(cost.parse_byte_ns, dirty_bytes);
-                times.parser = session.take_elapsed();
-                // Headers live in page 0; their digests only move when it
-                // does.
-                if dirty.contains(&0) {
-                    session.charge_process(
-                        cost.hash_byte_ns * self.config.digest.cost_factor(),
-                        HEADER_BYTES,
-                    );
-                }
-                cache.stats.pages_refreshed += dirty.len() as u64;
-                cache.stats.pages_reused += (bytes.len().div_ceil(PAGE_SIZE) - dirty.len()) as u64;
-
-                if unchanged {
-                    // Same bytes, same capture: the entry goes back with
-                    // the new stamps, keeping its decoded module (parse
-                    // and digests) and its serial, which names exactly
-                    // these bytes. The charges above stand, so simulated
-                    // time reads as if it had been re-parsed.
-                    cache.arena.release(bytes);
-                    times.checker = session.take_elapsed();
-                    let (module, serial) = (Arc::clone(&hit.module), hit.serial);
-                    let kept = CacheEntry {
-                        generations: gens,
-                        ..hit
-                    };
-                    cache.entries.insert(key, kept);
-                    return finish(Ok(module), times, &session).cached_as(Some(serial));
-                }
-                let image = crate::searcher::ModuleImage {
-                    vm: hit.module.image.vm,
-                    vm_name: hit.module.image.vm_name.clone(),
-                    name: hit.module.image.name.clone(),
-                    base: entry.base,
-                    bytes,
-                };
-                let extracted = ExtractedModule::with_algo(image, self.config.digest).map(Arc::new);
-                times.checker = session.take_elapsed();
-                let serial = extracted.as_ref().ok().map(|m| {
-                    cache.insert(key, entry.base, self.config.digest, gens, Arc::clone(m))
-                });
-                // The superseded capture's buffer comes back to the arena
-                // if this round held the last reference.
-                cache.arena.reclaim(hit.module);
-                return finish(extracted, times, &session).cached_as(serial);
-            }
-            Probe::Miss { key, gens } => (key, gens),
-        };
-        cache.stats.misses += 1;
-
-        // Miss: full capture, same component accounting as the uncached
-        // path. The generations probed *before* the copy are stored with
-        // it — a guest write racing the copy leaves the stored stamps
-        // behind the content, which next round reads as a mismatch and a
-        // fresh capture (conservative, never stale).
-        let image = match ModuleSearcher::capture_with(&mut session, &entry, Some(&mut cache.arena))
-        {
-            Ok(img) => img,
-            Err(e) => {
-                times.searcher = session.take_elapsed();
-                Self::drop_stale(cache, vm, &key, &e);
-                return finish(Err(e), times, &session);
-            }
-        };
+        session: &mut VmiSession<'_>,
+        state: &mut ScanState<'_>,
+        mut r: Refresh,
+        times: &mut ComponentTimes,
+    ) -> (Result<Arc<ExtractedModule>, CheckError>, CaptureOutcome) {
+        let cached = &r.cached.module.image;
+        let mut bytes = state.acquire(cached.bytes.len());
+        bytes.copy_from_slice(&cached.bytes);
+        let read = ModuleSearcher::refresh_pages(session, cached.base, &mut bytes, &r.dirty);
         times.searcher = session.take_elapsed();
-        let extracted = self.parse_capture(&mut session, image, &mut times);
-        let serial = match (&extracted, generations) {
-            (Ok(m), Some(gens)) => {
-                Some(cache.insert(key, entry.base, self.config.digest, gens, Arc::clone(m)))
-            }
-            _ => None,
-        };
-        finish(extracted, times, &session).cached_as(serial)
-    }
-
-    /// Cache hygiene after a failed cached extraction: a failure that is
-    /// fatal to the whole VM (lost, paused out, past deadline) evicts every
-    /// module's entry for that VM — its next incarnation is a different
-    /// guest; anything else drops just the failing (VM, module) entry.
-    fn drop_stale(cache: &mut CaptureCache, vm: VmId, key: &(VmId, String), e: &CheckError) {
-        match e {
-            CheckError::Vmi(ve) if ve.is_fatal_to_vm() => {
-                cache.evict_vm(vm);
-            }
-            _ => {
-                if let Some(gone) = cache.entries.remove(key) {
-                    cache.arena.reclaim(gone.module);
-                }
-            }
+        if let Err(e) = read {
+            state.release(bytes);
+            return (Err(e), CaptureOutcome::Partial(r));
         }
+        r.read = true;
+        let page = |i: usize| i * PAGE_SIZE..(i * PAGE_SIZE + PAGE_SIZE).min(bytes.len());
+        let unchanged = r
+            .dirty
+            .iter()
+            .all(|&i| bytes[page(i)] == cached.bytes[page(i)]);
+        let dirty_bytes: u64 = r.dirty.iter().map(|&i| page(i).len() as u64).sum();
+        let cost = *session.cost_model();
+        session.charge_process(cost.parse_byte_ns, dirty_bytes);
+        times.parser = session.take_elapsed();
+        if r.dirty.contains(&0) {
+            session.charge_process(
+                cost.hash_byte_ns * self.config.digest.cost_factor(),
+                HEADER_BYTES,
+            );
+        }
+        if unchanged {
+            state.release(bytes);
+            times.checker = session.take_elapsed();
+            let module = Arc::clone(&r.cached.module);
+            return (Ok(module), CaptureOutcome::IdenticalRefresh(r));
+        }
+        let image = ModuleImage {
+            vm: cached.vm,
+            vm_name: cached.vm_name.clone(),
+            name: cached.name.clone(),
+            base: cached.base,
+            bytes,
+        };
+        let extracted = ExtractedModule::with_algo(image, self.config.digest).map(Arc::new);
+        times.checker = session.take_elapsed();
+        (extracted, CaptureOutcome::Partial(r))
     }
 
-    /// Extracts the module from every VM, one chunk of VMs per worker.
+    /// Extracts the module from every VM: one chunk of VMs per worker
+    /// uncached, on the calling thread (one mutable cache) cached.
     fn extract_all(
         &self,
         hv: &Hypervisor,
         vms: &[VmId],
         module: &str,
+        state: &mut ScanState<'_>,
         workers: usize,
     ) -> Vec<Extraction> {
-        per_chunk(vms, workers, |chunk| {
-            chunk
-                .iter()
-                .map(|&vm| self.extract_one(hv, vm, module))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        if let ScanState::Arena(arena) = *state {
+            return per_chunk(vms, workers, |chunk| {
+                let mut state = ScanState::Arena(arena);
+                chunk
+                    .iter()
+                    .map(|&vm| self.extract(hv, vm, module, &mut state))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        }
+        vms.iter()
+            .map(|&vm| self.extract(hv, vm, module, state))
+            .collect()
     }
 
     /// The paper's check: compare `module` on `reference` against the same
@@ -732,12 +573,13 @@ impl ModChecker {
         }
         let mut all = vec![reference];
         all.extend_from_slice(others);
-        let mut extractions = self.extract_all(hv, &all, module, host_workers());
+        let mut state = ScanState::Arena(&self.arena);
+        let mut extractions = self.extract_all(hv, &all, module, &mut state, host_workers());
 
         let reference_ex = extractions.remove(0);
-        let mut vmi = reference_ex.vmi;
-        let mut fault_injections = reference_ex.fault_injections;
-        let (ref_times, ref_name) = (reference_ex.times, reference_ex.vm_name);
+        let mut vmi = reference_ex.stats.vmi;
+        let mut fault_injections = reference_ex.stats.fault_injections;
+        let (ref_times, ref_name) = (reference_ex.stats.times, reference_ex.stats.vm_name);
         let reference_mod = reference_ex.result?;
 
         let mut per_vm_times = vec![(ref_name.clone(), ref_times)];
@@ -756,10 +598,10 @@ impl ModChecker {
         let mut scratch = PairScratch::new();
         let mut captures = Vec::with_capacity(extractions.len());
         for ex in extractions {
-            per_vm_times.push((ex.vm_name.clone(), ex.times));
-            vmi.accumulate(&ex.vmi);
-            fault_injections += ex.fault_injections;
-            let vm_name = ex.vm_name;
+            per_vm_times.push((ex.stats.vm_name.clone(), ex.stats.times));
+            vmi.accumulate(&ex.stats.vmi);
+            fault_injections += ex.stats.fault_injections;
+            let vm_name = ex.stats.vm_name;
             match ex.result {
                 Ok(other) => {
                     if self.config.static_prepass {
@@ -829,22 +671,13 @@ impl ModChecker {
         vms: &[VmId],
         module: &str,
     ) -> Result<PoolCheckReport, CheckError> {
-        self.scan_pool(hv, vms, module, host_workers())
-    }
-
-    /// The uncached [`Self::check_pool`] body at an explicit worker count.
-    fn scan_pool(
-        &self,
-        hv: &Hypervisor,
-        vms: &[VmId],
-        module: &str,
-        workers: usize,
-    ) -> Result<PoolCheckReport, CheckError> {
-        if vms.len() < 2 {
-            return Err(CheckError::PoolTooSmall(vms.len()));
-        }
-        let extractions = self.extract_all(hv, vms, module, workers);
-        self.pool_report(hv, vms, module, extractions, None, workers)
+        self.scan_pool(
+            hv,
+            vms,
+            module,
+            ScanState::Arena(&self.arena),
+            host_workers(),
+        )
     }
 
     /// [`Self::check_pool`] with a generation-guarded capture cache (see
@@ -868,13 +701,13 @@ impl ModChecker {
     /// Verdicts are identical to the poll scan — the same capture bytes
     /// vote — only the steady-state cost changes.
     ///
-    /// The whole scan runs on the calling thread: the cache is one mutable
-    /// structure, and on the steady-state hit path there is no capture work
-    /// left to overlap. In canonical mode the static pre-pass runs
-    /// the lint engine once per content bucket, memoized in the cache
-    /// across rounds, and replicates the findings to every bucket member
-    /// with diagnostic addresses rebased: it names the same VMs with the
-    /// same lint evidence as a per-VM pass.
+    /// The whole scan runs on one worker, the calling thread: the cache is
+    /// one mutable structure, and on the steady-state hit path every stage
+    /// is a memo hit, cheaper than a fan-out's thread setup. In canonical
+    /// mode the static pre-pass runs the lint engine once per content
+    /// bucket, memoized in the cache across rounds, and replicates the
+    /// findings to every bucket member with diagnostic addresses rebased:
+    /// it names the same VMs with the same lint evidence as a per-VM pass.
     pub fn check_pool_with_cache_trusted(
         &self,
         hv: &Hypervisor,
@@ -883,150 +716,71 @@ impl ModChecker {
         cache: &mut CaptureCache,
         trusted: &HashSet<VmId>,
     ) -> Result<PoolCheckReport, CheckError> {
-        if vms.len() < 2 {
-            return Err(CheckError::PoolTooSmall(vms.len()));
-        }
-        let extractions: Vec<Extraction> = vms
-            .iter()
-            .map(|&vm| {
-                self.extract_one_cached_trusted(hv, vm, module, cache, trusted.contains(&vm))
-            })
-            .collect();
-        // One worker: steady-state stages here are memo hits, cheaper than
-        // a fan-out's thread setup.
-        self.pool_report(hv, vms, module, extractions, Some(cache), 1)
+        self.scan_pool(hv, vms, module, ScanState::Cache { cache, trusted }, 1)
     }
 
-    /// Shared back half of the pool scan: vote, matrix, report.
-    fn pool_report(
+    /// The one pool-scan body: capture every VM through `state` at
+    /// `workers`, then vote, matrix, report.
+    fn scan_pool(
         &self,
         hv: &Hypervisor,
         vms: &[VmId],
         module: &str,
-        extractions: Vec<Extraction>,
-        cache: Option<&mut CaptureCache>,
+        mut state: ScanState<'_>,
         workers: usize,
     ) -> Result<PoolCheckReport, CheckError> {
-        let mut times = ComponentTimes::default();
-        let mut vmi = VmiStats::default();
-        let mut fault_injections = 0u64;
-        let mut per_vm = Vec::with_capacity(extractions.len());
-        for ex in &extractions {
-            times.accumulate(&ex.times);
-            vmi.accumulate(&ex.vmi);
-            fault_injections += ex.fault_injections;
-            per_vm.push(VmScanStats {
-                vm_name: ex.vm_name.clone(),
-                times: ex.times,
-                vmi: ex.vmi,
-                fault_injections: ex.fault_injections,
-            });
+        if vms.len() < 2 {
+            return Err(CheckError::PoolTooSmall(vms.len()));
         }
-        let vm_names: Vec<String> = extractions.iter().map(|ex| ex.vm_name.clone()).collect();
+        let extractions = self.extract_all(hv, vms, module, &mut state, workers);
         // The cache entries that voted, when every VM's capture is one.
         let entries: Option<Vec<u64>> = extractions
             .iter()
             .map(|ex| ex.result.as_ref().ok().and(ex.entry))
             .collect();
-
-        // Split successes and failures, remembering positions.
+        let (mut times, mut vmi, mut fault_injections): (ComponentTimes, VmiStats, u64) =
+            Default::default();
+        let (mut per_vm, mut vm_names, mut errors) = (Vec::new(), Vec::new(), Vec::new());
+        // Successes remember their position among the VMs.
         let mut extracted: Vec<(usize, Arc<ExtractedModule>)> = Vec::new();
-        let mut errors: Vec<Option<VerdictError>> = vec![None; extractions.len()];
         for (i, ex) in extractions.into_iter().enumerate() {
-            match ex.result {
-                Ok(m) => extracted.push((i, m)),
-                Err(e) => errors[i] = Some(VerdictError::classify(&e)),
+            times.accumulate(&ex.stats.times);
+            vmi.accumulate(&ex.stats.vmi);
+            fault_injections += ex.stats.fault_injections;
+            vm_names.push(ex.stats.vm_name.clone());
+            per_vm.push(ex.stats);
+            errors.push(ex.result.as_ref().err().map(VerdictError::classify));
+            if let Ok(m) = ex.result {
+                extracted.push((i, m));
             }
         }
         let scanned = extracted.len();
         let quorum = quorum(scanned, vms.len(), self.config.min_quorum);
 
-        let Vote {
-            matrix,
-            canonical: canonical_votes,
-            static_findings,
-        } = match cache {
-            Some(cache) => {
+        let vote = match state {
+            ScanState::Cache { cache, .. } => {
                 self.memoized_vote(hv, vms, module, &extracted, entries, cache, &mut times)?
             }
-            None => {
+            ScanState::Arena(_) => {
                 let vote = self.vote(hv, &extracted, None, workers, &mut times)?;
                 self.reclaim(extracted.into_iter().map(|(_, m)| m));
                 vote
             }
         };
-
-        // Per-VM verdicts: the vote runs among the scanned VMs only.
-        let mut verdicts = Vec::with_capacity(vms.len());
-        for (idx, vm_name) in vm_names.iter().enumerate() {
-            let (successes, mut suspect_parts) = match &canonical_votes {
-                // Canonical vote: a capture agrees with every other member
-                // of its bucket.
-                Some(votes) => votes
-                    .get(&idx)
-                    .map(|v| (v.successes, v.suspect_parts.clone()))
-                    .unwrap_or_default(),
-                // Pairwise vote: count this VM's matching pairs.
-                None => {
-                    let mut successes = 0usize;
-                    let mut suspect_parts = Vec::new();
-                    for (i, j, o) in &matrix {
-                        if *i == idx || *j == idx {
-                            if o.matches() {
-                                successes += 1;
-                            } else {
-                                suspect_parts.extend(o.mismatched.iter().cloned());
-                            }
-                        }
-                    }
-                    (successes, suspect_parts)
-                }
-            };
-            suspect_parts.sort();
-            suspect_parts.dedup();
-            let error = errors[idx].clone();
-            let (status, comparisons) = match &error {
-                // No capture from this VM: unreachable ⇒ no evidence
-                // either way; an integrity-signal failure ⇒ suspect.
-                Some(e) if e.kind.is_unscannable() => (VerdictStatus::Unscannable, 0),
-                Some(_) => (VerdictStatus::Suspect, 0),
-                // Captured, but the pool as a whole fell below quorum: the
-                // "vote" (if any pairs exist at all) has no weight.
-                None if quorum == QuorumStatus::Lost => (VerdictStatus::Unscannable, 0),
-                None => {
-                    let comparisons = scanned - 1;
-                    let status = if successes * 2 > comparisons {
-                        VerdictStatus::Clean
-                    } else {
-                        VerdictStatus::Suspect
-                    };
-                    (status, comparisons)
-                }
-            };
-            verdicts.push(VmVerdict {
-                vm: vms[idx],
-                vm_name: vm_name.clone(),
-                status,
-                successes,
-                comparisons,
-                clean: status == VerdictStatus::Clean,
-                suspect_parts,
-                error,
-            });
-        }
+        let verdicts = verdicts(vms, &vm_names, errors, &vote, scanned, quorum);
 
         Ok(PoolCheckReport {
             module: module.to_string(),
             vm_names,
             verdicts,
-            matrix: matrix.into_iter().map(|(_, _, o)| o).collect(),
+            matrix: vote.matrix.into_iter().map(|(_, _, o)| o).collect(),
             scanned,
             quorum,
             times,
             per_vm,
             vmi,
             fault_injections,
-            static_findings,
+            static_findings: vote.static_findings,
         })
     }
 
@@ -1340,6 +1094,75 @@ impl ModChecker {
     }
 }
 
+/// Per-VM verdicts of a pool scan. The vote ran among the scanned VMs
+/// only; `errors` holds why each other VM produced no capture.
+fn verdicts(
+    vms: &[VmId],
+    vm_names: &[String],
+    errors: Vec<Option<VerdictError>>,
+    vote: &Vote,
+    scanned: usize,
+    quorum: QuorumStatus,
+) -> Vec<VmVerdict> {
+    let mut verdicts = Vec::with_capacity(vms.len());
+    for (idx, (vm_name, error)) in vm_names.iter().zip(errors).enumerate() {
+        let (successes, mut suspect_parts) = match &vote.canonical {
+            // Canonical vote: a capture agrees with every other member of
+            // its bucket.
+            Some(votes) => votes
+                .get(&idx)
+                .map(|v| (v.successes, v.suspect_parts.clone()))
+                .unwrap_or_default(),
+            // Pairwise vote: count this VM's matching pairs.
+            None => {
+                let mut successes = 0usize;
+                let mut suspect_parts = Vec::new();
+                for (i, j, o) in &vote.matrix {
+                    if *i == idx || *j == idx {
+                        if o.matches() {
+                            successes += 1;
+                        } else {
+                            suspect_parts.extend(o.mismatched.iter().cloned());
+                        }
+                    }
+                }
+                (successes, suspect_parts)
+            }
+        };
+        suspect_parts.sort();
+        suspect_parts.dedup();
+        let (status, comparisons) = match &error {
+            // No capture from this VM: unreachable ⇒ no evidence either
+            // way; an integrity-signal failure ⇒ suspect.
+            Some(e) if e.kind.is_unscannable() => (VerdictStatus::Unscannable, 0),
+            Some(_) => (VerdictStatus::Suspect, 0),
+            // Captured, but the pool as a whole fell below quorum: the
+            // "vote" (if any pairs exist at all) has no weight.
+            None if quorum == QuorumStatus::Lost => (VerdictStatus::Unscannable, 0),
+            None => {
+                let comparisons = scanned - 1;
+                let status = if successes * 2 > comparisons {
+                    VerdictStatus::Clean
+                } else {
+                    VerdictStatus::Suspect
+                };
+                (status, comparisons)
+            }
+        };
+        verdicts.push(VmVerdict {
+            vm: vms[idx],
+            vm_name: vm_name.clone(),
+            status,
+            successes,
+            comparisons,
+            clean: status == VerdictStatus::Clean,
+            suspect_parts,
+            error,
+        });
+    }
+    verdicts
+}
+
 /// FNV-1a over a capture's raw `.idata` bytes — the analyzer input the
 /// canonical fingerprint deliberately excludes (initialized data is outside
 /// the vote's hash scope). A module without an import section digests to
@@ -1379,12 +1202,12 @@ struct VoteKey {
     slowdown: u64,
     cost: mc_hypervisor::CostModel,
     static_prepass: bool,
-    digest: crate::digest::DigestAlgo,
+    digest: DigestAlgo,
 }
 
 /// One module's memoized vote in a [`CaptureCache`].
 #[derive(Clone, Debug)]
-struct VoteMemo {
+pub(crate) struct VoteMemo {
     key: VoteKey,
     vote: Vote,
     /// Checker time the vote charged.
@@ -1401,10 +1224,6 @@ struct CanonicalVote {
     suspect_parts: Vec<PartId>,
 }
 
-/// A canonical fingerprint, owned: the bucket key the analysis cache and
-/// the per-bucket static pre-pass share with the O(t) vote.
-type Fingerprint = Vec<(PartId, PartDigest)>;
-
 /// `canonical_matrix` result: `None` = reloc-less fallback to pairwise.
 /// The third element is the bucket structure — fingerprint plus member
 /// positions (into `extracted`), ordered by first member.
@@ -1413,300 +1232,6 @@ type CanonicalOutcome = Option<(
     HashMap<usize, CanonicalVote>,
     Vec<(Fingerprint, Vec<usize>)>,
 )>;
-
-/// Run/hit accounting for a capture cache's static-analysis memo.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AnalysisCacheStats {
-    /// Analyzer invocations — one per distinct (fingerprint, import-table)
-    /// content ever seen by this cache.
-    pub runs: u64,
-    /// Bucket verdicts served from the cache without running the analyzer.
-    pub hits: u64,
-}
-
-impl AnalysisCacheStats {
-    /// Every lookup, run or hit.
-    fn lookups(self) -> u64 {
-        self.runs + self.hits
-    }
-}
-
-/// Per-content static analysis cache for the canonical-mode pre-pass.
-///
-/// Keyed by (canonical fingerprint, import-table digest): together these
-/// cover every input the lint engine reads, so two captures with equal keys
-/// provably yield the same findings up to the load-base shift applied at
-/// replication time. Each [`CaptureCache`] owns one, so it lives as long as
-/// the pool's captures and the steady-state cost of the static pre-pass is
-/// zero analyzer runs per round.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct AnalysisCache {
-    /// `None` = analyzed and clean (or unparseable); `Some((base, report))`
-    /// = findings as seen from a capture loaded at `base`.
-    entries: HashMap<(Fingerprint, u64), Option<(u64, mc_analysis::AnalysisReport)>>,
-    stats: AnalysisCacheStats,
-}
-
-impl AnalysisCache {
-    /// Returns the cached verdict for `(fingerprint, aux)`, running `scan`
-    /// (and counting a run) only on first sight.
-    fn lookup_or_run(
-        &mut self,
-        fingerprint: &Fingerprint,
-        aux: u64,
-        scan: impl FnOnce() -> Option<(u64, mc_analysis::AnalysisReport)>,
-    ) -> &Option<(u64, mc_analysis::AnalysisReport)> {
-        let key = (fingerprint.clone(), aux);
-        if self.entries.contains_key(&key) {
-            self.stats.hits += 1;
-        } else {
-            self.stats.runs += 1;
-            self.entries.insert(key.clone(), scan());
-        }
-        &self.entries[&key]
-    }
-}
-
-/// Hit/miss accounting for a [`CaptureCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Rounds that reused a cached capture (generations unchanged).
-    pub hits: u64,
-    /// The subset of `hits` served on event-plane trust alone — no list
-    /// walk, no generation probes, zero guest reads (push mode; the trap
-    /// subscriber proved the watched frames quiet).
-    pub trusted_hits: u64,
-    /// Rounds that refreshed only the pages whose write-generation moved
-    /// and reused every other page of the cached capture (page-granular
-    /// partial invalidation, DESIGN.md §14).
-    pub partial_hits: u64,
-    /// Pages re-read by partial hits.
-    pub pages_refreshed: u64,
-    /// Pages whose cached bytes were reused by partial hits without
-    /// touching guest memory.
-    pub pages_reused: u64,
-    /// Rounds that captured afresh (first sight or invalidated).
-    pub misses: u64,
-    /// Cached entries discarded wholesale: the module relocated, resized,
-    /// the digest algorithm changed, or the stamp probe itself failed —
-    /// shapes a page-granular refresh cannot bridge. (A moved generation
-    /// alone is a partial hit, not an invalidation.)
-    pub invalidations: u64,
-    /// Cached entries discarded for VM-lifecycle reasons rather than
-    /// content change: the VM was lost mid-scan, quarantined by the
-    /// monitor's circuit breaker, or reverted to a snapshot. Counted per
-    /// entry removed (a VM caching three modules evicts three).
-    pub evictions: u64,
-    /// Partial hits whose refreshed pages read back byte-identical to the
-    /// cached capture while their write-generations moved — the
-    /// scrubbed-then-restored signature ([`CheckConfig::tamper_evidence`]).
-    pub silent_restores: u64,
-}
-
-impl std::ops::AddAssign for CacheStats {
-    /// Field-wise sum, for aggregating several caches. The destructure is
-    /// exhaustive, so a new counter cannot be silently left out.
-    fn add_assign(&mut self, other: CacheStats) {
-        let CacheStats {
-            hits,
-            trusted_hits,
-            partial_hits,
-            pages_refreshed,
-            pages_reused,
-            misses,
-            invalidations,
-            evictions,
-            silent_restores,
-        } = other;
-        self.hits += hits;
-        self.trusted_hits += trusted_hits;
-        self.partial_hits += partial_hits;
-        self.pages_refreshed += pages_refreshed;
-        self.pages_reused += pages_reused;
-        self.misses += misses;
-        self.invalidations += invalidations;
-        self.evictions += evictions;
-        self.silent_restores += silent_restores;
-    }
-}
-
-/// Per-(VM, module) capture cache keyed by page write-generations.
-///
-/// An entry stores the decoded capture ([`ExtractedModule`], shared via
-/// `Arc`) together with the write-generation stamp of every page it was
-/// copied from. A later round probes the stamps (metadata-only, no page
-/// mapping) and reuses the capture iff every stamp — and the load base and
-/// digest algorithm — is unchanged; any moved generation invalidates just
-/// that (VM, module) entry. This is the incremental-rescanning half of the
-/// canonical-comparison tentpole: steady-state clean rounds cost O(pages
-/// probed), not O(module bytes · VMs).
-#[derive(Clone, Debug, Default)]
-pub struct CaptureCache {
-    entries: HashMap<(VmId, String), CacheEntry>,
-    stats: CacheStats,
-    /// Recycled backing storage for captures and partial refreshes: a
-    /// steady-state sweep stops allocating once every module size has
-    /// passed through once.
-    arena: crate::arena::CaptureArena,
-    /// `(vm, module)` pairs flagged by the tamper-evidence channel:
-    /// write-generations moved, bytes did not. Accumulates across rounds
-    /// (evidence log, not per-round state).
-    silent_restores: std::collections::BTreeSet<(VmId, String)>,
-    /// The canonical-mode static pre-pass memo for this cache's pool.
-    /// Content-addressed, so it never goes stale: [`CaptureCache::clear`]
-    /// and evictions leave it alone.
-    analysis: AnalysisCache,
-    /// Last vote per module, keyed by the entry serials that voted: an
-    /// entry replaced, refreshed or dropped takes its serial with it, so
-    /// a memo can only match captures it was computed from.
-    votes: HashMap<String, VoteMemo>,
-    /// Serial for the next inserted entry.
-    next_serial: u64,
-    /// Votes served from `votes` (test instrumentation).
-    #[cfg(test)]
-    vote_reuses: u64,
-}
-
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    base: u64,
-    algo: crate::digest::DigestAlgo,
-    generations: Vec<mc_hypervisor::PageGeneration>,
-    module: Arc<ExtractedModule>,
-    /// Unique per insert within this cache: identifies the capture
-    /// without holding it.
-    serial: u64,
-}
-
-impl CaptureCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cumulative hit/miss/invalidation counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Stores a fresh capture under `key`, replacing any entry there, and
-    /// returns its serial.
-    fn insert(
-        &mut self,
-        key: (VmId, String),
-        base: u64,
-        algo: crate::digest::DigestAlgo,
-        generations: Vec<mc_hypervisor::PageGeneration>,
-        module: Arc<ExtractedModule>,
-    ) -> u64 {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        let entry = CacheEntry {
-            base,
-            algo,
-            generations,
-            module,
-            serial,
-        };
-        if let Some(old) = self.entries.insert(key, entry) {
-            self.arena.reclaim(old.module);
-        }
-        serial
-    }
-
-    /// Run/hit counters of the static pre-pass memo.
-    pub(crate) fn analysis_stats(&self) -> AnalysisCacheStats {
-        self.analysis.stats
-    }
-
-    /// Allocation/reuse counters of the cache's capture arena.
-    pub fn arena_stats(&self) -> crate::arena::ArenaStats {
-        self.arena.stats()
-    }
-
-    /// `(vm, module)` pairs the tamper-evidence channel has flagged as
-    /// scrubbed-then-restored, sorted (BTreeSet order). Empty unless
-    /// [`CheckConfig::tamper_evidence`] is on.
-    pub fn silent_restores(&self) -> Vec<(VmId, String)> {
-        self.silent_restores.iter().cloned().collect()
-    }
-
-    /// Votes served from the memo so far.
-    #[cfg(test)]
-    pub(crate) fn vote_reuses(&self) -> u64 {
-        self.vote_reuses
-    }
-
-    /// Drops every memoized vote, leaving captures cached: a cache in
-    /// this state recomputes every vote, which makes it the oracle a
-    /// memoized scan must match.
-    #[cfg(test)]
-    pub(crate) fn forget_votes(&mut self) {
-        self.votes.clear();
-    }
-
-    /// True when a capture of `module` on `vm` is cached.
-    #[cfg(test)]
-    pub(crate) fn contains(&self, vm: VmId, module: &str) -> bool {
-        self.entries.contains_key(&(vm, module.to_string()))
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no captures are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every cached capture and memoized vote (counters survive).
-    pub fn clear(&mut self) {
-        for (_, gone) in self.entries.drain() {
-            self.arena.reclaim(gone.module);
-        }
-        self.votes.clear();
-    }
-
-    /// Drops every entry belonging to one VM — called when the VM's
-    /// lifecycle invalidates its captures wholesale (lost mid-scan,
-    /// quarantined, snapshot-reverted). Returns how many entries went;
-    /// each is counted in [`CacheStats::evictions`].
-    pub fn evict_vm(&mut self, vm: VmId) -> usize {
-        let mut evicted = 0;
-        for (_, gone) in self.entries.extract_if(|(id, _), _| *id == vm) {
-            self.arena.reclaim(gone.module);
-            evicted += 1;
-        }
-        self.stats.evictions += evicted as u64;
-        evicted
-    }
-
-    /// Records the cumulative counters as gauges (`cache_*`). Gauges — not
-    /// counter adds — because the stats are already lifetime-cumulative;
-    /// re-recording each round must not double-count.
-    pub fn record_metrics(&self, reg: &mut mc_obs::MetricsRegistry) {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            let s = self.stats;
-            reg.gauge_set("cache_hits", s.hits as f64);
-            reg.gauge_set("cache_trusted_hits", s.trusted_hits as f64);
-            reg.gauge_set("cache_partial_hits", s.partial_hits as f64);
-            reg.gauge_set("cache_pages_refreshed", s.pages_refreshed as f64);
-            reg.gauge_set("cache_pages_reused", s.pages_reused as f64);
-            reg.gauge_set("cache_misses", s.misses as f64);
-            reg.gauge_set("cache_invalidations", s.invalidations as f64);
-            reg.gauge_set("cache_evictions", s.evictions as f64);
-            reg.gauge_set("cache_entries", self.entries.len() as f64);
-            reg.gauge_set("adversary_silent_restores", s.silent_restores as f64);
-            let a = self.arena.stats();
-            reg.gauge_set("capture_arena_allocs", a.allocs as f64);
-            reg.gauge_set("capture_arena_reuses", a.reuses as f64);
-            reg.gauge_set("capture_arena_recycled_bytes", a.recycled_bytes as f64);
-        }
-    }
-}
 
 /// Per-module sweep outcomes: `(module name, result)` in consensus order.
 /// One module's failure is its own entry, never the sweep's.
@@ -1741,6 +1266,7 @@ impl ModChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::report::VerdictErrorKind;
     use mc_guest::{build_cloud_with_modules, GuestOs};
     use mc_hypervisor::{AddressWidth, FaultPlan};
@@ -1866,7 +1392,15 @@ mod tests {
         }
         let checker = ModChecker::new();
         for workers in [1, 2, 3, 8] {
-            let report = checker.scan_pool(&hv, &ids, "hal.dll", workers).unwrap();
+            let report = checker
+                .scan_pool(
+                    &hv,
+                    &ids,
+                    "hal.dll",
+                    ScanState::Arena(&checker.arena),
+                    workers,
+                )
+                .unwrap();
             let matrix: Vec<String> = report.matrix.iter().map(|o| format!("{o:?}")).collect();
             assert_eq!(matrix, alone, "{workers} workers");
             let suspects: Vec<&str> = report.suspects().map(|v| v.vm_name.as_str()).collect();
@@ -1897,7 +1431,15 @@ mod tests {
                 }
                 let checker = ModChecker::with_config(config);
                 let scan = |workers: usize| {
-                    let report = checker.scan_pool(&hv, &ids, "hal.dll", workers).unwrap();
+                    let report = checker
+                        .scan_pool(
+                            &hv,
+                            &ids,
+                            "hal.dll",
+                            ScanState::Arena(&checker.arena),
+                            workers,
+                        )
+                        .unwrap();
                     let json = serde_json::to_string(&report.to_json()).unwrap();
                     let text = format!("{json}\n{:?}", report.matrix);
                     (report, text)
@@ -2233,10 +1775,10 @@ mod tests {
                 .check_pool_with_cache(&hv, &ids, module, &mut cache)
                 .unwrap();
         }
-        let retained = cache.arena.retained();
+        let retained = cache.arena_retained();
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.arena.retained(), retained + 6, "2 modules × 3 VMs");
+        assert_eq!(cache.arena_retained(), retained + 6, "2 modules × 3 VMs");
     }
 
     #[test]
@@ -2457,7 +1999,7 @@ mod tests {
         // Two content buckets (three identically hooked, two clean) — the
         // analyzer ran twice for five captures.
         assert_eq!(capture.analysis_stats().runs, 2);
-        assert_eq!(capture.analysis.entries.len(), 2);
+        assert_eq!(capture.analysis.len(), 2);
 
         // Round two: every verdict is served from the cache.
         let again = checker
@@ -2534,7 +2076,7 @@ mod tests {
             2,
             "aux digest split the bucket"
         );
-        assert_eq!(capture.analysis.entries.len(), 2);
+        assert_eq!(capture.analysis.len(), 2);
     }
 
     #[test]
@@ -2688,7 +2230,7 @@ mod tests {
 
     /// The cached capture of `module` on `vm`, and its entry serial.
     fn cached(cache: &CaptureCache, vm: VmId, module: &str) -> (Arc<ExtractedModule>, u64) {
-        let e = &cache.entries[&(vm, module.to_string())];
+        let e = cache.entry(vm, module).expect("cached");
         (Arc::clone(&e.module), e.serial)
     }
 
@@ -2825,7 +2367,7 @@ mod tests {
             .unwrap();
         let mut forms = Vec::new();
         for &vm in ids {
-            let Some(e) = cache.entries.get(&(vm, module.to_string())) else {
+            let Some(e) = cache.entry(vm, module) else {
                 continue;
             };
             let per_scan = crate::checker::canonical_form(&e.module, None);
@@ -2888,7 +2430,7 @@ mod tests {
         for targets in [&ids[..], &ids[1..2]] {
             let mut scan_cache = cache.clone();
             for &vm in targets {
-                let e = scan_cache.entries.get_mut(&(vm, "hal.dll".into())).unwrap();
+                let e = scan_cache.entry_mut(vm, "hal.dll").unwrap();
                 let mut m = ExtractedModule::clone(&e.module);
                 let dup = m.parts.exec_sections[0].clone();
                 m.parts.exec_sections.push(dup);
@@ -3008,13 +2550,28 @@ mod tests {
         match step {
             1 => format!(
                 "{:?}",
-                checker.scan_pool(hv, ids, "helloworld.sys", workers)
+                checker.scan_pool(
+                    hv,
+                    ids,
+                    "helloworld.sys",
+                    ScanState::Arena(&checker.arena),
+                    workers
+                )
             ),
             2 => format!(
                 "{:?}",
                 checker.check_one(hv, ids[0], &ids[1..], "ntoskrnl.exe")
             ),
-            _ => format!("{:?}", checker.scan_pool(hv, ids, "ntoskrnl.exe", workers)),
+            _ => format!(
+                "{:?}",
+                checker.scan_pool(
+                    hv,
+                    ids,
+                    "ntoskrnl.exe",
+                    ScanState::Arena(&checker.arena),
+                    workers
+                )
+            ),
         }
     }
 
@@ -3106,6 +2663,76 @@ mod tests {
         );
         let stats = assert_reuse_is_invisible(CheckConfig::default(), &hv, &ids);
         assert!(stats.reuses > stats.allocs, "{stats:?}");
+    }
+
+    /// A cold and then a warm cached scan vote exactly like the uncached
+    /// scan at 1 and 3 workers, under both strategies, with the static
+    /// pre-pass on, with and without faults. Canonical mode rebases
+    /// static findings per bucket (DESIGN.md §12), so only pairwise
+    /// compares them. Under faults the cached scan's generation probe
+    /// warms the translate cache, so its counters and simulated time may
+    /// differ; fault-free cold scans charge the same time.
+    #[test]
+    fn cached_scans_vote_like_the_uncached_scan() {
+        for faults in [false, true] {
+            let (mut hv, _guests, ids) = arena_pool();
+            let mut retry = RetryPolicy::default();
+            if faults {
+                let mut plan = FaultPlan::none(0xA7E4);
+                plan.torn_rate = 0.1;
+                plan.paged_out_rate = 0.1;
+                hv.inject_fault_plan(plan);
+                hv.set_fault_plan(ids[6], Some(plan.lose_after(3))).unwrap();
+                retry = RetryPolicy::with_max_retries(6);
+            }
+            for compare in [CompareStrategy::Pairwise, CompareStrategy::Canonical] {
+                let checker = ModChecker::with_config(CheckConfig {
+                    compare,
+                    static_prepass: true,
+                    retry,
+                    ..CheckConfig::default()
+                });
+                for workers in [1, 3] {
+                    let uncached = ScanState::Arena(&checker.arena);
+                    let want = checker
+                        .scan_pool(&hv, &ids, "ntoskrnl.exe", uncached, workers)
+                        .unwrap();
+                    assert_eq!(want.verdicts[6].error.is_some(), faults);
+                    let mut cache = CaptureCache::new();
+                    for round in ["cold", "warm"] {
+                        let got = checker
+                            .check_pool_with_cache(&hv, &ids, "ntoskrnl.exe", &mut cache)
+                            .unwrap();
+                        let at =
+                            format!("{compare:?}, faults {faults}, {workers} workers, {round}");
+                        assert_eq!(
+                            format!("{:?}", got.verdicts),
+                            format!("{:?}", want.verdicts),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            format!("{:?}", got.matrix),
+                            format!("{:?}", want.matrix),
+                            "{at}"
+                        );
+                        assert_eq!(got.scanned, want.scanned, "{at}");
+                        assert_eq!(got.quorum, want.quorum, "{at}");
+                        if compare == CompareStrategy::Pairwise {
+                            assert_eq!(
+                                format!("{:?}", got.static_findings),
+                                format!("{:?}", want.static_findings),
+                                "{at}"
+                            );
+                        }
+                        if !faults && round == "cold" {
+                            assert_eq!(got.times.total(), want.times.total(), "{at}");
+                        }
+                    }
+                    let stats = cache.stats();
+                    assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,9 +42,9 @@ use crate::error::CheckError;
 use crate::events::EventPlane;
 use crate::listdiff::{ListDiff, ListDiffReport};
 use crate::lock;
-use crate::pool::{AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, ModChecker};
 use crate::report::{FleetPoolReport, FleetReport, FleetUnitReport, PoolCheckReport};
 use crate::searcher::ModuleSearcher;
+use crate::{AnalysisCacheStats, CacheStats, CaptureCache, CheckConfig, ModChecker};
 
 /// One pool: a named group of VMs presumed to run the same image.
 #[derive(Clone, Debug)]

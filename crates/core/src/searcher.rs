@@ -16,7 +16,6 @@ use mc_guest::PS_LOADED_MODULE_LIST;
 use mc_hypervisor::{VmId, PAGE_SIZE};
 use mc_vmi::{VaSet, VectoredRead, VmiSession};
 
-use crate::arena::CaptureArena;
 use crate::error::{CheckError, MAX_LIST_WALK, MAX_MODULE_SIZE};
 
 /// Upper bound on a `BaseDllName` length in bytes (Windows caps paths well
@@ -76,15 +75,19 @@ impl ModuleSearcher {
     }
 
     /// Finds a module by name (case-insensitive, as Windows treats
-    /// `BaseDllName`) without copying its image.
+    /// `BaseDllName`) without copying its image. An entry whose
+    /// `SizeOfImage` is implausible is a [`CheckError::ImplausibleSize`]
+    /// here, before any caller sizes a read, probe or watch by it.
     pub fn find_ref(session: &mut VmiSession<'_>, module: &str) -> Result<ModuleRef, CheckError> {
-        Self::walk(session, |entry| {
+        let entry = Self::walk(session, |entry| {
             entry.name.eq_ignore_ascii_case(module).then_some(entry)
         })?
         .ok_or_else(|| CheckError::ModuleNotFound {
             vm: session.vm_name().to_string(),
             module: module.to_string(),
-        })
+        })?;
+        Self::check_size(session, &entry)?;
+        Ok(entry)
     }
 
     /// The one LDR walk: follows `FLINK` from `PsLoadedModuleList`, hands
@@ -125,17 +128,20 @@ impl ModuleSearcher {
         Self::capture(session, &entry)
     }
 
-    /// Copies the image referenced by `entry` out of the guest.
+    /// Copies the image referenced by `entry` (any listed entry; its size
+    /// is checked first) out of the guest into a fresh buffer.
     pub fn capture(
         session: &mut VmiSession<'_>,
         entry: &ModuleRef,
     ) -> Result<ModuleImage, CheckError> {
-        Self::capture_with(session, entry, None)
+        Self::check_size(session, entry)?;
+        Self::capture_into(session, entry, vec![0u8; entry.size as usize]).map_err(|(e, _)| e)
     }
 
-    /// Copies the image referenced by `entry` out of the guest, drawing
-    /// the backing buffer from `arena` when one is supplied (a retired
-    /// capture of the same size is reused instead of allocating).
+    /// Fills `bytes` (already `entry.size` long, the size checked) with
+    /// the image `entry` references. A failed read hands the buffer back
+    /// with its error, so the caller can return it to the arena it came
+    /// from.
     ///
     /// On a fast-capture session the whole image is fetched by one
     /// scatter-gather stable read — the plan walks each page once and
@@ -143,23 +149,6 @@ impl ModuleSearcher {
     /// keep the paper's page-by-page loop ("an action that requires an
     /// iterative access of the memory until the whole module is copied to
     /// a local buffer").
-    pub fn capture_with(
-        session: &mut VmiSession<'_>,
-        entry: &ModuleRef,
-        arena: Option<&mut CaptureArena>,
-    ) -> Result<ModuleImage, CheckError> {
-        Self::check_size(session, entry)?;
-        let bytes = match arena {
-            Some(arena) => arena.acquire(entry.size as usize),
-            None => vec![0u8; entry.size as usize],
-        };
-        Self::capture_into(session, entry, bytes).map_err(|(e, _)| e)
-    }
-
-    /// The capture step of [`Self::capture_with`]: fills `bytes` (already
-    /// `entry.size` long, the size checked) with the image `entry`
-    /// references. A failed read hands the buffer back with its error, so
-    /// the caller can return it to the arena it came from.
     pub(crate) fn capture_into(
         session: &mut VmiSession<'_>,
         entry: &ModuleRef,
@@ -196,12 +185,9 @@ impl ModuleSearcher {
 
     /// Rejects an entry whose `SizeOfImage` is zero or above
     /// [`MAX_MODULE_SIZE`] as [`CheckError::ImplausibleSize`]. The size
-    /// is guest-controlled: every path that sizes work by it — a capture,
-    /// a generation probe, a watch plan — checks it first.
-    pub(crate) fn check_size(
-        session: &VmiSession<'_>,
-        entry: &ModuleRef,
-    ) -> Result<(), CheckError> {
+    /// is guest-controlled, so [`Self::find_ref`] and [`Self::capture`]
+    /// check it before anything is sized by it.
+    fn check_size(session: &VmiSession<'_>, entry: &ModuleRef) -> Result<(), CheckError> {
         if entry.size == 0 || entry.size > MAX_MODULE_SIZE {
             return Err(CheckError::ImplausibleSize {
                 vm: session.vm_name().to_string(),
@@ -477,18 +463,46 @@ mod tests {
     }
 
     #[test]
-    fn capture_with_arena_recycles_buffers() {
+    fn a_forged_size_fails_find_ref_before_any_image_read() {
+        let (mut hv, guests) = cloud(AddressWidth::W32, 2);
+        let offs = LdrOffsets::for_width(AddressWidth::W32);
+        let entry = guests[1].find_module("hal.dll").unwrap().ldr_entry_va;
+        hv.vm_mut(guests[1].vm)
+            .unwrap()
+            .write_virt(entry + offs.size_of_image, &u32::MAX.to_le_bytes())
+            .unwrap();
+        let find = |vm| {
+            let mut s = VmiSession::attach(&hv, vm).unwrap().with_fast_capture();
+            let found = ModuleSearcher::find_ref(&mut s, "hal.dll");
+            (found, s.stats().bytes_copied)
+        };
+        let (clean, walked) = find(guests[0].vm);
+        assert!(clean.is_ok(), "{clean:?}");
+        let (forged, copied) = find(guests[1].vm);
+        assert!(
+            matches!(forged, Err(CheckError::ImplausibleSize { size, .. }) if size == u64::from(u32::MAX)),
+            "{forged:?}"
+        );
+        // Both walks read the same list entries; the forged one copies not
+        // one image byte past them.
+        assert_eq!(copied - walked, 0);
+    }
+
+    #[test]
+    fn capture_into_arena_buffers_recycles_them() {
         let (hv, guests) = cloud(AddressWidth::W32, 1);
-        let mut arena = crate::arena::CaptureArena::new();
+        let mut arena = crate::arena::CaptureArena::default();
         let mut s = VmiSession::attach(&hv, guests[0].vm)
             .unwrap()
             .with_fast_capture();
         let entry = ModuleSearcher::find_ref(&mut s, "hal.dll").unwrap();
-        let img1 = ModuleSearcher::capture_with(&mut s, &entry, Some(&mut arena)).unwrap();
+        let bytes = arena.acquire(entry.size as usize);
+        let img1 = ModuleSearcher::capture_into(&mut s, &entry, bytes).unwrap();
         assert_eq!(arena.stats().allocs, 1);
         let bytes1 = img1.bytes.clone();
         arena.release(img1.bytes);
-        let img2 = ModuleSearcher::capture_with(&mut s, &entry, Some(&mut arena)).unwrap();
+        let bytes = arena.acquire(entry.size as usize);
+        let img2 = ModuleSearcher::capture_into(&mut s, &entry, bytes).unwrap();
         assert_eq!(arena.stats().reuses, 1, "second capture reuses the buffer");
         assert_eq!(img2.bytes, bytes1);
     }

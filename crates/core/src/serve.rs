@@ -73,9 +73,9 @@ use crate::events::{EventPlane, EventPlaneStats};
 use crate::listdiff::ListDiff;
 use crate::lock;
 use crate::monitor::{Breaker, HealthPolicy};
-use crate::pool::{CaptureCache, ModChecker};
 use crate::report::{FleetReport, PoolCheckReport, QuorumStatus};
 use crate::sched::{simulated_fleet_wall, Fleet, FleetConfig, FleetScheduler};
+use crate::{CaptureCache, ModChecker};
 
 /// Per-tenant token-bucket admission quota.
 ///
