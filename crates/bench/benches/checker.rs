@@ -7,8 +7,8 @@
 //!   normalizes to the same `.text`.
 //! * `checker/canonical_forms_all_distinct` — every capture's `.text`
 //!   differs in its last byte, the worst case for the per-scan section
-//!   table: each lookup compares against every recorded section to its
-//!   last byte and still hashes.
+//!   grouping: each lookup compares against every group to its last byte,
+//!   and every group streams its own digest.
 //!
 //! Each iteration runs 4 cold scans.
 //!
@@ -21,6 +21,9 @@
 //!   cycle, after one warm-up cycle; the bench also prints the process's
 //!   minor page faults per scan (field 10 of `/proc/self/stat`, Linux
 //!   only), the kernel's share of a scan that allocates its captures.
+//! * `checker/pool_cycle_canonical` — the same cycle with a second checker
+//!   in canonical mode, run right after `checker/pool_cycle` in the same
+//!   process, and its minor faults per scan beside the pairwise figure.
 //! * `checker/compare_pair/{clean,inline_hook}` — the public, ungrouped
 //!   `compare_pair_with` on one 128 KiB `hal.dll` pair: two clean captures
 //!   at distinct bases, and a clean capture against an inline-hooked one.
@@ -107,28 +110,36 @@ fn bench_pool_cycle(c: &mut Criterion) {
         .into_iter()
         .map(|b| b.name)
         .collect();
-    let checker = ModChecker::new();
-    let cycle = || {
-        for module in &modules {
-            black_box(
-                checker
-                    .check_pool(&bed.hv, &bed.vm_ids, module)
-                    .expect("uncached scan"),
-            );
-        }
-    };
-    cycle();
-    let scans = std::cell::Cell::new(0usize);
-    let before = minor_faults();
-    c.bench_function("checker/pool_cycle", |b| {
-        b.iter(|| {
-            cycle();
-            scans.set(scans.get() + modules.len());
+    for (name, compare) in [
+        ("checker/pool_cycle", CompareStrategy::Pairwise),
+        ("checker/pool_cycle_canonical", CompareStrategy::Canonical),
+    ] {
+        let checker = ModChecker::with_config(CheckConfig {
+            compare,
+            ..CheckConfig::default()
         });
-    });
-    if let (Some(before), Some(after)) = (before, minor_faults()) {
-        let per_scan = (after - before) as f64 / scans.get().max(1) as f64;
-        println!("      checker/pool_cycle minor faults per scan: {per_scan:.1}");
+        let cycle = || {
+            for module in &modules {
+                black_box(
+                    checker
+                        .check_pool(&bed.hv, &bed.vm_ids, module)
+                        .expect("uncached scan"),
+                );
+            }
+        };
+        cycle();
+        let scans = std::cell::Cell::new(0usize);
+        let before = minor_faults();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                cycle();
+                scans.set(scans.get() + modules.len());
+            });
+        });
+        if let (Some(before), Some(after)) = (before, minor_faults()) {
+            let per_scan = (after - before) as f64 / scans.get().max(1) as f64;
+            println!("      {name} minor faults per scan: {per_scan:.1}");
+        }
     }
 }
 

@@ -9,17 +9,16 @@
 //!
 //! Each capture memoizes its [`canonical_form`], so the work behind it is
 //! done once per capture rather than once per pair or per round. Across
-//! captures, one scan's canonical pass hashes each distinct normalized
-//! executable section once ([`SeenSections`]), and one scan's pairwise
-//! matrix groups executable sections that share normalized bytes and slot
-//! list ([`SectionGroups`]): a section pair within a group takes Algorithm
-//! 2's closed form and is neither scanned nor hashed, and two groups over
-//! one slot list scan only the segments where they differ. Every other
-//! executable-section pair, inside a scan or not, is decided by its
-//! adjusted bytes: Algorithm 2 reads both sections in place, and the pair
-//! matches when nothing is left but the slots it rewrote. No executable
-//! section is copied or hashed for a pair. None of this changes what a
-//! comparison returns or what it charges to a ledger.
+//! captures, one scan groups executable sections by normalized bytes and
+//! slot list ([`SectionGroups`]), in place, for both compare strategies. A
+//! section pair within a group takes Algorithm 2's closed form, two groups
+//! over one slot list scan only the segments where they differ, and any
+//! other pair is decided by its adjusted bytes, read in place. A group's
+//! canonical digest is streamed once from its first section; a section
+//! whose `.reloc` entries are not exactly its slots is hashed from a
+//! normalized copy of its image. None of this changes what a comparison or
+//! a canonical form returns, or what either charges to a ledger.
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -27,7 +26,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use mc_pe::AddressWidth;
 use mc_vmi::VmiSession;
 
-use crate::digest::{digest, DigestAlgo, PartDigest};
+use crate::digest::{digest, digest_pieces, DigestAlgo, PartDigest};
 use crate::error::CheckError;
 use crate::parts::{ExecSection, ModuleParts, PartId};
 use crate::searcher::ModuleImage;
@@ -52,16 +51,9 @@ pub struct ExtractedModule {
     pub header_hashes: Vec<(PartId, PartDigest)>,
     /// Hash algorithm used for every part of this capture.
     pub algo: DigestAlgo,
-    /// Memoized [`canonical_form`] outcome; see the type docs.
-    pub(crate) canonical: OnceLock<Option<CanonicalMemo>>,
-}
-
-/// A computed canonical form plus the `.reloc` length its ledger charge
-/// needs, so a memoized call charges exactly what a fresh one would.
-#[derive(Debug)]
-pub(crate) struct CanonicalMemo {
-    form: CanonicalForm,
-    reloc_len: usize,
+    /// Memoized [`canonical_form`] outcome, with the `.reloc` length its
+    /// ledger charge reads; see the type docs.
+    pub(crate) canonical: OnceLock<Option<(CanonicalForm, usize)>>,
 }
 
 impl Clone for ExtractedModule {
@@ -196,9 +188,8 @@ pub fn compare_pair_with(
 }
 
 /// One scan's executable sections grouped by width, in-section `.reloc`
-/// slot list and normalized bytes: for each capture, in scan order, and
-/// each of its executable sections, the group, or `None` for a section in
-/// no group.
+/// slot list and normalized bytes: for each capture, in scan order, what
+/// its `.reloc` table makes of it.
 ///
 /// Two sections in one group are each their group's normalized bytes with
 /// every slot rebased by their own base, so Algorithm 2 between them has a
@@ -212,12 +203,22 @@ pub fn compare_pair_with(
 /// own or in none, and its pairs run the full Algorithm 2 pass.
 #[derive(Debug)]
 pub(crate) struct SectionGroups<'a> {
-    /// Per capture, per executable section: its group.
-    of: Vec<Vec<Option<usize>>>,
+    /// Per capture: `None` when ungrouped or without a parseable table.
+    tables: Vec<Option<TableView>>,
     keys: Vec<GroupKey<'a>>,
     /// The differing segments of pairs of groups over one slot list,
     /// filled on first use.
     differing: Mutex<Vec<GroupPairSegments>>,
+}
+
+/// One capture as its `.reloc` table sees it: the `.reloc` length, the
+/// in-image entries (duplicates included, the count normalization
+/// rewrites) and each executable section's group and exactness.
+#[derive(Debug)]
+struct TableView {
+    reloc_len: usize,
+    slots_normalized: usize,
+    sections: Vec<Option<(usize, bool)>>,
 }
 
 /// Two groups (lower index first) and the segments of their shared slot
@@ -232,6 +233,8 @@ struct GroupKey<'a> {
     slots: Vec<u32>,
     section: &'a [u8],
     base: u64,
+    /// The group's digest under the first algorithm asked for.
+    digest: OnceLock<PartDigest>,
 }
 
 /// How Algorithm 2 runs between two sections of one scan.
@@ -244,38 +247,45 @@ enum Grouping<'g> {
 }
 
 impl<'a> SectionGroups<'a> {
-    /// Groups the executable sections of `captures`. A section has no
-    /// group when its capture has no parseable `.reloc` table or when two
-    /// of its slots lie closer than one address width. Copies no section
-    /// bytes: each lookup normalizes both sides in place as it compares.
-    pub(crate) fn build(captures: impl IntoIterator<Item = &'a ExtractedModule>) -> Self {
+    /// Groups the executable sections of the captures given as `Some`;
+    /// a `None` keeps its position ungrouped. A section has no group when
+    /// its capture has no parseable `.reloc` table or when two of its
+    /// slots lie closer than one address width. Copies no section bytes:
+    /// each lookup normalizes both sides in place as it compares.
+    pub(crate) fn build(captures: impl IntoIterator<Item = Option<&'a ExtractedModule>>) -> Self {
         let mut keys: Vec<GroupKey<'a>> = Vec::new();
-        let of = captures
-            .into_iter()
-            .map(|m| {
-                let rvas = reloc_slots(m);
-                m.parts
-                    .exec_sections
-                    .iter()
-                    .map(|s| {
-                        let rvas = rvas.as_deref()?;
-                        group_of(m, s.range.clone(), rvas, &mut keys)
-                    })
-                    .collect()
-            })
-            .collect();
+        let tables = captures.into_iter().map(|m| table_view(m?, &mut keys));
         SectionGroups {
-            of,
+            tables: tables.collect(),
             keys,
             differing: Mutex::default(),
+        }
+    }
+
+    /// The group of section `s` of capture `i`, and whether it is exact.
+    fn section(&self, i: usize, s: usize) -> Option<(usize, bool)> {
+        let table = self.tables.get(i)?.as_ref()?;
+        table.sections.get(s).copied().flatten()
+    }
+
+    /// The `algo` digest of group `g`'s normalized bytes, streamed once per
+    /// scan (again only for a second algorithm, which no pool scan mixes).
+    fn digest(&self, g: usize, algo: DigestAlgo) -> PartDigest {
+        let k = &self.keys[g];
+        let feed = |f: &mut dyn FnMut(&[u8])| {
+            crate::rva::feed_normalized(k.section, k.base, &k.slots, k.width, f);
+        };
+        match *k.digest.get_or_init(|| digest_pieces(algo, feed)) {
+            memo if memo.algo() == algo => memo,
+            _ => digest_pieces(algo, feed),
         }
     }
 
     /// How section `ia` of capture `i` and section `ib` of capture `j`
     /// compare, when both are in groups that allow a shortcut.
     fn grouping(&self, i: usize, ia: usize, j: usize, ib: usize) -> Option<Grouping<'_>> {
-        let ga = self.of.get(i)?.get(ia).copied().flatten()?;
-        let gb = self.of.get(j)?.get(ib).copied().flatten()?;
+        let (ga, _) = self.section(i, ia)?;
+        let (gb, _) = self.section(j, ib)?;
         let (ka, kb) = (&self.keys[ga], &self.keys[gb]);
         if ga == gb {
             return Some(Grouping::Same(ka.slots.len()));
@@ -305,35 +315,60 @@ impl<'a> SectionGroups<'a> {
     }
 }
 
-/// `m`'s `.reloc` slot RVAs, sorted and deduplicated, parsed as
-/// [`compute_canonical`] parses them; `None` without a parseable table.
-fn reloc_slots(m: &ExtractedModule) -> Option<Vec<u32>> {
+/// `m` as its `.reloc` table sees it, parsed as
+/// [`crate::rva::normalize_with_reloc_table`] parses it, with its
+/// executable sections grouped into `keys`; `None` without a parseable
+/// table.
+fn table_view<'a>(m: &'a ExtractedModule, keys: &mut Vec<GroupKey<'a>>) -> Option<TableView> {
     let parsed = mc_pe::parser::ParsedModule::parse_memory(&m.image.bytes).ok()?;
+    let reloc_len = parsed.sections[parsed.find_section(".reloc")?]
+        .data_range
+        .len();
     let mut rvas = crate::rva::reloc_rvas(&m.image.bytes, &parsed)?;
+    let w = parsed.width.bytes();
     rvas.sort_unstable();
-    rvas.dedup();
-    Some(rvas)
+    let slots_normalized = rvas.partition_point(|&r| r as usize + w <= m.image.bytes.len());
+    let sections = m
+        .parts
+        .exec_sections
+        .iter()
+        .map(|s| {
+            let (group, exact) = group_of(m, s.range.clone(), &rvas, keys)?;
+            // Normalization rewrites slots at the parsed width.
+            Some((group, exact && parsed.width == m.parts.width))
+        })
+        .collect();
+    Some(TableView {
+        reloc_len,
+        slots_normalized,
+        sections,
+    })
 }
 
 /// The group of the executable section at `range` of `m`, whose image
-/// carries the sorted slot RVAs `rvas`: an existing group when one has the
-/// same key, else a new one keyed by this section.
+/// carries the sorted slot RVAs `rvas` (duplicates kept): an existing group
+/// when one has the same key, else a new one keyed by this section. Also
+/// whether the section is exact: the entries touching it are its slots,
+/// each listed once, so normalizing the image rewrites just those.
 fn group_of<'a>(
     m: &'a ExtractedModule,
     range: Range<usize>,
     rvas: &[u32],
     keys: &mut Vec<GroupKey<'a>>,
-) -> Option<usize> {
+) -> Option<(usize, bool)> {
     let width = m.parts.width;
     let w = width.bytes();
+    let touching = &rvas[rvas.partition_point(|&r| r as usize + w <= range.start)
+        ..rvas.partition_point(|&r| (r as usize) < range.end)];
     // The slots lying fully inside the section, as section offsets.
-    let first = rvas.partition_point(|&r| (r as usize) < range.start);
-    let slots: Vec<u32> = rvas[first..]
+    let mut slots: Vec<u32> = touching
         .iter()
         .map(|&r| r as usize)
-        .take_while(|&r| r + w <= range.end)
+        .filter(|&r| r >= range.start && r + w <= range.end)
         .map(|r| (r - range.start) as u32)
         .collect();
+    slots.dedup();
+    let exact = slots.len() == touching.len();
     let section = m.image.bytes.get(range)?;
     if !crate::rva::slots_are_disjoint(&slots, section.len(), width) {
         return None;
@@ -344,15 +379,47 @@ fn group_of<'a>(
             && k.slots == slots
             && crate::rva::same_normalized(section, base, k.section, k.base, &slots, width)
     });
-    Some(hit.unwrap_or_else(|| {
+    let group = hit.unwrap_or_else(|| {
         keys.push(GroupKey {
             width,
             slots,
             section,
             base,
+            digest: OnceLock::new(),
         });
         keys.len() - 1
-    }))
+    });
+    Some((group, exact))
+}
+
+/// The header parts on which `ha` and `hb` disagree. Both are sorted by
+/// part id at extraction, so one linear merge aligns them; a part present
+/// on one side only (e.g. a section added by DLL injection changed the
+/// section count) is a mismatch by construction.
+fn header_mismatches(ha: &[(PartId, PartDigest)], hb: &[(PartId, PartDigest)]) -> Vec<PartId> {
+    let mut mismatched = Vec::new();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ha.len() && j < hb.len() {
+        match ha[i].0.cmp(&hb[j].0) {
+            std::cmp::Ordering::Equal => {
+                if ha[i].1 != hb[j].1 {
+                    mismatched.push(ha[i].0.clone());
+                }
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Less => {
+                mismatched.push(ha[i].0.clone());
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                mismatched.push(hb[j].0.clone());
+                j += 1;
+            }
+        }
+    }
+    mismatched.extend(ha[i..].iter().chain(&hb[j..]).map(|(id, _)| id.clone()));
+    mismatched
 }
 
 /// [`compare_pair_with`], within one scan when `groups` holds the scan's
@@ -376,42 +443,10 @@ pub(crate) fn compare_pair_in(
         });
     }
     let algo = a.algo;
-    let mut mismatched = Vec::new();
     let mut slots_adjusted = 0usize;
     let mut residual_diffs = 0usize;
 
-    // Headers: cached hashes, sorted by part id at extraction, so one
-    // linear merge aligns both sides. A part present on one side only
-    // (e.g. a section added by DLL injection changed the section count)
-    // is a mismatch by construction.
-    let ha = &a.header_hashes;
-    let hb = &b.header_hashes;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ha.len() && j < hb.len() {
-        match ha[i].0.cmp(&hb[j].0) {
-            std::cmp::Ordering::Equal => {
-                if ha[i].1 != hb[j].1 {
-                    mismatched.push(ha[i].0.clone());
-                }
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                mismatched.push(ha[i].0.clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                mismatched.push(hb[j].0.clone());
-                j += 1;
-            }
-        }
-    }
-    for (id, _) in &ha[i..] {
-        mismatched.push(id.clone());
-    }
-    for (id, _) in &hb[j..] {
-        mismatched.push(id.clone());
-    }
+    let mut mismatched = header_mismatches(&a.header_hashes, &b.header_hashes);
 
     // Executable sections: adjust RVAs pairwise, then compare. Sections
     // pair by name and occurrence; one without a counterpart is a mismatch.
@@ -530,119 +565,78 @@ pub fn canonical_form(
     m: &ExtractedModule,
     ledger: Option<&mut VmiSession<'_>>,
 ) -> Option<CanonicalForm> {
-    canonical_form_in(m, ledger, &mut SeenSections::default())
+    canonical_form_in(m, ledger, None)
 }
 
-/// [`canonical_form`] within one scan: a normalized executable section
-/// byte-identical to one already in `seen` (same algorithm) takes its
-/// digest instead of being hashed again. The form and the ledger charge
-/// are exactly those of [`canonical_form`].
+/// [`canonical_form`], within one scan when `groups` holds the scan's
+/// section grouping with the position of `m` in it; otherwise `m` is
+/// grouped alone. The form and the ledger charge do not depend on
+/// `groups`.
 pub(crate) fn canonical_form_in(
     m: &ExtractedModule,
     ledger: Option<&mut VmiSession<'_>>,
-    seen: &mut SeenSections,
+    groups: Option<(&SectionGroups<'_>, usize)>,
 ) -> Option<CanonicalForm> {
-    let memo = m
+    let (form, reloc_len) = m
         .canonical
-        .get_or_init(|| compute_canonical(m, seen))
+        .get_or_init(|| match groups {
+            Some((groups, i)) => compute_canonical(m, groups, i),
+            None => compute_canonical(m, &SectionGroups::build([Some(m)]), 0),
+        })
         .as_ref()?;
     if let Some(ledger) = ledger {
         let cost = *ledger.cost_model();
         let exec_len: usize = m.parts.exec_sections.iter().map(|s| s.range.len()).sum();
         // Parse the reloc metadata, rewrite each slot, hash each canonical
         // executable section — all linear in this one capture.
-        ledger.charge_process(cost.parse_byte_ns, memo.reloc_len as u64);
+        ledger.charge_process(cost.parse_byte_ns, *reloc_len as u64);
         ledger.charge_process(
             cost.diff_byte_ns,
-            (memo.form.slots_normalized * m.parts.width.bytes()) as u64,
+            (form.slots_normalized * m.parts.width.bytes()) as u64,
         );
         ledger.charge_process(cost.hash_byte_ns * m.algo.cost_factor(), exec_len as u64);
     }
-    Some(memo.form.clone())
+    Some(form.clone())
 }
 
-/// Normalized executable sections already hashed in one scan, with their
-/// digests.
-///
-/// A pool's clean captures normalize to the same bytes, so a scan holding
-/// this table MD5s each distinct section once rather than once per VM. The
-/// table keeps the normalized images it points into (moved in, not copied)
-/// and is searched linearly. That needs no bound: distinct sections stand
-/// for canonical buckets, and the scan already runs a full pairwise
-/// comparison between every two bucket representatives, so one byte
-/// comparison per recorded section adds nothing asymptotically.
-#[derive(Debug, Default)]
-pub(crate) struct SeenSections {
-    /// Normalized images owning at least one recorded section.
-    images: Vec<Vec<u8>>,
-    /// `(image index, byte range, digest)` of each recorded section.
-    sections: Vec<(usize, Range<usize>, PartDigest)>,
-}
-
-impl SeenSections {
-    /// Takes a normalized image in and returns its index.
-    fn admit(&mut self, image: Vec<u8>) -> usize {
-        self.images.push(image);
-        self.images.len() - 1
-    }
-
-    /// The `algo` digest of `range` of image `image`: a recorded section's
-    /// when one is byte-identical under the same algorithm, otherwise
-    /// hashed and recorded.
-    fn digest(&mut self, image: usize, range: Range<usize>, algo: DigestAlgo) -> PartDigest {
-        let bytes = &self.images[image][range.clone()];
-        let hit = self
-            .sections
-            .iter()
-            .find(|(i, r, d)| d.algo() == algo && self.images[*i][r.clone()] == *bytes);
-        if let Some(&(_, _, d)) = hit {
-            return d;
-        }
-        let d = digest(algo, bytes);
-        self.sections.push((image, range, d));
-        d
-    }
-
-    /// Drops image `image` again when none of its sections was recorded
-    /// (it is the latest admitted, so no index moves).
-    fn release_unused(&mut self, image: usize) {
-        if self.sections.last().is_none_or(|(i, _, _)| *i != image) {
-            self.images.truncate(image);
-        }
-    }
-}
-
-/// The uncached work behind [`canonical_form_in`].
-fn compute_canonical(m: &ExtractedModule, seen: &mut SeenSections) -> Option<CanonicalMemo> {
-    let parsed = mc_pe::parser::ParsedModule::parse_memory(&m.image.bytes).ok()?;
-    let reloc_len = parsed
-        .find_section(".reloc")
-        .map(|i| parsed.sections[i].data_range.len())?;
-    let mut bytes = m.image.bytes.clone();
-    let slots_normalized =
+/// The uncached work behind [`canonical_form_in`], for capture `i` of
+/// `groups`. An exact section takes its group's streamed digest. Any other
+/// section (a slot listed twice or straddling its edge, or slots closer
+/// than one address width) is hashed from a copy of the image normalized
+/// by the whole table, in table order.
+fn compute_canonical(
+    m: &ExtractedModule,
+    groups: &SectionGroups<'_>,
+    i: usize,
+) -> Option<(CanonicalForm, usize)> {
+    let table = groups.tables.get(i)?.as_ref()?;
+    let copy = if table.sections.iter().all(|s| matches!(s, Some((_, true)))) {
+        Vec::new()
+    } else {
+        let parsed = mc_pe::parser::ParsedModule::parse_memory(&m.image.bytes).ok()?;
+        let mut bytes = m.image.bytes.clone();
         crate::rva::normalize_with_reloc_table(&mut bytes, m.image.base, &parsed)?;
-    let image = seen.admit(bytes);
+        bytes
+    };
     let mut part_digests = m.header_hashes.clone();
-    for s in &m.parts.exec_sections {
-        part_digests.push((
-            PartId::SectionData(s.name.clone()),
-            seen.digest(image, s.range.clone(), m.algo),
-        ));
+    for (s, section) in m.parts.exec_sections.iter().zip(&table.sections) {
+        let d = match *section {
+            Some((g, true)) => groups.digest(g, m.algo),
+            _ => digest(m.algo, copy.get(s.range.clone())?),
+        };
+        part_digests.push((PartId::SectionData(s.name.clone()), d));
     }
-    seen.release_unused(image);
     part_digests.sort_by(|x, y| x.0.cmp(&y.0));
-    Some(CanonicalMemo {
-        form: CanonicalForm {
-            part_digests,
-            slots_normalized,
-            algo: m.algo,
-        },
-        reloc_len,
-    })
+    let form = CanonicalForm {
+        part_digests,
+        slots_normalized: table.slots_normalized,
+        algo: m.algo,
+    };
+    Some((form, table.reloc_len))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mc_guest::build_cloud_with_modules;
     use mc_hypervisor::{AddressWidth, Hypervisor};
@@ -650,6 +644,34 @@ mod tests {
     use mc_vmi::VmiSession;
 
     use crate::searcher::ModuleSearcher;
+
+    /// The canonical form as the copy-and-hash pass computes it: the whole
+    /// image cloned, normalized by its `.reloc` table and each executable
+    /// section hashed. The reference the grouped forms must equal, with the
+    /// `.reloc` length the ledger charge reads.
+    pub(crate) fn copy_and_hash_canonical(m: &ExtractedModule) -> Option<(CanonicalForm, usize)> {
+        let parsed = mc_pe::parser::ParsedModule::parse_memory(&m.image.bytes).ok()?;
+        let reloc_len = parsed.sections[parsed.find_section(".reloc")?]
+            .data_range
+            .len();
+        let mut bytes = m.image.bytes.clone();
+        let slots_normalized =
+            crate::rva::normalize_with_reloc_table(&mut bytes, m.image.base, &parsed)?;
+        let mut part_digests = m.header_hashes.clone();
+        for s in &m.parts.exec_sections {
+            part_digests.push((
+                PartId::SectionData(s.name.clone()),
+                digest(m.algo, &bytes[s.range.clone()]),
+            ));
+        }
+        part_digests.sort_by(|x, y| x.0.cmp(&y.0));
+        let form = CanonicalForm {
+            part_digests,
+            slots_normalized,
+            algo: m.algo,
+        };
+        Some((form, reloc_len))
+    }
 
     fn extract_from(hv: &Hypervisor, vm: mc_hypervisor::VmId, module: &str) -> ExtractedModule {
         let mut s = VmiSession::attach(hv, vm).unwrap();
@@ -922,7 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn one_scan_hashes_each_distinct_section_once() {
+    fn one_scan_streams_each_distinct_group_once() {
         let (hv, guests) = two_vm_cloud(AddressWidth::W32);
         let a = extract_from(&hv, guests[0].vm, "hal.dll");
         let b = extract_from(&hv, guests[1].vm, "hal.dll");
@@ -932,14 +954,45 @@ mod tests {
         let sha = ExtractedModule::with_algo(a.image.clone(), DigestAlgo::Sha256).unwrap();
         let exec = a.parts.exec_sections.len();
 
-        let mut seen = SeenSections::default();
-        for m in [&a, &b, &c, &sha] {
-            let alone = canonical_form(&m.clone(), None);
-            assert_eq!(canonical_form_in(m, None, &mut seen), alone);
+        let scan = [&a, &b, &c, &sha];
+        let groups = SectionGroups::build(scan.map(Some));
+        for (i, m) in scan.into_iter().enumerate() {
+            let reference = copy_and_hash_canonical(m).map(|(f, _)| f);
+            assert_eq!(canonical_form_in(m, None, Some((&groups, i))), reference);
         }
-        // `a` and `b` normalize alike; `c` differs in one byte, and `sha`
-        // has `a`'s bytes under another algorithm.
-        assert_eq!(seen.sections.len(), 3 * exec);
-        assert_eq!(seen.images.len(), 3, "b's image was not kept");
+        // `a`, `b` and `sha` normalize alike, and `c` differs in its first
+        // section only: one group per distinct section, each holding the
+        // digest streamed under the scan's first algorithm.
+        assert_eq!(groups.keys.len(), exec + 1);
+        let md5 = |k: &GroupKey<'_>| k.digest.get().map(PartDigest::algo) == Some(DigestAlgo::Md5);
+        assert!(groups.keys.iter().all(md5));
+    }
+
+    #[test]
+    fn a_slot_listed_twice_is_hashed_from_the_normalized_copy() {
+        let (hv, guests) = two_vm_cloud(AddressWidth::W32);
+        let clean = extract_from(&hv, guests[1].vm, "hal.dll");
+        // List `.text`'s first slot a second time in place of the next one,
+        // so normalizing the image rewrites it twice.
+        let mut doubled = extract_from(&hv, guests[0].vm, "hal.dll");
+        let parsed = mc_pe::parser::ParsedModule::parse_memory(&doubled.image.bytes).unwrap();
+        let reloc = parsed.sections[parsed.find_section(".reloc").unwrap()]
+            .data_range
+            .start;
+        let first = reloc + 8;
+        let entry = [doubled.image.bytes[first], doubled.image.bytes[first + 1]];
+        doubled.image.bytes[first + 2..first + 4].copy_from_slice(&entry);
+
+        let scan = [&doubled, &clean];
+        let groups = SectionGroups::build(scan.map(Some));
+        assert_eq!(groups.section(0, 0).map(|(_, exact)| exact), Some(false));
+        assert_eq!(groups.section(1, 0).map(|(_, exact)| exact), Some(true));
+        for (i, m) in scan.into_iter().enumerate() {
+            let reference = copy_and_hash_canonical(m).map(|(f, _)| f);
+            assert_eq!(canonical_form_in(m, None, Some((&groups, i))), reference);
+            assert_eq!(canonical_form(&m.clone(), None), reference);
+        }
+        let (d, c) = (canonical_form(&doubled, None), canonical_form(&clean, None));
+        assert_ne!(d.unwrap().fingerprint(), c.unwrap().fingerprint());
     }
 }

@@ -80,9 +80,26 @@ impl fmt::Display for PartDigest {
 
 /// Hashes `data` under `algo`.
 pub fn digest(algo: DigestAlgo, data: &[u8]) -> PartDigest {
+    digest_pieces(algo, |feed| feed(data))
+}
+
+/// Hashes under `algo` the pieces `pieces` hands to its callback, in order,
+/// as one message.
+pub(crate) fn digest_pieces(
+    algo: DigestAlgo,
+    pieces: impl FnOnce(&mut dyn FnMut(&[u8])),
+) -> PartDigest {
     match algo {
-        DigestAlgo::Md5 => PartDigest::Md5(mc_md5::md5(data)),
-        DigestAlgo::Sha256 => PartDigest::Sha256(mc_sha2::sha256(data)),
+        DigestAlgo::Md5 => {
+            let mut h = mc_md5::Md5::new();
+            pieces(&mut |b| h.update(b));
+            PartDigest::Md5(h.finalize())
+        }
+        DigestAlgo::Sha256 => {
+            let mut h = mc_sha2::Sha256::new();
+            pieces(&mut |b| h.update(b));
+            PartDigest::Sha256(h.finalize())
+        }
     }
 }
 

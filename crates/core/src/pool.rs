@@ -33,7 +33,7 @@ use crate::arena::CaptureArena;
 use crate::cache::{AnalysisCache, CaptureCache, CaptureOutcome, Fingerprint, Refresh};
 use crate::checker::{
     canonical_form_in, compare_pair_in, compare_pair_with, CanonicalForm, ExtractedModule,
-    PairOutcome, PairScratch, SectionGroups, SeenSections,
+    PairOutcome, PairScratch, SectionGroups,
 };
 use crate::digest::{DigestAlgo, PartDigest};
 use crate::error::CheckError;
@@ -200,34 +200,6 @@ fn attach_ledger(hv: &Hypervisor, vm: Option<VmId>) -> Result<Option<VmiSession<
         Ok(ledger)
     })
     .transpose()
-}
-
-/// [`per_chunk`] for a comparison stage: each chunk charges Dom0's work to
-/// its own ledger on `ledger_vm`, and the chunks' checker time is summed
-/// into `times` in chunk order.
-fn charged_chunks<T: Sync, R: Send>(
-    hv: &Hypervisor,
-    ledger_vm: Option<VmId>,
-    items: &[T],
-    workers: usize,
-    times: &mut ComponentTimes,
-    f: impl Fn(&[T], Option<&mut VmiSession<'_>>) -> Vec<R> + Sync,
-) -> Result<Vec<R>, CheckError> {
-    let chunks = per_chunk(items, workers, |chunk| {
-        let mut ledger = attach_ledger(hv, ledger_vm)?;
-        let out = f(chunk, ledger.as_mut());
-        let elapsed = ledger
-            .as_mut()
-            .map_or(SimDuration::ZERO, VmiSession::take_elapsed);
-        Ok::<_, CheckError>((out, elapsed))
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in chunks {
-        let (results, elapsed) = chunk?;
-        times.checker += elapsed;
-        out.extend(results);
-    }
-    Ok(out)
 }
 
 /// One VM's extraction product with its component times and introspection
@@ -810,7 +782,7 @@ impl ModChecker {
         let mut canonical_groups: Option<Vec<(Fingerprint, Vec<usize>)>> = None;
         let matrix: Vec<(usize, usize, PairOutcome)> =
             if self.config.compare == CompareStrategy::Canonical {
-                match self.canonical_matrix(hv, extracted, ledger_vm, workers, times)? {
+                match self.canonical_matrix(hv, extracted, ledger_vm, times)? {
                     Some((m, votes, groups)) => {
                         canonical = Some(votes);
                         canonical_groups = Some(groups);
@@ -916,34 +888,35 @@ impl ModChecker {
         let pairs: Vec<(usize, usize)> = (0..extracted.len())
             .flat_map(|i| ((i + 1)..extracted.len()).map(move |j| (i, j)))
             .collect();
-        let groups = SectionGroups::build(extracted.iter().map(|(_, m)| &**m));
-        charged_chunks(
-            hv,
-            ledger_vm,
-            &pairs,
-            workers,
-            times,
-            |chunk, mut ledger| {
-                // One scratch arena per chunk: zero per-pair allocations after
-                // the slot log reaches its longest.
-                let mut scratch = PairScratch::new();
-                chunk
-                    .iter()
-                    .map(|&(i, j)| {
-                        let o = compare_pair_in(
-                            &extracted[i].1,
-                            &extracted[j].1,
-                            ledger.as_deref_mut(),
-                            &mut scratch,
-                            Some((&groups, i, j)),
-                        )?;
-                        Ok((extracted[i].0, extracted[j].0, o))
-                    })
-                    .collect()
-            },
-        )?
-        .into_iter()
-        .collect()
+        let groups = SectionGroups::build(extracted.iter().map(|(_, m)| Some(&**m)));
+        // Each chunk charges Dom0's work to its own ledger on `ledger_vm`.
+        let chunks = per_chunk(&pairs, workers, |chunk| {
+            let mut ledger = attach_ledger(hv, ledger_vm)?;
+            // One scratch arena per chunk: zero per-pair allocations after
+            // the slot log reaches its longest.
+            let mut scratch = PairScratch::new();
+            let outcomes: Vec<Result<_, CheckError>> = chunk
+                .iter()
+                .map(|&(i, j)| {
+                    let ((vi, a), (vj, b)) = (&extracted[i], &extracted[j]);
+                    let groups = Some((&groups, i, j));
+                    let o = compare_pair_in(a, b, ledger.as_mut(), &mut scratch, groups)?;
+                    Ok((*vi, *vj, o))
+                })
+                .collect();
+            let elapsed = ledger
+                .as_mut()
+                .map_or(SimDuration::ZERO, VmiSession::take_elapsed);
+            Ok::<_, CheckError>((outcomes, elapsed))
+        });
+        // The chunks' checker time is summed into `times` in chunk order.
+        let mut matrix = Vec::with_capacity(pairs.len());
+        for chunk in chunks {
+            let (outcomes, elapsed) = chunk?;
+            times.checker += elapsed;
+            matrix.extend(outcomes);
+        }
+        matrix.into_iter().collect()
     }
 
     /// The canonical-form path: normalize+hash once per capture, bucket by
@@ -951,30 +924,29 @@ impl ModChecker {
     /// representatives to name the disagreeing parts. Returns `None` when
     /// any capture has no parseable `.reloc` table (caller falls back to
     /// the full pairwise sweep).
+    ///
+    /// Captures without a memoized form are grouped ([`SectionGroups`]):
+    /// each distinct executable section is hashed once per scan.
     fn canonical_matrix(
         &self,
         hv: &Hypervisor,
         extracted: &[(usize, Arc<ExtractedModule>)],
         ledger_vm: Option<VmId>,
-        workers: usize,
         times: &mut ComponentTimes,
     ) -> Result<CanonicalOutcome, CheckError> {
+        let fresh = extracted
+            .iter()
+            .map(|(_, m)| m.canonical.get().is_none().then_some(&**m));
+        let sections = SectionGroups::build(fresh);
         // Normalize and hash each capture once — O(t), the whole point.
-        let forms = charged_chunks(
-            hv,
-            ledger_vm,
-            extracted,
-            workers,
-            times,
-            |chunk, mut ledger| {
-                let mut seen = SeenSections::default();
-                chunk
-                    .iter()
-                    .map(|(_, m)| canonical_form_in(m, ledger.as_deref_mut(), &mut seen))
-                    .collect()
-            },
-        )?;
+        let mut ledger = attach_ledger(hv, ledger_vm)?;
+        let forms: Vec<Option<CanonicalForm>> = (0..extracted.len())
+            .map(|k| canonical_form_in(&extracted[k].1, ledger.as_mut(), Some((&sections, k))))
+            .collect();
         if forms.iter().any(Option::is_none) {
+            if let Some(l) = &mut ledger {
+                times.checker += l.take_elapsed();
+            }
             return Ok(None);
         }
         let forms: Vec<CanonicalForm> = forms.into_iter().flatten().collect();
@@ -993,18 +965,18 @@ impl ModChecker {
         // Targeted cross-bucket diff between representatives (at most
         // buckets², and buckets ≪ t on any realistic pool) explains which
         // parts disagree without re-running all t² pairs.
-        let mut ledger = attach_ledger(hv, ledger_vm)?;
         let mut scratch = PairScratch::new();
         let mut matrix = Vec::new();
         let mut rep_mismatch: Vec<Vec<PartId>> = vec![Vec::new(); groups.len()];
         for gi in 0..groups.len() {
             for gj in (gi + 1)..groups.len() {
                 let (pi, pj) = (groups[gi][0], groups[gj][0]);
-                let o = compare_pair_with(
+                let o = compare_pair_in(
                     &extracted[pi].1,
                     &extracted[pj].1,
                     ledger.as_mut(),
                     &mut scratch,
+                    Some((&sections, pi, pj)),
                 )?;
                 if !o.matches() {
                     rep_mismatch[gi].extend(o.mismatched.iter().cloned());
@@ -2352,8 +2324,8 @@ mod tests {
     /// Scans `module` through `cache` (every VM in `trusted` served from
     /// its entry) and checks each cached capture's canonical form — filled
     /// in by the scan, which hashes each distinct section once — against
-    /// that of a memo-free clone canonicalized alone. Returns the forms
-    /// of the cached captures, in `ids` order.
+    /// the copy-and-hash reference. Returns the forms of the cached
+    /// captures, in `ids` order.
     fn per_scan_forms_match(
         checker: &ModChecker,
         hv: &Hypervisor,
@@ -2371,8 +2343,9 @@ mod tests {
                 continue;
             };
             let per_scan = crate::checker::canonical_form(&e.module, None);
-            let alone = crate::checker::canonical_form(&ExtractedModule::clone(&e.module), None);
-            assert_eq!(per_scan, alone, "{module} on {vm:?}");
+            let reference =
+                crate::checker::tests::copy_and_hash_canonical(&e.module).map(|(f, _)| f);
+            assert_eq!(per_scan, reference, "{module} on {vm:?}");
             forms.push(per_scan);
         }
         forms

@@ -371,11 +371,11 @@ pub(crate) fn slots_are_disjoint(slots: &[u32], len: usize, width: AddressWidth)
         && slots.windows(2).all(|p| (p[1] - p[0]) as usize >= w)
 }
 
-/// True when sections `a` and `b`, each with every one of `slots`
-/// rewritten from `abs` to `(abs − base) & mask` under its own base (the
-/// normalization [`normalize_with_reloc_table`] applies to one slot), hold
-/// the same bytes. Compared in place; `slots` must be
-/// [`slots_are_disjoint`] for both.
+/// True when sections `a` and `b`, each normalized by its own base as
+/// [`feed_normalized`] does, hold the same bytes. Compared in place: equal
+/// normalized slots hold `abs_b = abs_a + (base_b − base_a)`, so the gaps
+/// must be equal and each slot must differ by the bases' difference.
+/// `slots` must be [`slots_are_disjoint`] for both.
 pub(crate) fn same_normalized(
     a: &[u8],
     base_a: u64,
@@ -384,10 +384,62 @@ pub(crate) fn same_normalized(
     slots: &[u32],
     width: AddressWidth,
 ) -> bool {
+    let (w, mask) = (width.bytes(), width_mask(width));
+    let delta = base_b.wrapping_sub(base_a) & mask;
+    let mut at = 0;
     a.len() == b.len()
-        && differing_segments(a, base_a, b, base_b, slots, width)
-            .next()
-            .is_none()
+        && slots.iter().all(|&s| {
+            let s = s as usize;
+            let gap = a[at..s] == b[at..s];
+            at = s + w;
+            gap && read_le(a, s, w).wrapping_add(delta) & mask == read_le(b, s, w)
+        })
+        && a[at..] == b[at..]
+}
+
+/// Feeds `section` to `feed` with every one of `slots` rewritten from
+/// `abs` to `(abs − base) & mask` (the normalization
+/// [`normalize_with_reloc_table`] applies to one slot), in order. The bytes
+/// pass through one 4 KiB window on the stack and are rewritten there, so
+/// `feed` sees whole windows however dense the slots are. `slots` must be
+/// [`slots_are_disjoint`].
+pub(crate) fn feed_normalized(
+    section: &[u8],
+    base: u64,
+    slots: &[u32],
+    width: AddressWidth,
+    mut feed: impl FnMut(&[u8]),
+) {
+    const WINDOW: usize = 4096;
+    let (w, mask) = (width.bytes(), width_mask(width));
+    let mut window = [0u8; WINDOW];
+    let mut next = 0;
+    for (k, bytes) in section.chunks(WINDOW).enumerate() {
+        let (lo, hi) = (k * WINDOW, k * WINDOW + bytes.len());
+        let win = &mut window[..bytes.len()];
+        win.copy_from_slice(bytes);
+        // Each slot starting before the window's end; one straddling the
+        // end is written again, in part, in the next window.
+        for &s in &slots[next..] {
+            let s = s as usize;
+            if s >= hi {
+                break;
+            }
+            let value = read_le(section, s, w).wrapping_sub(base) & mask;
+            if s >= lo && s + w <= hi {
+                write_le(win, s - lo, value, w);
+                next += 1;
+                continue;
+            }
+            for (at, &b) in (s..s + w).zip(&value.to_le_bytes()) {
+                if (lo..hi).contains(&at) {
+                    win[at - lo] = b;
+                }
+            }
+            next += usize::from(s + w <= hi);
+        }
+        feed(win);
+    }
 }
 
 /// The segments of `slots` on which sections `a` and `b` (equal lengths,
@@ -878,15 +930,21 @@ mod tests {
                 assert_eq!(ra, normalized, "{ctx}");
             }
             assert_eq!(ra, rb, "{ctx}");
-            // Each side normalizes back to the shared bytes: the grouping key.
-            assert!(
-                same_normalized(&a, base_a, &normalized, 0, &slots, width),
-                "{ctx}"
-            );
-            assert!(
-                same_normalized(&a, base_a, &b, base_b, &slots, width),
-                "{ctx}"
-            );
+            // Each side normalizes back to the shared bytes: the grouping
+            // key. Any one changed byte of `b` breaks that.
+            let same = |y: &[u8], by| {
+                let segments = differing_segments(&a, base_a, y, by, &slots, width).next();
+                let same = same_normalized(&a, base_a, y, by, &slots, width);
+                assert_eq!(same, segments.is_none(), "{ctx}");
+                same
+            };
+            assert!(same(&normalized, 0), "{ctx}");
+            assert!(same(&b, base_b), "{ctx}");
+            if len > 0 {
+                let mut t = b.clone();
+                t[case % len] ^= 1 << (case % 8);
+                assert!(!same(&t, base_b), "{ctx}");
+            }
         }
         assert!(
             differing > 1000 && identical > 200,

@@ -29,6 +29,7 @@
 //! much simulated time a misbehaving guest can consume.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet};
@@ -414,14 +415,12 @@ impl FastPathState {
             .extend((0..Vm::pages_crossed(va, len)).map(|i| (first + (i << PAGE_SHIFT), 0)));
     }
 
-    /// The frame address the plan resolved for the page holding `va`.
-    fn planned_frame(&self, va: u64) -> u64 {
+    /// The frame address the plan resolved for the page holding `va`, or
+    /// `None` when the plan does not cross that page.
+    fn planned_frame(&self, va: u64) -> Option<u64> {
         let pva = va & !((1u64 << PAGE_SHIFT) - 1);
-        let i = self
-            .plan
-            .binary_search_by_key(&pva, |&(p, _)| p)
-            .expect("every page a read crosses is planned");
-        self.plan[i].1
+        let i = self.plan.binary_search_by_key(&pva, |&(p, _)| p).ok()?;
+        Some(self.plan[i].1)
     }
 }
 
@@ -646,17 +645,20 @@ impl<'hv> VmiSession<'hv> {
                 torn_byte
             }
         };
-        if let Some(fast) = &mut self.fast {
-            // Fast path: translate via the session cache (walks charged
-            // per miss), map first-touch pages per contiguous physical
-            // run, then pay per-byte copy only — straight from the frames
-            // the plan resolved.
+        // Fast path: translate via the session cache (walks charged per
+        // miss), map first-touch pages per contiguous physical run, then
+        // pay per-byte copy only — straight from the frames the plan
+        // resolved.
+        let fast_read = self.with_fast(|s, fast| {
             fast.plan_range(va, buf.len() as u64);
-            self.fast_plan()?;
-            self.stats.reads += 1;
-            self.stats.bytes_copied += buf.len() as u64;
-            self.charge(self.cost.read_cost(0, buf.len() as u64));
-            self.copy_planned(va, buf)?;
+            s.fast_plan(fast)?;
+            s.stats.reads += 1;
+            s.stats.bytes_copied += buf.len() as u64;
+            s.charge(s.cost.read_cost(0, buf.len() as u64));
+            Ok::<_, VmiError>(s.copy_planned(fast, va, buf)?)
+        });
+        if let Some(read) = fast_read {
+            read?;
         } else {
             // The paper's prototype: every page crossed pays its
             // translation and foreign map.
@@ -684,9 +686,8 @@ impl<'hv> VmiSession<'hv> {
     /// run of not-yet-mapped pages. The `mapped` set is only updated once
     /// every translation has succeeded, so a hostile unmapped VA cannot
     /// leave charged-for state behind.
-    fn fast_plan(&mut self) -> Result<(), VmiError> {
+    fn fast_plan(&mut self, fast: &mut FastPathState) -> Result<(), VmiError> {
         let vm = self.vm;
-        let fast = self.fast.as_mut().expect("fast path enabled");
         let mut walks = 0u64;
         for i in 0..fast.plan.len() {
             let (pa, hit) = fast.resolve(vm, fast.plan[i].0)?;
@@ -721,16 +722,16 @@ impl<'hv> VmiSession<'hv> {
 
     /// Copies `buf.len()` bytes at `va` out of the frames the current plan
     /// resolved — the same page-by-page copy as [`Vm::read_virt`], without
-    /// walking the page tables a second time.
-    fn copy_planned(&self, va: u64, buf: &mut [u8]) -> Result<(), HvError> {
-        let fast = self.fast.as_ref().expect("fast path enabled");
+    /// walking the page tables a second time. A page the plan does not
+    /// cross reads as unmapped.
+    fn copy_planned(&self, fast: &FastPathState, va: u64, buf: &mut [u8]) -> Result<(), HvError> {
         let page_mask = (1u64 << PAGE_SHIFT) - 1;
         let mut at = va;
         let mut done = 0usize;
         while done < buf.len() {
             let off = at & page_mask;
             let take = ((page_mask + 1 - off) as usize).min(buf.len() - done);
-            let pa = fast.planned_frame(at) + off;
+            let pa = fast.planned_frame(at).ok_or(HvError::UnmappedVa(at))? + off;
             self.vm.mem.read_phys(pa, &mut buf[done..done + take])?;
             done += take;
             at += take as u64;
@@ -798,17 +799,27 @@ impl<'hv> VmiSession<'hv> {
         if requests.is_empty() {
             return Ok(());
         }
-        if self.fast.is_none() {
-            for r in requests.iter_mut() {
-                self.read_va(r.va, r.buf)?;
-            }
-            return Ok(());
+        if let Some(read) = self.with_fast(|s, fast| s.read_va_vectored_fast(fast, requests)) {
+            return read;
         }
+        for r in requests.iter_mut() {
+            self.read_va(r.va, r.buf)?;
+        }
+        Ok(())
+    }
+
+    /// [`VmiSession::read_va_vectored`] on a fast session: attempts under
+    /// the session [`RetryPolicy`].
+    fn read_va_vectored_fast(
+        &mut self,
+        fast: &mut FastPathState,
+        requests: &mut [VectoredRead<'_>],
+    ) -> Result<(), VmiError> {
         let first_va = requests.iter().map(|r| r.va).min().unwrap_or(0);
         let mut attempt: u32 = 0;
         loop {
             self.check_deadline()?;
-            match self.read_va_vectored_attempt(requests) {
+            match self.read_va_vectored_attempt(fast, requests) {
                 Ok(()) => return Ok(()),
                 Err(VmiError::Hv(e)) if e.is_transient() => {
                     self.stats.transient_faults += 1;
@@ -835,11 +846,12 @@ impl<'hv> VmiSession<'hv> {
     /// batch, mirroring the single-read behavior.
     fn read_va_vectored_attempt(
         &mut self,
+        fast: &mut FastPathState,
         requests: &mut [VectoredRead<'_>],
     ) -> Result<(), VmiError> {
         #[cfg(test)]
         if self.reference {
-            return self.reference_read_va_vectored_attempt(requests);
+            return self.reference_read_va_vectored_attempt(fast, requests);
         }
         let total: usize = requests.iter().map(|r| r.buf.len()).sum();
         let first_va = requests.iter().map(|r| r.va).min().unwrap_or(0);
@@ -864,20 +876,19 @@ impl<'hv> VmiSession<'hv> {
                 torn_byte
             }
         };
-        let fast = self.fast.as_mut().expect("fast path enabled");
         fast.plan.clear();
         for r in requests.iter() {
             fast.add_range(r.va, r.buf.len() as u64);
         }
         fast.plan.sort_unstable();
         fast.plan.dedup();
-        self.fast_plan()?;
+        self.fast_plan(fast)?;
         self.stats.reads += requests.len() as u64;
         self.stats.vectored_reads += 1;
         self.stats.bytes_copied += total as u64;
         self.charge(self.cost.read_cost(0, total as u64));
         for r in requests.iter_mut() {
-            self.copy_planned(r.va, r.buf)?;
+            self.copy_planned(fast, r.va, r.buf)?;
         }
         if let Some(mut off) = torn_byte {
             for r in requests.iter_mut() {
@@ -1046,12 +1057,12 @@ impl<'hv> VmiSession<'hv> {
     /// deadline does.
     pub fn page_generation(&mut self, va: u64) -> Result<mc_hypervisor::PageGeneration, VmiError> {
         self.check_deadline()?;
-        if self.fast.is_some() {
-            // Fast sessions answer repeat probes from the translate cache
-            // (free), and a probe that misses warms the cache for the
-            // capture that usually follows it.
-            let pa = self.fast_translate(va & !((1u64 << PAGE_SHIFT) - 1))?;
-            return Ok(self.vm.mem.page_generation(pa)?);
+        // Fast sessions answer repeat probes from the translate cache
+        // (free), and a probe that misses warms the cache for the capture
+        // that usually follows it.
+        let pva = va & !((1u64 << PAGE_SHIFT) - 1);
+        if let Some(pa) = self.with_fast(|s, fast| s.fast_translate(fast, pva)) {
+            return Ok(self.vm.mem.page_generation(pa?)?);
         }
         self.stats.page_walks += 1;
         self.charge(SimDuration::from_nanos(self.cost.translate_ns));
@@ -1095,12 +1106,13 @@ impl<'hv> VmiSession<'hv> {
         for i in 0..pages {
             self.check_deadline()?;
             let pva = first_page_va + (i << PAGE_SHIFT);
-            let pa = if self.fast.is_some() {
-                self.fast_translate(pva)?
-            } else {
-                self.stats.page_walks += 1;
-                self.charge(SimDuration::from_nanos(self.cost.translate_ns));
-                self.vm.translate(pva)?
+            let pa = match self.with_fast(|s, fast| s.fast_translate(fast, pva)) {
+                Some(pa) => pa?,
+                None => {
+                    self.stats.page_walks += 1;
+                    self.charge(SimDuration::from_nanos(self.cost.translate_ns));
+                    self.vm.translate(pva)?
+                }
             };
             frames.push(pa >> PAGE_SHIFT);
         }
@@ -1115,10 +1127,8 @@ impl<'hv> VmiSession<'hv> {
     /// Translates page-aligned `pva` through the fast path's cache: a hit
     /// is free, a miss walks the page tables once and charges
     /// [`mc_hypervisor::CostModel::translate_ns`].
-    fn fast_translate(&mut self, pva: u64) -> Result<u64, VmiError> {
-        let vm = self.vm;
-        let fast = self.fast.as_mut().expect("fast path enabled");
-        let (pa, hit) = fast.resolve(vm, pva)?;
+    fn fast_translate(&mut self, fast: &mut FastPathState, pva: u64) -> Result<u64, VmiError> {
+        let (pa, hit) = fast.resolve(self.vm, pva)?;
         if hit {
             self.stats.translate_cache_hits += 1;
         } else {
@@ -1126,6 +1136,16 @@ impl<'hv> VmiSession<'hv> {
             self.charge(SimDuration::from_nanos(self.cost.translate_ns));
         }
         Ok(pa)
+    }
+
+    /// Runs `f` with the fast-path state lent out of the session, or
+    /// returns `None` when the fast path is off. The state is back in the
+    /// session when `f` returns.
+    fn with_fast<R>(&mut self, f: impl FnOnce(&mut Self, &mut FastPathState) -> R) -> Option<R> {
+        let mut fast = self.fast.take()?;
+        let out = f(self, &mut fast);
+        self.fast = Some(fast);
+        Some(out)
     }
 
     /// Charges non-introspection processing time (parser/hasher/differ) to

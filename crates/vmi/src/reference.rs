@@ -8,7 +8,7 @@
 
 use mc_hypervisor::{FaultDecision, SimDuration, Vm, PAGE_SHIFT};
 
-use crate::{VectoredRead, VmiError, VmiSession};
+use crate::{FastPathState, VectoredRead, VmiError, VmiSession};
 
 impl VmiSession<'_> {
     /// Routes this session's reads through the reference implementation.
@@ -48,12 +48,16 @@ impl VmiSession<'_> {
         buf: &mut [u8],
     ) -> Result<(), VmiError> {
         let torn_byte = self.reference_decide(va, buf.len())?;
-        if self.fast.is_some() {
+        let planned = self.with_fast(|s, fast| {
             let pages = Self::page_vas(va, buf.len() as u64);
-            self.fast_plan_pages(&pages)?;
-            self.stats.reads += 1;
-            self.stats.bytes_copied += buf.len() as u64;
-            self.charge(self.cost.read_cost(0, buf.len() as u64));
+            s.fast_plan_pages(fast, &pages)?;
+            s.stats.reads += 1;
+            s.stats.bytes_copied += buf.len() as u64;
+            s.charge(s.cost.read_cost(0, buf.len() as u64));
+            Ok::<_, VmiError>(())
+        });
+        if let Some(planned) = planned {
+            planned?;
         } else {
             let pages = Vm::pages_crossed(va, buf.len() as u64);
             self.stats.reads += 1;
@@ -71,6 +75,7 @@ impl VmiSession<'_> {
 
     pub(crate) fn reference_read_va_vectored_attempt(
         &mut self,
+        fast: &mut FastPathState,
         requests: &mut [VectoredRead<'_>],
     ) -> Result<(), VmiError> {
         let total: usize = requests.iter().map(|r| r.buf.len()).sum();
@@ -82,7 +87,7 @@ impl VmiSession<'_> {
         }
         pages.sort_unstable();
         pages.dedup();
-        self.fast_plan_pages(&pages)?;
+        self.fast_plan_pages(fast, &pages)?;
         self.stats.reads += requests.len() as u64;
         self.stats.vectored_reads += 1;
         self.stats.bytes_copied += total as u64;
@@ -109,10 +114,13 @@ impl VmiSession<'_> {
         (0..pages).map(|i| first + (i << PAGE_SHIFT)).collect()
     }
 
-    fn fast_plan_pages(&mut self, page_vas: &[u64]) -> Result<(), VmiError> {
+    fn fast_plan_pages(
+        &mut self,
+        fast: &mut FastPathState,
+        page_vas: &[u64],
+    ) -> Result<(), VmiError> {
         let vm = self.vm;
         let (walks, hits, new_pages) = {
-            let fast = self.fast.as_mut().expect("fast path enabled");
             let mut walks = 0u64;
             let mut hits = 0u64;
             let mut resolved = Vec::with_capacity(page_vas.len());

@@ -6,7 +6,9 @@
 //! unchanged by the scan's grouping of sections that share normalized
 //! bytes: every matrix entry, charge and verdict equals comparing each pair
 //! alone, and each pair alone equals the paper's own pass, which copies
-//! both sections, rewrites them and compares their digests.
+//! both sections, rewrites them and compares their digests. Likewise every
+//! canonical form, and its charge, equals the copy-and-hash pass that
+//! normalizes a copy of the whole image by its `.reloc` table.
 
 use std::ops::Range;
 
@@ -19,8 +21,9 @@ use mc_vmi::VmiSession;
 use modchecker::digest::digest;
 use modchecker::parts::ExecSection;
 use modchecker::{
-    adjust_rvas, compare_pair_with, CaptureCache, CheckConfig, CompareStrategy, ExtractedModule,
-    ModChecker, ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, VerdictStatus,
+    adjust_rvas, canonical_form, compare_pair_with, normalize_with_reloc_table, CanonicalForm,
+    CaptureCache, CheckConfig, CompareStrategy, DigestAlgo, ExtractedModule, ModChecker,
+    ModuleSearcher, PairOutcome, PairScratch, PartId, PoolCheckReport, VerdictStatus,
 };
 use modchecker_repro::testbed::Testbed;
 use proptest::prelude::*;
@@ -392,9 +395,9 @@ proptest! {
     fn clean_pools_agree_at_any_size(n in 3usize..9, sha in proptest::bool::ANY) {
         let bed = bed(n);
         let digest = if sha {
-            modchecker::DigestAlgo::Sha256
+            DigestAlgo::Sha256
         } else {
-            modchecker::DigestAlgo::Md5
+            DigestAlgo::Md5
         };
         let pairwise = ModChecker::with_config(CheckConfig {
             compare: CompareStrategy::Pairwise,
@@ -540,7 +543,7 @@ fn doctor_reloc(bed: &mut Testbed, guests: &[usize], module: &str, candidates: V
     let table = candidates
         .iter()
         .find_map(|rvas| {
-            let mut table = build_reloc_section(parsed.width, rvas);
+            let mut table = reloc_table(parsed.width, rvas);
             let slack = range.len().checked_sub(table.len())?;
             let (mut at, mut last) = (0, 0);
             while at < table.len() {
@@ -569,6 +572,21 @@ fn doctor_reloc(bed: &mut Testbed, guests: &[usize], module: &str, candidates: V
     }
 }
 
+/// The `.reloc` table listing `rvas`: one block per page in address
+/// order, then one block for the entries that repeat an earlier one, so
+/// each of those is listed twice.
+fn reloc_table(width: AddressWidth, rvas: &[u32]) -> Vec<u8> {
+    let repeats: Vec<u32> = (0..rvas.len())
+        .filter(|&k| rvas[..k].contains(&rvas[k]))
+        .map(|k| rvas[k])
+        .collect();
+    [
+        build_reloc_section(width, rvas),
+        build_reloc_section(width, &repeats),
+    ]
+    .concat()
+}
+
 /// `rvas` with `extra` added, then with `extra` replacing, in turn, each
 /// entry of its page that lies at least 8 bytes away (the same entry
 /// count keeps the table's size, and any entry `extra` overlaps stays).
@@ -585,8 +603,8 @@ fn with_extra(rvas: &[u32], extra: u32) -> Vec<Vec<u32>> {
 }
 
 /// The doctored-table edits, each as candidate slot lists: an entry
-/// removed, added, shifted by one, overlapping its neighbour, and
-/// straddling the `.text` end.
+/// removed, added, shifted by one, overlapping its neighbour, straddling
+/// the `.text` end, and a `.text` entry listed twice.
 fn reloc_edits(
     rvas: &[u32],
     text: &Range<usize>,
@@ -616,9 +634,17 @@ fn reloc_edits(
         .flat_map(|&r| with_extra(rvas, r + 2))
         .collect();
     // No entry shares the page past `.text`, so the straddler opens a new
-    // block; dropping the table's last entries makes room for it.
+    // block; dropping the table's last entries makes room for it. The
+    // deepest straddle comes first: its rewrite reaches the `.text` bytes
+    // above a load base's zero low bytes.
     let straddling = (1..w)
+        .rev()
         .flat_map(|d| (0..8).map(move |m| [&rvas[..rvas.len() - m], &[end - d]].concat()))
+        .collect();
+    // The repeat takes a block of its own, made room for the same way.
+    let first = rvas[rvas.partition_point(|&r| (r as usize) < text.start)];
+    let duplicated = (0..8)
+        .map(|m| [&rvas[..rvas.len() - m], &[first]].concat())
         .collect();
     vec![
         ("removed", removed),
@@ -626,6 +652,7 @@ fn reloc_edits(
         ("shifted", shifted),
         ("overlapping", overlapping),
         ("straddling", straddling),
+        ("duplicated", duplicated),
     ]
 }
 
@@ -739,5 +766,105 @@ fn grouped_pairwise_matrix_equals_every_pair_compared_alone() {
         let (bed, _) = Testbed::infected_cloud(6, technique, &[2]).unwrap();
         let target = technique.infection().target_module().to_string();
         assert_matrix_is_every_pair_alone(&bed, &target, &format!("{technique}"));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Canonical forms: each executable-section digest is streamed from the
+// scan's section grouping where the section's `.reloc` entries are
+// exactly its slots, and hashed from a normalized copy elsewhere. Every
+// form and its charge must equal the copy-and-hash pass.
+
+/// The canonical form as the copy-and-hash pass computes it, built from
+/// public items only: the image cloned, normalized by its whole `.reloc`
+/// table in table order, and each executable section hashed. Charges
+/// `ledger` for that work as `canonical_form` does. The independent
+/// reference every `canonical_form` must equal.
+fn copy_and_hash(m: &ExtractedModule, ledger: &mut VmiSession<'_>) -> Option<CanonicalForm> {
+    let parsed = ParsedModule::parse_memory(&m.image.bytes).ok()?;
+    let reloc_len = parsed.sections[parsed.find_section(".reloc")?]
+        .data_range
+        .len();
+    let mut bytes = m.image.bytes.clone();
+    let slots_normalized = normalize_with_reloc_table(&mut bytes, m.image.base, &parsed)?;
+    let mut part_digests = m.header_hashes.clone();
+    for s in &m.parts.exec_sections {
+        let d = digest(m.algo, &bytes[s.range.clone()]);
+        part_digests.push((PartId::SectionData(s.name.clone()), d));
+    }
+    part_digests.sort_by(|x, y| x.0.cmp(&y.0));
+    let cost = *ledger.cost_model();
+    let exec_len: usize = m.parts.exec_sections.iter().map(|s| s.range.len()).sum();
+    ledger.charge_process(cost.parse_byte_ns, reloc_len as u64);
+    let rewritten = slots_normalized * m.parts.width.bytes();
+    ledger.charge_process(cost.diff_byte_ns, rewritten as u64);
+    ledger.charge_process(cost.hash_byte_ns * m.algo.cost_factor(), exec_len as u64);
+    Some(CanonicalForm {
+        part_digests,
+        slots_normalized,
+        algo: m.algo,
+    })
+}
+
+/// Asserts that every VM's capture of `module`, under MD5 and under
+/// SHA-256, has the canonical form and the charge of [`copy_and_hash`].
+fn assert_canonical_is_copy_and_hash(bed: &Testbed, module: &str, label: &str) {
+    let mut ledger = VmiSession::attach(&bed.hv, bed.vm_ids[0]).expect("attach");
+    for algo in [DigestAlgo::Md5, DigestAlgo::Sha256] {
+        for &vm in &bed.vm_ids {
+            let mut session = VmiSession::attach(&bed.hv, vm).expect("attach");
+            let Ok(image) = ModuleSearcher::find(&mut session, module) else {
+                continue;
+            };
+            let Ok(m) = ExtractedModule::with_algo(image, algo) else {
+                continue;
+            };
+            ledger.take_elapsed();
+            let form = canonical_form(&m, Some(&mut ledger));
+            let charged = ledger.take_elapsed();
+            let reference = copy_and_hash(&m, &mut ledger);
+            let label = format!("{label}: {algo} on {vm:?}");
+            assert_eq!(form, reference, "{label}");
+            assert_eq!(charged, ledger.take_elapsed(), "{label}: charge");
+        }
+    }
+}
+
+#[test]
+fn canonical_forms_equal_the_copy_and_hash_pass() {
+    for width in [AddressWidth::W32, AddressWidth::W64] {
+        let bed = grouping_bed(5, width);
+        assert_canonical_is_copy_and_hash(&bed, GROUPED, &format!("{width:?} clean"));
+
+        // Doctored `.reloc`, on one VM and on every VM alike.
+        let (rvas, parsed) = reloc_layout(&bed, 0, GROUPED);
+        let text = parsed.sections[parsed.find_section(".text").unwrap()]
+            .data_range
+            .clone();
+        for (edit, candidates) in reloc_edits(&rvas, &text, width) {
+            for guests in [vec![2], (0..5).collect::<Vec<_>>()] {
+                let mut bed = grouping_bed(5, width);
+                doctor_reloc(&mut bed, &guests, GROUPED, candidates.clone());
+                let label = format!("{width:?} reloc {edit} on {guests:?}");
+                assert_canonical_is_copy_and_hash(&bed, GROUPED, &label);
+            }
+        }
+
+        // `pe_fuzz`-style mutants, one per pool.
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
+            let mut bed = grouping_bed(4, width);
+            let victim = rng.random_range(0..4usize);
+            let kind = plant_mutant(&mut bed, victim, GROUPED, &mut rng);
+            let label = format!("{width:?} seed {seed}: {kind} mutant on guest {victim}");
+            assert_canonical_is_copy_and_hash(&bed, GROUPED, &label);
+        }
+    }
+
+    // Every attack technique on the standard corpus.
+    for technique in Technique::ALL {
+        let (bed, _) = Testbed::infected_cloud(6, technique, &[2]).unwrap();
+        let target = technique.infection().target_module().to_string();
+        assert_canonical_is_copy_and_hash(&bed, &target, &format!("{technique}"));
     }
 }
