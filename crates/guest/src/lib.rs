@@ -24,6 +24,7 @@
 //! must never touch ground truth: it discovers everything through VMI.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ldr;
 pub mod loader;
@@ -32,7 +33,7 @@ mod alloc;
 
 pub use alloc::BaseAllocator;
 pub use ldr::LdrOffsets;
-pub use loader::{load_module, LoadedModule};
+pub use loader::{load_module, LoadError, LoadedModule};
 
 use mc_hypervisor::{AddressWidth, HvError, Hypervisor, VmId, PAGE_SIZE};
 use mc_pe::corpus::ModuleBlueprint;
@@ -105,7 +106,7 @@ impl GuestOs {
         vm_id: VmId,
         modules: &[(String, PeFile)],
         seed: u64,
-    ) -> Result<Self, HvError> {
+    ) -> Result<Self, LoadError> {
         let mut os = Self::install(hv, vm_id, seed)?;
         let width = os.width;
         let region = match width {
@@ -128,7 +129,7 @@ impl GuestOs {
         name: &str,
         pe: &PeFile,
         base: u64,
-    ) -> Result<&LoadedModule, HvError> {
+    ) -> Result<&LoadedModule, LoadError> {
         let vm = hv.vm_mut(self.vm)?;
         let mut module = load_module(vm, pe, name, base)?;
 
@@ -151,8 +152,9 @@ impl GuestOs {
         ldr::link_tail(vm, &offs, self.list_head_va, entry_va)?;
 
         module.ldr_entry_va = entry_va;
+        let idx = self.modules.len();
         self.modules.push(module);
-        Ok(self.modules.last().expect("just pushed"))
+        Ok(&self.modules[idx])
     }
 
     /// Ground-truth lookup by module name (case-insensitive, as Windows
@@ -227,11 +229,11 @@ pub fn build_cloud_with_modules(
     count: usize,
     width: AddressWidth,
     blueprints: &[ModuleBlueprint],
-) -> Result<Vec<GuestOs>, HvError> {
-    let corpus: Vec<(String, PeFile)> = blueprints
+) -> Result<Vec<GuestOs>, LoadError> {
+    let corpus = blueprints
         .iter()
-        .map(|bp| (bp.name.clone(), bp.build().expect("blueprint builds")))
-        .collect();
+        .map(|bp| Ok((bp.name.clone(), bp.build()?)))
+        .collect::<Result<Vec<(String, PeFile)>, LoadError>>()?;
     let mut guests = Vec::with_capacity(count);
     for i in 0..count {
         let vm = hv.create_vm(&format!("dom{}", i + 1), width)?;

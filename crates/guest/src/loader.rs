@@ -11,9 +11,51 @@
 //!
 //! ModChecker's Algorithm 2 is the inverse of what happens here.
 
+use std::fmt;
+
 use mc_hypervisor::{AddressWidth, HvError, Vm};
 use mc_pe::parser::ParsedModule;
-use mc_pe::PeFile;
+use mc_pe::{PeError, PeFile};
+
+/// Why a module could not be loaded into a guest.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LoadError {
+    /// Mapping or writing guest memory failed.
+    Hv(HvError),
+    /// The module file is not a well-formed PE image (or its blueprint
+    /// did not build).
+    Pe(PeError),
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::Hv(e) => write!(f, "guest memory: {e}"),
+            LoadError::Pe(e) => write!(f, "module file: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            LoadError::Hv(e) => Some(e),
+            LoadError::Pe(e) => Some(e),
+        }
+    }
+}
+
+impl From<HvError> for LoadError {
+    fn from(e: HvError) -> Self {
+        LoadError::Hv(e)
+    }
+}
+
+impl From<PeError> for LoadError {
+    fn from(e: PeError) -> Self {
+        LoadError::Pe(e)
+    }
+}
 
 /// Ground truth about one loaded module.
 #[derive(Clone, Debug)]
@@ -34,14 +76,16 @@ pub struct LoadedModule {
 
 /// Maps `pe` into `vm` at `base`, applies relocations, and returns ground
 /// truth. Does not touch the module list (see [`crate::GuestOs::load`]).
+/// A file that does not parse is a [`LoadError::Pe`], raised before any
+/// guest memory is mapped.
 pub fn load_module(
     vm: &mut Vm,
     pe: &PeFile,
     name: &str,
     base: u64,
-) -> Result<LoadedModule, HvError> {
+) -> Result<LoadedModule, LoadError> {
     let file = pe.bytes();
-    let parsed = ParsedModule::parse_file(file).expect("corpus PE files parse");
+    let parsed = ParsedModule::parse_file(file)?;
     let size = pe.size_of_image();
 
     // Reserve the whole image range (zero-filled pages).
@@ -58,11 +102,9 @@ pub fn load_module(
 
     // Map each section's raw data to its VirtualAddress. VirtualSize beyond
     // SizeOfRawData stays zero (the loader's zero-fill).
-    for (i, s) in parsed.sections.iter().enumerate() {
-        let data = parsed
-            .section_data(file, i)
-            .expect("section ranges validated by parse");
-        vm.write_virt(base + s.virtual_address as u64, data)?;
+    // The parse checked every section's raw range against the file.
+    for s in &parsed.sections {
+        vm.write_virt(base + s.virtual_address as u64, &file[s.data_range.clone()])?;
     }
 
     // Base relocation: every slot holds a target RVA (ImageBase = 0 model);

@@ -19,17 +19,26 @@
 //! via [`VmiSession::charge_process`], so one ledger carries a whole
 //! per-VM check and can be split per component.
 //!
+//! **One read path.** The four public reads ([`VmiSession::read_va`],
+//! [`VmiSession::read_va_stable`] and their scatter-gather twins) are one
+//! private batch read; a scalar read is a one-request batch. Each attempt
+//! consults the fault layer once for the whole batch. A fast session
+//! ([`VmiSession::with_fast_capture`]) plans every request against its
+//! translate cache; a legacy session reads request by request with the
+//! paper's per-page charge.
+//!
 //! **Chaos-readiness.** When the introspected VM carries a
 //! [`mc_hypervisor::FaultPlan`], the session transparently rides out
 //! transient faults with a bounded exponential-backoff retry
 //! ([`RetryPolicy`]), every backoff charged to the simulated-time ledger so
-//! the performance figures stay honest. Bulk captures go through
-//! [`VmiSession::read_va_stable`], which detects torn pages by reading
-//! twice. A per-session [deadline](VmiSession::with_deadline) bounds how
-//! much simulated time a misbehaving guest can consume.
+//! the performance figures stay honest. Captures go through the stable
+//! reads, which detect torn pages by reading the batch twice. A
+//! per-session [deadline](VmiSession::with_deadline) bounds how much
+//! simulated time a misbehaving guest can consume.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet};
@@ -251,9 +260,9 @@ pub struct VmiStats {
     pub retries: u64,
     /// Transient faults observed (each consumed a retry or ended the read).
     pub transient_faults: u64,
-    /// Torn reads detected by [`VmiSession::read_va_stable`]'s double-read.
+    /// Torn reads detected by the stable reads' double-read.
     pub torn_detected: u64,
-    /// Verification passes performed by [`VmiSession::read_va_stable`].
+    /// Requests re-read by the stable reads' verification passes.
     /// These re-read memory that was already copied, so they are *not*
     /// counted in `reads`/`pages_mapped`/`bytes_copied` — overhead
     /// attribution would otherwise double-charge every stable read.
@@ -376,8 +385,8 @@ const PREALLOC_PAGES: u64 = 256;
 /// Caching VA→PA translations for the lifetime of a session is sound
 /// because the session borrows the [`Vm`] immutably: guest page tables
 /// cannot be remapped under it. The `mapped` set plays the role of the
-/// legacy page cache, but map charges are per contiguous *physical* run
-/// on vectored reads, not per page.
+/// legacy page cache, but map charges are per contiguous *physical* run,
+/// not per page.
 #[derive(Debug, Default)]
 struct FastPathState {
     /// Page-aligned guest VA → guest PA of the backing frame.
@@ -399,12 +408,6 @@ impl FastPathState {
             Entry::Occupied(e) => Ok((*e.get(), true)),
             Entry::Vacant(e) => Ok((*e.insert(vm.translate(pva)?), false)),
         }
-    }
-
-    /// Starts a new plan with the pages a `len`-byte read at `va` crosses.
-    fn plan_range(&mut self, va: u64, len: u64) {
-        self.plan.clear();
-        self.add_range(va, len);
     }
 
     /// Adds the pages a `len`-byte read at `va` crosses to the plan (not
@@ -589,10 +592,75 @@ impl<'hv> VmiSession<'hv> {
     /// ([`HvError::VmLost`]) and structural errors (unmapped VAs) are
     /// never retried.
     pub fn read_va(&mut self, va: u64, buf: &mut [u8]) -> Result<(), VmiError> {
+        self.read_batch(&mut [VectoredRead { va, buf }], false)
+    }
+
+    /// Reads guest memory like [`VmiSession::read_va`], then verifies the
+    /// snapshot is *stable* — two consecutive reads agree — before
+    /// returning it. This is how a real introspector defends against torn
+    /// pages (the guest dirtying memory between the copy's page visits).
+    ///
+    /// On a VM without a fault plan the verification read is skipped and
+    /// nothing extra is charged: the simulator's read-only borrow proves
+    /// guest memory cannot change under the scan, and skipping keeps the
+    /// baseline Fig. 7/8 cost ledger identical to the fault-free build.
+    ///
+    /// If no two consecutive snapshots agree within the retry budget the
+    /// read fails with [`VmiError::TornRead`]. Each detected tear bumps
+    /// [`VmiStats::torn_detected`].
+    pub fn read_va_stable(&mut self, va: u64, buf: &mut [u8]) -> Result<(), VmiError> {
+        self.read_stable(&mut [VectoredRead { va, buf }], false)
+    }
+
+    /// Scatter-gather read: fills every request in `requests` from one
+    /// plan. Every requested page resolves through the session translate
+    /// cache (one page-table walk per never-seen page), newly touched
+    /// pages are foreign-mapped once per contiguous physical run, and the
+    /// per-byte copy cost covers the total — the capture fast path.
+    ///
+    /// Requires [`VmiSession::with_fast_capture`]; without it the call
+    /// degrades to one `read_va` per request, so callers can stay
+    /// path-agnostic. The fault layer is consulted once per attempt, and a
+    /// transient fault retries the whole batch under the [`RetryPolicy`].
+    pub fn read_va_vectored(&mut self, requests: &mut [VectoredRead<'_>]) -> Result<(), VmiError> {
+        self.read_batch(requests, true)
+    }
+
+    /// Scatter-gather equivalent of [`VmiSession::read_va_stable`]: reads
+    /// the batch, then (only on VMs carrying a fault plan) re-reads and
+    /// compares until two consecutive snapshots of every request agree.
+    /// A tear names the first request that differed.
+    pub fn read_va_vectored_stable(
+        &mut self,
+        requests: &mut [VectoredRead<'_>],
+    ) -> Result<(), VmiError> {
+        self.read_stable(requests, true)
+    }
+
+    /// The one guest read behind the four public ones; a scalar read is a
+    /// one-request batch. `vectored` marks a scatter-gather call, which
+    /// counts in [`VmiStats::vectored_reads`] on a fast session.
+    ///
+    /// A fast session attempts the whole batch under the session
+    /// [`RetryPolicy`]; errors name the batch's lowest VA. A legacy
+    /// session reads request by request, each with its own retries.
+    fn read_batch(
+        &mut self,
+        reqs: &mut [VectoredRead<'_>],
+        vectored: bool,
+    ) -> Result<(), VmiError> {
+        if self.fast.is_none() && reqs.len() > 1 {
+            return reqs
+                .chunks_mut(1)
+                .try_for_each(|one| self.read_batch(one, vectored));
+        }
+        let Some(va) = reqs.iter().map(|r| r.va).min() else {
+            return Ok(());
+        };
         let mut attempt: u32 = 0;
         loop {
             self.check_deadline()?;
-            match self.read_va_attempt(va, buf) {
+            match self.read_attempt(va, reqs, vectored) {
                 Ok(()) => return Ok(()),
                 Err(VmiError::Hv(e)) if e.is_transient() => {
                     self.stats.transient_faults += 1;
@@ -614,33 +682,33 @@ impl<'hv> VmiSession<'hv> {
         }
     }
 
-    /// One read attempt: consults the fault layer, then performs and
-    /// charges the read. Failed attempts charge one page-map worth of time
-    /// (the failed hypercall) but never touch the page cache or the
-    /// byte/page statistics, so the performance figures count only useful
-    /// work.
-    fn read_va_attempt(&mut self, va: u64, buf: &mut [u8]) -> Result<(), VmiError> {
+    /// One attempt at a batch whose lowest VA is `va`: one fault-layer
+    /// consultation for the whole batch, then the read. Failed attempts
+    /// charge one page-map worth of time (the failed hypercall) but never
+    /// touch the translate cache or the byte/page statistics, so the
+    /// performance figures count only useful work.
+    fn read_attempt(
+        &mut self,
+        va: u64,
+        reqs: &mut [VectoredRead<'_>],
+        vectored: bool,
+    ) -> Result<(), VmiError> {
         #[cfg(test)]
         if self.reference {
-            return self.reference_read_va_attempt(va, buf);
+            return self.reference_read_attempt(reqs, vectored);
         }
-        let decision = match &mut self.fault {
-            Some(state) => state.on_read(va, buf.len()),
-            None => FaultDecision::Proceed {
-                torn_byte: None,
-                extra_ns: 0,
-            },
-        };
-        let torn_byte = match decision {
-            FaultDecision::Fail { error, extra_ns } => {
+        let total: usize = reqs.iter().map(|r| r.buf.len()).sum();
+        let torn_byte = match self.fault.as_mut().map(|f| f.on_read(va, total)) {
+            None => None,
+            Some(FaultDecision::Fail { error, extra_ns }) => {
                 self.charge(self.cost.read_cost(1, 0));
                 self.charge_flat(SimDuration::from_nanos(extra_ns));
                 return Err(error.into());
             }
-            FaultDecision::Proceed {
+            Some(FaultDecision::Proceed {
                 torn_byte,
                 extra_ns,
-            } => {
+            }) => {
                 self.charge_flat(SimDuration::from_nanos(extra_ns));
                 torn_byte
             }
@@ -649,32 +717,50 @@ impl<'hv> VmiSession<'hv> {
         // miss), map first-touch pages per contiguous physical run, then
         // pay per-byte copy only — straight from the frames the plan
         // resolved.
-        let fast_read = self.with_fast(|s, fast| {
-            fast.plan_range(va, buf.len() as u64);
+        let planned = self.with_fast(|s, fast| {
+            fast.plan.clear();
+            for r in reqs.iter() {
+                fast.add_range(r.va, r.buf.len() as u64);
+            }
+            fast.plan.sort_unstable();
+            fast.plan.dedup();
             s.fast_plan(fast)?;
-            s.stats.reads += 1;
-            s.stats.bytes_copied += buf.len() as u64;
-            s.charge(s.cost.read_cost(0, buf.len() as u64));
-            Ok::<_, VmiError>(s.copy_planned(fast, va, buf)?)
+            s.stats.reads += reqs.len() as u64;
+            s.stats.vectored_reads += u64::from(vectored);
+            s.stats.bytes_copied += total as u64;
+            s.charge(s.cost.read_cost(0, total as u64));
+            reqs.iter_mut()
+                .try_for_each(|r| s.copy_planned(fast, r.va, r.buf))
+                .map_err(VmiError::from)
         });
-        if let Some(read) = fast_read {
-            read?;
-        } else {
+        match planned {
+            Some(read) => read?,
             // The paper's prototype: every page crossed pays its
             // translation and foreign map.
-            let pages = Vm::pages_crossed(va, buf.len() as u64);
-            self.stats.reads += 1;
-            self.stats.pages_mapped += pages;
-            self.stats.bytes_copied += buf.len() as u64;
-            self.stats.page_walks += pages;
-            self.charge(self.cost.read_cost(pages, buf.len() as u64));
-            self.vm.read_virt(va, buf)?;
+            None => {
+                for r in reqs.iter_mut() {
+                    let len = r.buf.len() as u64;
+                    let pages = Vm::pages_crossed(r.va, len);
+                    self.stats.reads += 1;
+                    self.stats.pages_mapped += pages;
+                    self.stats.bytes_copied += len;
+                    self.stats.page_walks += pages;
+                    self.charge(self.cost.read_cost(pages, len));
+                    self.vm.read_virt(r.va, r.buf)?;
+                }
+            }
         }
-        if let Some(off) = torn_byte {
+        if let Some(mut off) = torn_byte {
             // A concurrent guest write landed mid-copy: one byte of the
-            // returned buffer is stale. Silent by design — only
-            // `read_va_stable`'s double-read can notice.
-            buf[off] ^= 0xFF;
+            // concatenated batch is stale. Silent by design — only the
+            // stable reads' double-read can notice.
+            for r in reqs.iter_mut() {
+                if off < r.buf.len() {
+                    r.buf[off] ^= 0xFF;
+                    break;
+                }
+                off -= r.buf.len();
+            }
         }
         Ok(())
     }
@@ -739,218 +825,62 @@ impl<'hv> VmiSession<'hv> {
         Ok(())
     }
 
-    /// Reads guest memory like [`VmiSession::read_va`], then verifies the
-    /// snapshot is *stable* — two consecutive reads agree — before
-    /// returning it. This is how a real introspector defends against torn
-    /// pages (the guest dirtying memory between the copy's page visits).
-    ///
-    /// On a VM without a fault plan the verification read is skipped and
-    /// nothing extra is charged: the simulator's read-only borrow proves
-    /// guest memory cannot change under the scan, and skipping keeps the
-    /// baseline Fig. 7/8 cost ledger identical to the fault-free build.
-    ///
-    /// If no two consecutive snapshots agree within the retry budget the
-    /// read fails with [`VmiError::TornRead`]. Each detected tear bumps
-    /// [`VmiStats::torn_detected`].
-    pub fn read_va_stable(&mut self, va: u64, buf: &mut [u8]) -> Result<(), VmiError> {
-        self.read_va(va, buf)?;
-        if self.fault.is_none() {
+    /// [`VmiSession::read_batch`] plus, on a VM carrying a fault plan, the
+    /// double-read: the batch is re-read into one check buffer until two
+    /// consecutive snapshots agree on every request.
+    fn read_stable(
+        &mut self,
+        reqs: &mut [VectoredRead<'_>],
+        vectored: bool,
+    ) -> Result<(), VmiError> {
+        self.read_batch(reqs, vectored)?;
+        if self.fault.is_none() || reqs.is_empty() {
             return Ok(());
         }
-        let mut check = vec![0u8; buf.len()];
+        let mut check = vec![0u8; reqs.iter().map(|r| r.buf.len()).sum()];
+        // The verification batch reads the same VAs back to back into
+        // `check`; a one-request batch (every scalar read) keeps it on the
+        // stack.
+        let mut rest = check.as_mut_slice();
+        let mut split = |r: &VectoredRead<'_>| {
+            let (buf, tail) = std::mem::take(&mut rest).split_at_mut(r.buf.len());
+            rest = tail;
+            VectoredRead { va: r.va, buf }
+        };
+        let (mut one, mut many);
+        let verify: &mut [VectoredRead<'_>] = if let [r] = &*reqs {
+            one = [split(r)];
+            &mut one
+        } else {
+            many = reqs.iter().map(split).collect::<Vec<_>>();
+            &mut many
+        };
+        let mut torn_va = reqs[0].va;
         for _ in 0..=self.retry.max_retries {
             let before = self.stats;
-            self.read_va(va, &mut check)?;
+            self.read_batch(verify, vectored)?;
             // The verification pass re-reads bytes already copied: reclassify
             // it under `stability_rereads` so `reads`/`pages_mapped`/
             // `bytes_copied` keep measuring useful work only. Simulated time
             // stays charged (the double-read really costs it), and
             // retries/transient_faults keep accruing (those are genuine).
-            self.stats.stability_rereads += self.stats.reads - before.reads;
-            self.stats.reads = before.reads;
-            self.stats.pages_mapped = before.pages_mapped;
-            self.stats.bytes_copied = before.bytes_copied;
-            self.stats.page_walks = before.page_walks;
-            self.stats.translate_cache_hits = before.translate_cache_hits;
-            self.stats.vectored_reads = before.vectored_reads;
-            if check == *buf {
-                return Ok(());
-            }
-            self.stats.torn_detected += 1;
-            buf.copy_from_slice(&check);
-        }
-        Err(VmiError::TornRead { va })
-    }
-
-    /// Scatter-gather read: fills every request in `requests`, planning
-    /// the whole batch at once. All requested pages are resolved through
-    /// the session translate cache (one page-table walk per distinct
-    /// never-seen page), newly touched pages are foreign-mapped once per
-    /// contiguous physical run, and the per-byte copy cost covers the
-    /// total. This replaces dozens of `read_va`/`read_u32` round-trips
-    /// with one plan — the capture fast path.
-    ///
-    /// Requires [`VmiSession::with_fast_capture`]; without it the call
-    /// degrades to a sequential `read_va` loop so callers can stay
-    /// path-agnostic. The fault layer is consulted once per attempt (the
-    /// batch is one hypercall-sized operation, not dozens), and transient
-    /// faults retry the whole batch under the session [`RetryPolicy`].
-    pub fn read_va_vectored(&mut self, requests: &mut [VectoredRead<'_>]) -> Result<(), VmiError> {
-        if requests.is_empty() {
-            return Ok(());
-        }
-        if let Some(read) = self.with_fast(|s, fast| s.read_va_vectored_fast(fast, requests)) {
-            return read;
-        }
-        for r in requests.iter_mut() {
-            self.read_va(r.va, r.buf)?;
-        }
-        Ok(())
-    }
-
-    /// [`VmiSession::read_va_vectored`] on a fast session: attempts under
-    /// the session [`RetryPolicy`].
-    fn read_va_vectored_fast(
-        &mut self,
-        fast: &mut FastPathState,
-        requests: &mut [VectoredRead<'_>],
-    ) -> Result<(), VmiError> {
-        let first_va = requests.iter().map(|r| r.va).min().unwrap_or(0);
-        let mut attempt: u32 = 0;
-        loop {
-            self.check_deadline()?;
-            match self.read_va_vectored_attempt(fast, requests) {
-                Ok(()) => return Ok(()),
-                Err(VmiError::Hv(e)) if e.is_transient() => {
-                    self.stats.transient_faults += 1;
-                    if attempt >= self.retry.max_retries {
-                        return Err(VmiError::RetriesExhausted {
-                            va: first_va,
-                            attempts: attempt + 1,
-                            last: e,
-                        });
-                    }
-                    let wait = self.retry.jittered_backoff(attempt, &mut self.jitter_rng);
-                    self.charge_flat(wait);
-                    self.stats.retries += 1;
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One scatter-gather attempt: one fault-layer consultation for the
-    /// whole batch, then plan + copy. A torn-byte injection lands in the
-    /// request whose buffer covers the torn offset of the concatenated
-    /// batch, mirroring the single-read behavior.
-    fn read_va_vectored_attempt(
-        &mut self,
-        fast: &mut FastPathState,
-        requests: &mut [VectoredRead<'_>],
-    ) -> Result<(), VmiError> {
-        #[cfg(test)]
-        if self.reference {
-            return self.reference_read_va_vectored_attempt(fast, requests);
-        }
-        let total: usize = requests.iter().map(|r| r.buf.len()).sum();
-        let first_va = requests.iter().map(|r| r.va).min().unwrap_or(0);
-        let decision = match &mut self.fault {
-            Some(state) => state.on_read(first_va, total),
-            None => FaultDecision::Proceed {
-                torn_byte: None,
-                extra_ns: 0,
-            },
-        };
-        let torn_byte = match decision {
-            FaultDecision::Fail { error, extra_ns } => {
-                self.charge(self.cost.read_cost(1, 0));
-                self.charge_flat(SimDuration::from_nanos(extra_ns));
-                return Err(error.into());
-            }
-            FaultDecision::Proceed {
-                torn_byte,
-                extra_ns,
-            } => {
-                self.charge_flat(SimDuration::from_nanos(extra_ns));
-                torn_byte
-            }
-        };
-        fast.plan.clear();
-        for r in requests.iter() {
-            fast.add_range(r.va, r.buf.len() as u64);
-        }
-        fast.plan.sort_unstable();
-        fast.plan.dedup();
-        self.fast_plan(fast)?;
-        self.stats.reads += requests.len() as u64;
-        self.stats.vectored_reads += 1;
-        self.stats.bytes_copied += total as u64;
-        self.charge(self.cost.read_cost(0, total as u64));
-        for r in requests.iter_mut() {
-            self.copy_planned(fast, r.va, r.buf)?;
-        }
-        if let Some(mut off) = torn_byte {
-            for r in requests.iter_mut() {
-                if off < r.buf.len() {
-                    r.buf[off] ^= 0xFF;
-                    break;
-                }
-                off -= r.buf.len();
-            }
-        }
-        Ok(())
-    }
-
-    /// Scatter-gather equivalent of [`VmiSession::read_va_stable`]: reads
-    /// the batch, then (only on VMs carrying a fault plan) re-reads and
-    /// compares until two consecutive snapshots of every request agree.
-    /// Verification passes are reclassified under
-    /// [`VmiStats::stability_rereads`] exactly like the scalar variant,
-    /// so the useful-work counters stay honest.
-    pub fn read_va_vectored_stable(
-        &mut self,
-        requests: &mut [VectoredRead<'_>],
-    ) -> Result<(), VmiError> {
-        self.read_va_vectored(requests)?;
-        if self.fault.is_none() || requests.is_empty() {
-            return Ok(());
-        }
-        let mut check: Vec<Vec<u8>> = requests.iter().map(|r| vec![0u8; r.buf.len()]).collect();
-        let mut torn_va = requests.first().map_or(0, |r| r.va);
-        for _ in 0..=self.retry.max_retries {
-            let before = self.stats;
-            {
-                let mut verify: Vec<VectoredRead<'_>> = requests
-                    .iter()
-                    .zip(check.iter_mut())
-                    .map(|(r, c)| VectoredRead {
-                        va: r.va,
-                        buf: c.as_mut_slice(),
-                    })
-                    .collect();
-                self.read_va_vectored(&mut verify)?;
-            }
-            self.stats.stability_rereads += self.stats.reads - before.reads;
-            self.stats.reads = before.reads;
-            self.stats.pages_mapped = before.pages_mapped;
-            self.stats.bytes_copied = before.bytes_copied;
-            self.stats.page_walks = before.page_walks;
-            self.stats.translate_cache_hits = before.translate_cache_hits;
-            self.stats.vectored_reads = before.vectored_reads;
-            let mismatch = requests
+            self.stats = VmiStats {
+                stability_rereads: self.stats.stability_rereads + self.stats.reads - before.reads,
+                retries: self.stats.retries,
+                transient_faults: self.stats.transient_faults,
+                ..before
+            };
+            let Some(i) = reqs
                 .iter()
-                .zip(check.iter())
-                .position(|(r, c)| r.buf != c.as_slice());
-            match mismatch {
-                None => return Ok(()),
-                Some(i) => {
-                    self.stats.torn_detected += 1;
-                    torn_va = requests[i].va;
-                    for (r, c) in requests.iter_mut().zip(check.iter()) {
-                        r.buf.copy_from_slice(c);
-                    }
-                }
+                .zip(verify.iter())
+                .position(|(r, c)| r.buf != c.buf)
+            else {
+                return Ok(());
+            };
+            self.stats.torn_detected += 1;
+            torn_va = reqs[i].va;
+            for (r, c) in reqs.iter_mut().zip(verify.iter()) {
+                r.buf.copy_from_slice(c.buf);
             }
         }
         Err(VmiError::TornRead { va: torn_va })
@@ -958,18 +888,13 @@ impl<'hv> VmiSession<'hv> {
 
     /// Reads a guest pointer (4/8 bytes by width).
     pub fn read_ptr(&mut self, va: u64) -> Result<u64, VmiError> {
-        match self.width() {
-            AddressWidth::W32 => {
-                let mut b = [0u8; 4];
-                self.read_va(va, &mut b)?;
-                Ok(u32::from_le_bytes(b) as u64)
-            }
-            AddressWidth::W64 => {
-                let mut b = [0u8; 8];
-                self.read_va(va, &mut b)?;
-                Ok(u64::from_le_bytes(b))
-            }
-        }
+        let mut b = [0u8; 8];
+        let len = match self.width() {
+            AddressWidth::W32 => 4,
+            AddressWidth::W64 => 8,
+        };
+        self.read_va(va, &mut b[..len])?;
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Reads a `u16`.
@@ -1057,16 +982,8 @@ impl<'hv> VmiSession<'hv> {
     /// deadline does.
     pub fn page_generation(&mut self, va: u64) -> Result<mc_hypervisor::PageGeneration, VmiError> {
         self.check_deadline()?;
-        // Fast sessions answer repeat probes from the translate cache
-        // (free), and a probe that misses warms the cache for the capture
-        // that usually follows it.
-        let pva = va & !((1u64 << PAGE_SHIFT) - 1);
-        if let Some(pa) = self.with_fast(|s, fast| s.fast_translate(fast, pva)) {
-            return Ok(self.vm.mem.page_generation(pa?)?);
-        }
-        self.stats.page_walks += 1;
-        self.charge(SimDuration::from_nanos(self.cost.translate_ns));
-        Ok(self.vm.page_generation(va)?)
+        let pa = self.translate_page(va)?;
+        Ok(self.vm.mem.page_generation(pa)?)
     }
 
     /// Write-generations for every page a `len`-byte range at `va` crosses,
@@ -1105,16 +1022,7 @@ impl<'hv> VmiSession<'hv> {
         let mut frames = Vec::with_capacity(pages.min(PREALLOC_PAGES) as usize);
         for i in 0..pages {
             self.check_deadline()?;
-            let pva = first_page_va + (i << PAGE_SHIFT);
-            let pa = match self.with_fast(|s, fast| s.fast_translate(fast, pva)) {
-                Some(pa) => pa?,
-                None => {
-                    self.stats.page_walks += 1;
-                    self.charge(SimDuration::from_nanos(self.cost.translate_ns));
-                    self.vm.translate(pva)?
-                }
-            };
-            frames.push(pa >> PAGE_SHIFT);
+            frames.push(self.translate_page(first_page_va + (i << PAGE_SHIFT))? >> PAGE_SHIFT);
         }
         Ok(mc_hypervisor::WatchPlan {
             vm: self.vm.id,
@@ -1124,18 +1032,29 @@ impl<'hv> VmiSession<'hv> {
         })
     }
 
-    /// Translates page-aligned `pva` through the fast path's cache: a hit
-    /// is free, a miss walks the page tables once and charges
-    /// [`mc_hypervisor::CostModel::translate_ns`].
-    fn fast_translate(&mut self, fast: &mut FastPathState, pva: u64) -> Result<u64, VmiError> {
-        let (pa, hit) = fast.resolve(self.vm, pva)?;
+    /// The address of the frame backing the page of `va`, for metadata
+    /// queries that map no guest bytes. A fast session answers repeat
+    /// pages from its translate cache (free), and a miss warms the cache
+    /// for the capture that usually follows. Every other translation walks
+    /// the page tables and charges
+    /// [`mc_hypervisor::CostModel::translate_ns`] — on a legacy session
+    /// even when the walk finds nothing mapped.
+    fn translate_page(&mut self, va: u64) -> Result<u64, VmiError> {
+        let page_mask = (1u64 << PAGE_SHIFT) - 1;
+        let (pa, hit) = match &mut self.fast {
+            Some(fast) => {
+                let (pa, hit) = fast.resolve(self.vm, va & !page_mask)?;
+                (Ok(pa), hit)
+            }
+            None => (self.vm.translate(va), false),
+        };
         if hit {
             self.stats.translate_cache_hits += 1;
         } else {
             self.stats.page_walks += 1;
             self.charge(SimDuration::from_nanos(self.cost.translate_ns));
         }
-        Ok(pa)
+        Ok(pa? & !page_mask)
     }
 
     /// Runs `f` with the fast-path state lent out of the session, or

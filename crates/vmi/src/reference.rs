@@ -17,6 +17,28 @@ impl VmiSession<'_> {
         self
     }
 
+    /// The reference for one attempt of the session's batch read: a
+    /// vectored batch on a fast session takes the vectored shape; every
+    /// other batch holds one request and takes the scalar shape, whose
+    /// legacy branch is the paper's per-page read.
+    pub(crate) fn reference_read_attempt(
+        &mut self,
+        requests: &mut [VectoredRead<'_>],
+        vectored: bool,
+    ) -> Result<(), VmiError> {
+        if vectored {
+            if let Some(read) =
+                self.with_fast(|s, fast| s.reference_read_va_vectored_attempt(fast, requests))
+            {
+                return read;
+            }
+        }
+        let [r] = requests else {
+            panic!("a scalar attempt holds one request");
+        };
+        self.reference_read_va_attempt(r.va, r.buf)
+    }
+
     /// The fault-layer consultation both attempt shapes start with.
     fn reference_decide(&mut self, va: u64, len: usize) -> Result<Option<usize>, VmiError> {
         let decision = match &mut self.fault {
@@ -42,11 +64,7 @@ impl VmiSession<'_> {
         }
     }
 
-    pub(crate) fn reference_read_va_attempt(
-        &mut self,
-        va: u64,
-        buf: &mut [u8],
-    ) -> Result<(), VmiError> {
+    fn reference_read_va_attempt(&mut self, va: u64, buf: &mut [u8]) -> Result<(), VmiError> {
         let torn_byte = self.reference_decide(va, buf.len())?;
         let planned = self.with_fast(|s, fast| {
             let pages = Self::page_vas(va, buf.len() as u64);
@@ -73,7 +91,7 @@ impl VmiSession<'_> {
         Ok(())
     }
 
-    pub(crate) fn reference_read_va_vectored_attempt(
+    fn reference_read_va_vectored_attempt(
         &mut self,
         fast: &mut FastPathState,
         requests: &mut [VectoredRead<'_>],
@@ -254,9 +272,10 @@ mod tests {
 
     /// For random read sequences — scalar, vectored and their stable
     /// variants, page-crossing, into unmapped holes, under transient,
-    /// torn-page and paged-out fault plans, on both widths — the planner
-    /// session and the reference session agree on every byte, error,
-    /// counter, ledger and fault draw after every call.
+    /// torn-page and paged-out fault plans, on both widths, on fast and
+    /// legacy sessions — the session's read path and the reference agree
+    /// on every byte, error, counter, ledger and fault draw after every
+    /// call.
     #[test]
     fn planner_matches_the_reference_read_path() {
         let plans = [
@@ -282,11 +301,16 @@ mod tests {
             let plan = plans[(case % plans.len() as u64) as usize];
             let (hv, id) = bed(width, case, plan);
             let retry = RetryPolicy::with_max_retries(rng.random_range(0..6u32));
+            // Half the cases run legacy sessions: the paper's per-page
+            // read, with vectored calls degraded to one read per request.
+            let fast = case % 4 < 2;
             let open = || {
-                VmiSession::attach(&hv, id)
-                    .unwrap()
-                    .with_fast_capture()
-                    .with_retry(retry)
+                let s = VmiSession::attach(&hv, id).unwrap().with_retry(retry);
+                if fast {
+                    s.with_fast_capture()
+                } else {
+                    s
+                }
             };
             let mut planner = open();
             let mut reference = open().into_reference();
